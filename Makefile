@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check fmt vet importgate build test race bench obs-bench alloc-bench fuzz-smoke
+.PHONY: check fmt vet importgate build bench-check test race bench obs-bench alloc-bench fuzz-smoke
 
 # Tier-1 gate: formatting, vet, import boundaries, build, and the full
 # suite under the race detector (the TCP data path is exercised by
 # genuinely concurrent tests).
-check: fmt vet importgate build race
+check: fmt vet importgate build bench-check race
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -21,9 +21,10 @@ vet:
 # cmd/*, examples/*) must never grow a dependency on the simulation
 # engine. Only the allow-listed simulation packages — and the facade,
 # which re-exports the engine for simulation users — may import
-# internal/simtime in non-test sources; _test.go files are exempt.
+# internal/simtime in non-test sources; _test.go files are exempt. bench/
+# is skipped: it is a separate module (nvmperf), not part of the library.
 importgate:
-	@bad=$$(grep -rl '"nvmalloc/internal/simtime"' --include='*.go' . \
+	@bad=$$(grep -rl '"nvmalloc/internal/simtime"' --include='*.go' --exclude-dir=bench . \
 		| grep -v '_test\.go$$' \
 		| sed 's|^\./||' \
 		| grep -v -E '^(nvmalloc\.go|internal/(simtime|sim|simstore|cluster|device|netsim|mpi|pfs|workloads|experiments)/)'); \
@@ -34,6 +35,14 @@ importgate:
 
 build:
 	$(GO) build ./...
+
+# bench/ is a module of its own (BENCHMARK.json's nvmperf), so `./...` from
+# the root never descends into it: this is what notices a root-module change
+# that breaks what the benchmark compiles against. ~10 s.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) build -C bench -o /dev/null .
+	$(GO) test -C bench ./...
 
 test:
 	$(GO) test ./...

@@ -154,21 +154,15 @@ func TestConnectCheckpointRestoreE2E(t *testing.T) {
 	}
 }
 
-// TestConnectConcurrentRanks hammers one connection from several
-// goroutines — the shared FUSE-layer cache and the TCP data path must be
-// race-free (this test earns its keep under -race).
+// TestConnectConcurrentRanks hammers one cluster from several rank
+// goroutines at once — the TCP data path and the daemons must be race-free
+// (this test earns its keep under -race). Each rank connects for itself: a
+// Client's page cache is single-rank by contract (fusecache.PageCache), and
+// the shared-Client version of this test raced in PageCache.Drop.
+// TestConnectSharedChunkCache keeps the one-connection coverage.
 func TestConnectConcurrentRanks(t *testing.T) {
 	const chunk = 4096
 	cl := startCluster(t, 3, chunk, 1)
-
-	c, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{
-		CacheBytes: 8 * chunk, // small: forces eviction traffic
-		PageSize:   512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 
 	const workers = 4
 	var wg sync.WaitGroup
@@ -177,6 +171,15 @@ func TestConnectConcurrentRanks(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			c, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{
+				CacheBytes: 8 * chunk, // small: forces eviction traffic
+				PageSize:   512,
+			})
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
 			name := fmt.Sprintf("rank%d.var", w)
 			r, err := c.Malloc(nil, 4*chunk, nvmalloc.WithName(name))
 			if err != nil {
@@ -210,6 +213,89 @@ func TestConnectConcurrentRanks(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConnectSharedChunkCache is the one-connection half of the above:
+// several goroutines drive ONE Client's FUSE-layer chunk cache — the layer
+// that is shared between ranks by contract — each on a variable of its own,
+// through an undersized cache so their evictions, writebacks and flushes
+// interleave on the shared store connection. Run with -race.
+func TestConnectSharedChunkCache(t *testing.T) {
+	const (
+		chunk   = 4096
+		workers = 4
+		size    = 4 * chunk
+	)
+	cl := startCluster(t, 3, chunk, 1)
+	c, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{
+		CacheBytes: 8 * chunk, // half the working set: forces eviction traffic
+		PageSize:   512,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	regions := make([]*nvmalloc.Region, workers)
+	for w := range regions {
+		if regions[w], err = c.Malloc(nil, size, nvmalloc.WithName(fmt.Sprintf("shared%d.var", w))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cc := c.ChunkCache()
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			name := regions[w].Name()
+			got := make([]byte, size)
+			for iter := 0; iter < 5; iter++ {
+				pat := bytes.Repeat([]byte{byte('a' + w + iter)}, size)
+				if err := cc.WriteRange(nil, name, 0, pat); err != nil {
+					errs <- err
+					return
+				}
+				if err := cc.ReadRange(nil, name, 0, got); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, pat) {
+					errs <- fmt.Errorf("worker %d iteration %d read back wrong data", w, iter)
+					return
+				}
+				if err := cc.Flush(nil, name); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// What reached the store is each worker's last pattern.
+	reader, err := rpc.Open(cl.mgr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	got := make([]byte, size)
+	for w, r := range regions {
+		if err := reader.ReadAt(r.Name(), 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if want := bytes.Repeat([]byte{byte('a' + w + 4)}, size); !bytes.Equal(got, want) {
+			t.Fatalf("worker %d: store holds %q…, want %q…", w, got[:4], want[:4])
+		}
+		if err := r.Free(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

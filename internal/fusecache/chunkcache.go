@@ -49,15 +49,22 @@ type Config struct {
 	// chunks travel on every writeback, however few pages are dirty. This
 	// is the "without optimization" baseline of Table VII.
 	WriteFullChunks bool
-	// FuseConcurrency is how many store requests the node's FUSE daemon
-	// keeps in flight (the 2012 implementation served requests with very
-	// limited concurrency; 0 defaults to 2 — one demand fetch plus one
-	// read-ahead).
+	// FuseConcurrency is how many store requests this cache keeps in
+	// flight. 0 means DefaultFuseConcurrency, sized for the TCP data path;
+	// the simulated 2012 testbed's FUSE daemon served ~2 and says so in its
+	// profile (sysprof.Profile.FuseConcurrency).
 	FuseConcurrency int
 	// Obs receives the cache's counters (fusecache.* on its registry).
 	// Nil gets a fresh private obs.New("fusecache").
 	Obs *obs.Obs
 }
+
+// DefaultFuseConcurrency is the store-request concurrency of a cache whose
+// Config leaves FuseConcurrency zero: enough requests in flight to cover
+// device latency across a handful of benefactors with pooled connections.
+// rpc.DefaultParallelism is defined as this value, so cached and uncached
+// TCP clients fan out equally wide.
+const DefaultFuseConcurrency = 8
 
 // Chunks returns the cache capacity in chunks (at least 1).
 func (c Config) Chunks() int {
@@ -189,7 +196,7 @@ func NewChunkCache(env store.Env, st store.Client, cfg Config) *ChunkCache {
 	}
 	conc := cfg.FuseConcurrency
 	if conc <= 0 {
-		conc = 2
+		conc = DefaultFuseConcurrency
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New("fusecache")
@@ -430,6 +437,7 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int) (*entry, erro
 		// one is what lets NVMalloc outperform direct SSD access
 		// (Table III).
 		if sequential && cc.cfg.ReadAheadChunks > 0 {
+			spawned := false
 			for ahead := 1; ahead <= cc.cfg.ReadAheadChunks; ahead++ {
 				na := idx + ahead
 				if na >= len(fi.Chunks) {
@@ -447,6 +455,17 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int) (*entry, erro
 					_, _ = cc.fetch(pp, nk, refs, true)
 					cc.env.Unlock(pp)
 				})
+				spawned = true
+			}
+			if spawned {
+				// Read-ahead starts at the miss, not whenever the caller
+				// next lets go of the lock: without this the application's
+				// next read re-takes the mutex first, and a prefetcher that
+				// must write back a dirty victim loses every race to it.
+				cc.env.Yield(ctx)
+				if cc.entries[key] != e || e.fut != nil {
+					continue // a prefetcher's eviction reached e; re-acquire
+				}
 			}
 		}
 		return e, nil

@@ -22,7 +22,7 @@ type rig struct {
 }
 
 func newRig(cacheChunks int) *rig {
-	return newRigConc(cacheChunks, 0)
+	return newRigConc(cacheChunks, sysprof.Bench().FuseConcurrency)
 }
 
 // newRigConc additionally pins the FUSE daemon concurrency gate.

@@ -11,7 +11,9 @@
 package manager
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -50,7 +52,6 @@ func (p PlacementPolicy) String() string {
 type benefactor struct {
 	info     proto.BenefactorInfo
 	lastBeat time.Duration // virtual or wall time, supplied by the caller
-	addr     string        // TCP transport only
 }
 
 // file is a logical striped file.
@@ -67,11 +68,17 @@ type file struct {
 // chunkMeta tracks a physical chunk.
 type chunkMeta struct {
 	ref  proto.ChunkRef
-	refs int // local file references + remote holds (refs >= remote)
+	refs int // local file references + remote holds + pins
 	// remote is how many of refs are holds taken by other shards' files
 	// (OpRetainRefs). The chunk survives local deletion until every remote
 	// hold is released.
 	remote int
+	// pins is how many of refs are holds taken by in-flight copy-on-write
+	// remaps (RemapBegin): one on the shared chunk being copied from, so
+	// its payload outlives a racing delete, and one on the fresh chunk
+	// until commit publishes it in the file table. A chunk whose refs are
+	// all pins is unpublished: no file shows it yet.
+	pins int
 	// replicas are additional copies on other benefactors (fault-
 	// tolerance extension; the primary is ref).
 	replicas []proto.ChunkRef
@@ -212,18 +219,18 @@ func (m *Manager) Register(info proto.BenefactorInfo, addr string, now time.Dura
 	}
 	info.Alive = true
 	info.Addr = addr
-	m.bens[info.ID] = &benefactor{info: info, lastBeat: now, addr: addr}
+	m.bens[info.ID] = &benefactor{info: info, lastBeat: now}
 	m.epoch++
 	return wasDead
 }
 
-// Addr returns the registered transport address of a benefactor (TCP mode).
-func (m *Manager) Addr(benID int) (string, bool) {
-	b, ok := m.bens[benID]
-	if !ok {
-		return "", false
+// Addr returns the registered transport address of a benefactor (TCP mode;
+// "" when it never registered).
+func (m *Manager) Addr(benID int) string {
+	if b, ok := m.bens[benID]; ok {
+		return b.info.Addr
 	}
-	return b.addr, true
+	return ""
 }
 
 // Heartbeat refreshes a benefactor's liveness and wear counter. A
@@ -590,6 +597,9 @@ func (m *Manager) Repair() (ops []RepairOp, lost []proto.ChunkID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		cm := m.chunks[id]
+		if cm.refs == cm.pins {
+			continue // unpublished remap target: its payload is still being copied
+		}
 		all := append([]proto.ChunkRef{cm.ref}, cm.replicas...)
 		var live []proto.ChunkRef
 		exclude := make(map[int]bool)
@@ -864,43 +874,164 @@ func (m *Manager) Remap(name string, chunkIdx int) (old, fresh proto.ChunkRef, s
 	return old, fresh, shared, err
 }
 
-// RemapFull is Remap plus the cross-shard accounting: a foreign chunk is
-// always treated as shared (its owner's refcount is not visible here, and
-// cross-shard references exist precisely because the chunk is shared), so
-// the write always copies onto a fresh locally-owned chunk; the released
-// foreign reference comes back in foreignFreed for the caller to drop at
-// the owning shard.
+// RemapFull is Remap plus the cross-shard accounting (see RemapBegin): the
+// two phases run back to back, for callers that hold the manager for the
+// whole remap and copy the payload afterwards (the simulated transport).
 func (m *Manager) RemapFull(name string, chunkIdx int) (old, fresh proto.ChunkRef, shared bool, foreignFreed []proto.ChunkRef, err error) {
+	t, err := m.RemapBegin(name, chunkIdx)
+	if err != nil || !t.Shared() {
+		return t.Old, t.Old, false, nil, err
+	}
+	// Nothing ran between the phases, so the commit cannot lose a race and
+	// old — shared at begin — keeps a reference: nothing is freed.
+	refs, _, foreignFreed, err := m.RemapCommit(t, t.Fresh)
+	if err != nil {
+		return t.Old, proto.ChunkRef{}, false, nil, err
+	}
+	return t.Old, refs[0], true, foreignFreed, nil
+}
+
+// ErrRemapRaced reports that the file's chunk changed between RemapBegin
+// and RemapCommit (another client's remap won, a rejoin fence promoted a
+// replica, or the file was deleted and recreated). The remap was rolled
+// back; a fresh RemapBegin sees the new state.
+var ErrRemapRaced = errors.New("manager: chunk changed under an in-flight remap")
+
+// PendingRemap is an in-flight copy-on-write remap between RemapBegin and
+// RemapCommit/RemapAbort.
+type PendingRemap struct {
+	Name     string
+	ChunkIdx int
+	// Old is the chunk the file references.
+	Old proto.ChunkRef
+	// Fresh is the reserved, still unpublished copy set (primary first)
+	// the caller must fill with Old's payload before committing. Empty
+	// when Old is unshared.
+	Fresh []proto.ChunkRef
+}
+
+// Shared reports whether Old was shared and a remap is in flight. When it
+// is not, the caller writes in place and there is nothing to commit.
+func (t PendingRemap) Shared() bool { return len(t.Fresh) > 0 }
+
+// RemapBegin is the first phase of a copy-on-write remap (DESIGN.md §9). For
+// a shared chunk it reserves a fresh chunk — preferring the old one's
+// benefactor so the payload can be copied server-side — WITHOUT publishing
+// it in the file table, and pins the old chunk so its payload outlives any
+// racing delete. No lookup, export, link or derive can observe the fresh
+// chunk until RemapCommit, so the caller may copy the payload with the
+// manager unlocked. Pins count as references: a second client that begins
+// on the same chunk sees it shared and races to commit, never writes in
+// place under the first client's copy.
+//
+// A foreign chunk (owned by another shard) is always treated as shared: its
+// owner's refcount is not visible here, and cross-shard references exist
+// precisely because the chunk is shared. It cannot be pinned from this
+// shard; the file's own foreign reference is what holds it, and the commit
+// re-check covers the file vanishing.
+func (m *Manager) RemapBegin(name string, chunkIdx int) (PendingRemap, error) {
 	f, ok := m.files[name]
 	if !ok {
-		return old, fresh, false, nil, proto.ErrNoSuchFile
+		return PendingRemap{}, proto.ErrNoSuchFile
 	}
 	if chunkIdx < 0 || chunkIdx >= len(f.chunks) {
-		return old, fresh, false, nil, proto.ErrChunkOutOfRange
+		return PendingRemap{}, proto.ErrChunkOutOfRange
 	}
-	old = f.chunks[chunkIdx]
-	if !m.Owns(old.ID) {
-		// Allocate on the same benefactor for a server-side copy; fall
-		// back to policy placement if it is full or dead.
-		fresh, err = m.allocChunkAt(old.Benefactor)
-		if err != nil {
-			return old, fresh, false, nil, err
-		}
-		m.dropForeign(old)
-		f.chunks[chunkIdx] = fresh
-		return old, fresh, true, []proto.ChunkRef{old}, nil
+	t := PendingRemap{Name: name, ChunkIdx: chunkIdx, Old: f.chunks[chunkIdx]}
+	owned := m.Owns(t.Old.ID)
+	if owned && m.chunks[t.Old.ID].refs == 1 {
+		return t, nil
 	}
-	cm := m.chunks[old.ID]
-	if cm.refs == 1 {
-		return old, old, false, nil, nil
-	}
-	fresh, err = m.allocChunkAt(old.Benefactor)
+	fresh, err := m.allocChunkAt(t.Old.Benefactor)
 	if err != nil {
-		return old, fresh, false, nil, err
+		return t, err
 	}
-	cm.refs--
-	f.chunks[chunkIdx] = fresh
-	return old, fresh, true, nil, nil
+	m.chunks[fresh.ID].pins = 1 // the allocation's single ref is the remap's hold
+	if owned {
+		cm := m.chunks[t.Old.ID]
+		cm.refs++
+		cm.pins++
+	}
+	t.Fresh = m.Replicas(fresh.ID)
+	return t, nil
+}
+
+// RemapCommit is the second phase: copied lists the fresh copies that now
+// hold the old payload. If the file still references t.Old at t.ChunkIdx
+// and the fresh primary was copied, the fresh chunk is published there —
+// replicas that were not copied are dropped, so no reader can fail over
+// onto an unpopulated copy — and the pin and the file's reference on the
+// old chunk are released. Otherwise the remap is rolled back (RemapAbort)
+// and ErrRemapRaced (or ErrNoSuchFile) returned, leaving the file
+// untouched. freed lists copies whose payloads the caller must delete;
+// foreignFreed is the released foreign reference, to be dropped at its
+// owning shard.
+func (m *Manager) RemapCommit(t PendingRemap, copied []proto.ChunkRef) (fresh, freed, foreignFreed []proto.ChunkRef, err error) {
+	cm := m.pendingFresh(t)
+	f, ok := m.files[t.Name]
+	switch {
+	case !ok:
+		err = proto.ErrNoSuchFile
+	case t.ChunkIdx >= len(f.chunks) || f.chunks[t.ChunkIdx] != t.Old:
+		err = ErrRemapRaced
+	case !slices.Contains(copied, cm.ref):
+		err = fmt.Errorf("manager: remap of %q chunk %d: fresh primary %v was not copied", t.Name, t.ChunkIdx, cm.ref)
+	}
+	if err != nil {
+		return nil, m.RemapAbort(t), nil, err
+	}
+	for _, r := range append([]proto.ChunkRef(nil), cm.replicas...) {
+		if !slices.Contains(copied, r) {
+			m.DropReplica(cm.ref.ID, r)
+			freed = append(freed, r)
+		}
+	}
+	f.chunks[t.ChunkIdx] = cm.ref
+	cm.pins-- // the remap's hold becomes the file's reference
+	if !m.Owns(t.Old.ID) {
+		m.dropForeign(t.Old)
+		foreignFreed = []proto.ChunkRef{t.Old}
+	} else {
+		freed = append(freed, m.unpin(t.Old.ID)...)
+		// The file's own reference; old dies here if a racing delete of
+		// the checkpoint left this file as its last holder.
+		if refs, gone := m.releaseChunk(t.Old.ID); gone {
+			freed = append(freed, refs...)
+		}
+	}
+	return m.Replicas(cm.ref.ID), freed, foreignFreed, nil
+}
+
+// RemapAbort rolls a begun remap back: the fresh chunk's reservation is
+// released and the old chunk unpinned, leaving file table, refcounts and
+// occupancy as they were before RemapBegin. It returns the copies whose
+// payloads the caller must delete — the fresh ones (possibly partly
+// written), plus the old chunk's if every other holder vanished meanwhile.
+func (m *Manager) RemapAbort(t PendingRemap) (freed []proto.ChunkRef) {
+	freed = m.unpin(m.pendingFresh(t).ref.ID)
+	if m.Owns(t.Old.ID) {
+		freed = append(freed, m.unpin(t.Old.ID)...)
+	}
+	return freed
+}
+
+// pendingFresh returns the unpublished fresh chunk of a begun remap. A
+// missing or unpinned chunk means the remap was already committed or
+// aborted — a caller bug, not a runtime condition.
+func (m *Manager) pendingFresh(t PendingRemap) *chunkMeta {
+	if t.Shared() {
+		if cm, ok := m.chunks[t.Fresh[0].ID]; ok && cm.pins > 0 {
+			return cm
+		}
+	}
+	panic(fmt.Sprintf("manager: remap of %q chunk %d is not in flight", t.Name, t.ChunkIdx))
+}
+
+// unpin drops one remap pin (and the reference it counted) from a chunk.
+func (m *Manager) unpin(id proto.ChunkID) []proto.ChunkRef {
+	m.chunks[id].pins--
+	freed, _ := m.releaseChunk(id)
+	return freed
 }
 
 // ExportRange returns the refs, replica sets, and byte size of a chunk
@@ -1070,7 +1201,8 @@ func (m *Manager) TotalChunks() int { return len(m.chunks) }
 
 // CheckInvariants verifies internal consistency: every file chunk exists
 // with a positive refcount, refcounts equal the number of referencing file
-// entries plus remote holds, foreign-table counts equal the file
+// entries plus remote holds plus in-flight remap pins, foreign-table counts
+// equal the file
 // references to other shards' chunks, chunk-ID ownership matches the
 // shard's stride, and per-benefactor usage equals chunkSize times its
 // (owned) chunk count. Tests call it after random operation sequences.
@@ -1103,8 +1235,11 @@ func (m *Manager) CheckInvariants() error {
 		if cm.remote < 0 {
 			return fmt.Errorf("chunk %d has negative remote holds %d", id, cm.remote)
 		}
-		if refs[id]+cm.remote != cm.refs {
-			return fmt.Errorf("chunk %d refcount %d but %d file references + %d remote holds", id, cm.refs, refs[id], cm.remote)
+		if cm.pins < 0 {
+			return fmt.Errorf("chunk %d has negative remap pins %d", id, cm.pins)
+		}
+		if refs[id]+cm.remote+cm.pins != cm.refs {
+			return fmt.Errorf("chunk %d refcount %d but %d file references + %d remote holds + %d remap pins", id, cm.refs, refs[id], cm.remote, cm.pins)
 		}
 		if cm.refs <= 0 {
 			return fmt.Errorf("chunk %d has nonpositive refcount", id)

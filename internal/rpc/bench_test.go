@@ -257,3 +257,75 @@ func BenchmarkRPCStoreCachedSparseFlush(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCheckpointFlushFanout is the local row of the ckpt-cycle ledger
+// (EXPERIMENTS.md): a checkpoint's flush of 13 sparsely dirtied chunks that
+// are all shared with the previous checkpoint, so every writeback is a
+// copy-on-write remap (manager-driven copy onto 2 replicas) plus a
+// dirty-page put, on 1 ms devices. Device work is ~4 ms per chunk spread
+// over 3 benefactors; what the flush costs beyond that is lost overlap.
+func BenchmarkCheckpointFlushFanout(b *testing.B) {
+	const dirtyChunks = 13
+	ms, err := NewManagerServerWith("127.0.0.1:0", testChunk, manager.RoundRobin, ManagerConfig{Replication: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ms.Close() })
+	for i := 0; i < 3; i++ {
+		backend := benefactor.Delay(benefactor.NewMem(), time.Millisecond)
+		bs, err := NewBenefactorServer("127.0.0.1:0", ms.Addr(), i, i, 64*dirtyChunks*testChunk, testChunk, backend, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { bs.Close() })
+	}
+	st, err := Open(ms.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { st.Close() })
+	cache, err := NewCachedStore(st, CacheConfig{CacheBytes: 2 * dirtyChunks * testChunk, PageSize: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := cache.Put("var", make([]byte, dirtyChunks*testChunk)); err != nil {
+		b.Fatal(err)
+	}
+	if err := cache.Flush("var"); err != nil {
+		b.Fatal(err)
+	}
+	cache.ArmCOW("var")
+	page := make([]byte, 256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ckpt := fmt.Sprintf("ckpt%d", i)
+		if err := st.Create(ckpt, 0); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Link(ckpt, []string{"var"}); err != nil {
+			b.Fatal(err)
+		}
+		page[0] = byte(i)
+		for c := 0; c < dirtyChunks; c++ {
+			if err := cache.WriteAt("var", int64(c)*testChunk, page); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := cache.Flush("var"); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := st.Delete(ckpt); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/flush")
+	b.ReportMetric(float64(st.Stats().InFlightPeak), "inflight-peak")
+	if got := cache.Stats().Remaps; got != int64(dirtyChunks*b.N) {
+		b.Fatalf("%d remaps over %d flushes, want %d per flush", got, b.N, dirtyChunks)
+	}
+}

@@ -522,3 +522,83 @@ func TestTransientClassification(t *testing.T) {
 		t.Fatal("transience lost through wrapping")
 	}
 }
+
+// TestRemapCopyFailureLeavesFileIntact: a copy-on-write remap whose primary
+// payload copy fails must fail as a whole — the file keeps its old chunk,
+// its bytes, the manager's refcounts and every benefactor's occupancy.
+// Publishing the fresh chunk before the copy (as OpRemap once did) left the
+// file pointing at a never-written chunk that read back as zeroes.
+func TestRemapCopyFailureLeavesFileIntact(t *testing.T) {
+	for _, replication := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replication=%d", replication), func(t *testing.T) {
+			r := newFaultRig(t, 3, ManagerConfig{Replication: replication})
+			st, err := OpenWith(r.mgr.Addr(), fastOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			data := pattern(7, 2*testChunk)
+			if err := st.Put("var", data); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Create("ckpt", 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Link("ckpt", []string{"var"}); err != nil {
+				t.Fatal(err)
+			}
+			before, err := st.Stat("var")
+			if err != nil {
+				t.Fatal(err)
+			}
+			used := func() (u [3]int64) {
+				for i, b := range r.bens {
+					u[i] = b.Store().Used()
+				}
+				return u
+			}
+			usedBefore := used()
+
+			// The fresh primary lands on the old chunk's benefactor; its
+			// SSD now refuses writes.
+			sick := r.backends[before.Chunks[0].Benefactor]
+			sick.FailPuts(-1)
+			if _, err := st.Remap("var", 0); err == nil {
+				t.Fatal("remap succeeded although the primary copy could not be written")
+			}
+			sick.FailPuts(0)
+
+			after, err := st.Stat("var")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Chunks[0] != before.Chunks[0] {
+				t.Fatalf("failed remap moved the file to %v (was %v)", after.Chunks[0], before.Chunks[0])
+			}
+			if got, err := st.Get("var"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("bytes after failed remap differ (err=%v)", err)
+			}
+			r.mgr.mu.Lock()
+			err = r.mgr.mgr.CheckInvariants()
+			r.mgr.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := used(); got != usedBefore {
+				t.Fatalf("benefactor occupancy %v after failed remap, want %v", got, usedBefore)
+			}
+
+			// The device recovered: the same remap now goes through.
+			fresh, err := st.Remap("var", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh[0] == before.Chunks[0] || len(fresh) != replication {
+				t.Fatalf("retry returned %v, want a fresh %d-copy set", fresh, replication)
+			}
+			if got, err := st.Get("var"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("bytes after remap differ (err=%v)", err)
+			}
+		})
+	}
+}

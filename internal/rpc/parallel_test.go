@@ -283,6 +283,43 @@ func TestCachedStoreHitsAndReadAhead(t *testing.T) {
 	}
 }
 
+// TestCachedStoreReadAheadOneChunkCache: with room for a single chunk, the
+// prefetchers a sequential miss spawns evict the very chunk the demand read
+// just loaded while it yields to them (store.Env.Yield); the read must notice
+// and re-acquire rather than copy out of a recycled buffer.
+func TestCachedStoreReadAheadOneChunkCache(t *testing.T) {
+	r := newRig(t, 3)
+	st, err := Open(r.mgr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := NewCachedStore(st, CacheConfig{CacheBytes: testChunk, PageSize: 256, ReadAheadChunks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+
+	const chunks = 16
+	payload := make([]byte, chunks*testChunk)
+	for i := range payload {
+		payload[i] = byte(i/testChunk + 1)
+	}
+	if err := cache.Put("tiny", payload); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, testChunk)
+	for pass := 0; pass < 20; pass++ {
+		for c := 0; c < chunks; c++ {
+			if err := cache.ReadAt("tiny", int64(c)*testChunk, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, payload[c*testChunk:(c+1)*testChunk]) {
+				t.Fatalf("pass %d chunk %d reads %d…, want %d", pass, c, buf[0], c+1)
+			}
+		}
+	}
+}
+
 // TestCachedStoreConcurrent drives one CachedStore from many goroutines
 // (disjoint chunk-aligned regions) and checks the final image, exercising
 // eviction and flush under concurrency. Run with -race.

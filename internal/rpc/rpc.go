@@ -352,7 +352,10 @@ type ManagerServer struct {
 	mgr *manager.Manager
 	l   net.Listener
 	// benConns caches client connections to benefactors for server-driven
-	// operations (chunk deletion, COW copies, repair).
+	// operations (chunk deletion, COW copies, repair), dialed on first use.
+	// It sits under connMu, not mu: the remap path copies payloads with mu
+	// released.
+	connMu    sync.Mutex
 	benConns  map[int]*chunkConn
 	start     time.Time
 	stop      chan struct{}
@@ -545,26 +548,28 @@ func (s *ManagerServer) Close() error {
 		err = s.l.Close()
 		s.dbg.Close()
 		s.conns.closeAll()
-		s.mu.Lock()
+		s.connMu.Lock()
 		for id, c := range s.benConns {
 			c.close()
 			delete(s.benConns, id)
 		}
-		s.mu.Unlock()
+		s.connMu.Unlock()
 	})
 	return err
 }
 
 func (s *ManagerServer) now() time.Duration { return time.Since(s.start) }
 
-// benConn returns (dialing if needed) a connection to a benefactor.
-// Callers hold s.mu.
-func (s *ManagerServer) benConn(id int) (*chunkConn, error) {
+// benConn returns (dialing addr if needed) a connection to a benefactor.
+// Safe with or without s.mu held: the caller resolved addr (Manager.Addr)
+// while it held s.mu.
+func (s *ManagerServer) benConn(id int, addr string) (*chunkConn, error) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
 	if c, ok := s.benConns[id]; ok {
 		return c, nil
 	}
-	addr, ok := s.mgr.Addr(id)
-	if !ok || addr == "" {
+	if addr == "" {
 		return nil, proto.ErrBenefactorDead
 	}
 	c, err := dialChunk(addr, nil, serverDialTimeout, serverCallTimeout, wireConfig{
@@ -575,6 +580,24 @@ func (s *ManagerServer) benConn(id int) (*chunkConn, error) {
 	}
 	s.benConns[id] = c
 	return c, nil
+}
+
+// addrsOf snapshots the transport addresses of refs' benefactors, for
+// dialing them with s.mu released. Called with s.mu held.
+func (s *ManagerServer) addrsOf(refs ...proto.ChunkRef) func(int) string {
+	addrs := make(map[int]string, len(refs))
+	for _, r := range refs {
+		addrs[r.Benefactor] = s.mgr.Addr(r.Benefactor)
+	}
+	return func(id int) string { return addrs[id] }
+}
+
+// dropBenConn forgets a benefactor's cached connection after a failed call
+// (or a re-registration); the next use redials.
+func (s *ManagerServer) dropBenConn(id int) {
+	s.connMu.Lock()
+	delete(s.benConns, id)
+	s.connMu.Unlock()
 }
 
 // routedByName reports whether an op's Name field is routed by
@@ -639,7 +662,8 @@ func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 			ID: req.BenID, Node: req.BenNode, Capacity: req.Capacity,
 			DebugAddr: req.BenDebugAddr,
 		}, req.BenAddr, s.now())
-		delete(s.benConns, req.BenID) // re-registration may change the address
+		// Re-registration may change the address: forget the old connection.
+		s.dropBenConn(req.BenID)
 		if wasDead {
 			// A rejoin after a declared death: drop every replica claim
 			// that has a live survivor (the survivors may have taken
@@ -688,41 +712,7 @@ func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 		resp.Expired, resp.ForeignFreed = expired, foreignFreed
 		resp.Err = errStr(s.deleteChunks(freed))
 	case proto.OpRemap:
-		old, fresh, shared, foreignFreed, err := s.mgr.RemapFull(req.Name, req.ChunkIdx)
-		resp.ForeignFreed = foreignFreed
-		var freshRefs []proto.ChunkRef
-		if err == nil {
-			freshRefs = s.mgr.Replicas(fresh.ID)
-			if len(freshRefs) == 0 {
-				freshRefs = []proto.ChunkRef{fresh}
-			}
-			if shared {
-				// The old payload must land on EVERY copy of the fresh
-				// chunk, or a read that fails over to a replica would see
-				// garbage. A failed primary copy fails the remap; a failed
-				// replica copy is rolled back in the metadata (repair will
-				// restore redundancy later).
-				kept := freshRefs[:0]
-				for i, dst := range freshRefs {
-					if cerr := s.copyChunk(old, dst); cerr != nil {
-						if i == 0 {
-							err = cerr
-							break
-						}
-						s.mgr.DropReplica(dst.ID, dst)
-						delete(s.benConns, dst.Benefactor)
-						s.obs.Event("manager", "remap-replica-failed", req.TraceID,
-							fmt.Sprintf("copy %v -> %v: %v", old, dst, cerr))
-						continue
-					}
-					kept = append(kept, dst)
-				}
-				if err == nil {
-					freshRefs = kept
-				}
-			}
-		}
-		resp.OldRef, resp.NewRef, resp.NewRefs, resp.Err = old, fresh, freshRefs, errStr(err)
+		s.remapLocked(&req, &resp)
 	case proto.OpStatus:
 		s.sweepLocked()
 		resp.Bens = s.mgr.Status()
@@ -783,12 +773,12 @@ func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 // deleteChunks physically removes freed chunks on their benefactors.
 func (s *ManagerServer) deleteChunks(freed []proto.ChunkRef) error {
 	for _, ref := range freed {
-		c, err := s.benConn(ref.Benefactor)
+		c, err := s.benConn(ref.Benefactor, s.mgr.Addr(ref.Benefactor))
 		if err != nil {
 			continue // dead benefactor: nothing to clean
 		}
 		if _, err := c.call(proto.ChunkReq{Op: proto.OpDeleteChunk, ID: ref.ID}); err != nil {
-			delete(s.benConns, ref.Benefactor)
+			s.dropBenConn(ref.Benefactor)
 		}
 	}
 	return nil
@@ -802,9 +792,9 @@ func (s *ManagerServer) repair(tid string) (done, failed int, lost []proto.Chunk
 	s.sweepLocked()
 	ops, lost := s.mgr.Repair()
 	for _, op := range ops {
-		if err := s.copyChunk(op.Src, op.Dst); err != nil {
+		if err := s.copyChunk(op.Src, []proto.ChunkRef{op.Dst}, s.mgr.Addr)[0]; err != nil {
 			s.mgr.DropReplica(op.Dst.ID, op.Dst)
-			delete(s.benConns, op.Dst.Benefactor)
+			s.dropBenConn(op.Dst.Benefactor)
 			s.mm.repairFail.Inc()
 			s.obs.Event("manager", "repair-failed", tid,
 				fmt.Sprintf("copy %v -> %v: %v", op.Src, op.Dst, err))
@@ -822,31 +812,106 @@ func (s *ManagerServer) repair(tid string) (done, failed int, lost []proto.Chunk
 	return done, failed, lost
 }
 
-// copyChunk performs the server-side COW copy.
-func (s *ManagerServer) copyChunk(old, fresh proto.ChunkRef) error {
-	if old.Benefactor == fresh.Benefactor {
-		c, err := s.benConn(fresh.Benefactor)
-		if err != nil {
-			return err
+// remapLocked serves OpRemap as the two-phase protocol of DESIGN.md §9.
+// Called with s.mu held; the lock is RELEASED around the payload copy —
+// begin left the fresh chunk unpublished and the old one pinned, so other
+// metadata ops (and other remaps' copies) proceed meanwhile and no
+// benefactor round trip runs under s.mu.
+func (s *ManagerServer) remapLocked(req *proto.ManagerReq, resp *proto.ManagerResp) {
+	// Losing the commit race means another writer changed the file's chunk
+	// mid-copy; begin again on the new state (typically: now unshared, write
+	// in place). Each lost race is someone else's progress, so a few rounds
+	// bound a pathological tie without starving anyone.
+	const rounds = 3
+	var err error
+	for i := 0; i < rounds; i++ {
+		var t manager.PendingRemap
+		if t, err = s.mgr.RemapBegin(req.Name, req.ChunkIdx); err != nil {
+			break
 		}
-		_, err = c.call(proto.ChunkReq{Op: proto.OpCopyChunk, ID: fresh.ID, SrcID: old.ID})
-		return err
+		resp.OldRef = t.Old
+		if !t.Shared() {
+			resp.NewRefs = s.mgr.Replicas(t.Old.ID)
+			break
+		}
+		addrOf := s.addrsOf(append([]proto.ChunkRef{t.Old}, t.Fresh...)...)
+		s.mu.Unlock()
+		errs := s.copyChunk(t.Old, t.Fresh, addrOf)
+		s.mu.Lock()
+		var copied []proto.ChunkRef
+		for j, dst := range t.Fresh {
+			if errs[j] == nil {
+				copied = append(copied, dst)
+				continue
+			}
+			s.dropBenConn(dst.Benefactor)
+			s.obs.Event("manager", "remap-copy-failed", req.TraceID,
+				fmt.Sprintf("copy %v -> %v: %v", t.Old, dst, errs[j]))
+		}
+		// The primary copy decides the remap (commit rolls back without
+		// it); a failed replica copy only drops that replica, and repair
+		// restores redundancy later. Commit checks for a lost race first,
+		// and that outranks a copy error: a foreign old chunk cannot be
+		// pinned, so the copy may have failed because a racing remap's
+		// commit let the owning shard free it.
+		var freed []proto.ChunkRef
+		resp.NewRefs, freed, resp.ForeignFreed, err = s.mgr.RemapCommit(t, copied)
+		if errs[0] != nil && !errors.Is(err, manager.ErrRemapRaced) {
+			err = errs[0]
+		}
+		_ = s.deleteChunks(freed)
+		if !errors.Is(err, manager.ErrRemapRaced) {
+			break
+		}
 	}
-	src, err := s.benConn(old.Benefactor)
+	if err == nil {
+		resp.NewRef = resp.NewRefs[0]
+	}
+	resp.Err = errStr(err)
+}
+
+// copyChunk copies src's payload onto every dst — the server-side COW and
+// repair copy — and reports one error per dst. A lone destination on src's
+// own benefactor is copied there without crossing the network; otherwise
+// the payload is fetched once and written to all destinations at once. Runs
+// without s.mu on the remap path, so addrOf (a benefactor's transport
+// address) must not need the lock there.
+func (s *ManagerServer) copyChunk(src proto.ChunkRef, dsts []proto.ChunkRef, addrOf func(int) string) []error {
+	errs := make([]error, len(dsts))
+	fail := func(err error) []error {
+		for i := range errs {
+			errs[i] = err
+		}
+		return errs
+	}
+	from, err := s.benConn(src.Benefactor, addrOf(src.Benefactor))
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	data, err := src.call(proto.ChunkReq{Op: proto.OpGetChunk, ID: old.ID})
+	if len(dsts) == 1 && dsts[0].Benefactor == src.Benefactor {
+		_, errs[0] = from.call(proto.ChunkReq{Op: proto.OpCopyChunk, ID: dsts[0].ID, SrcID: src.ID})
+		return errs
+	}
+	data, err := from.call(proto.ChunkReq{Op: proto.OpGetChunk, ID: src.ID})
 	if err != nil {
-		return err
+		s.dropBenConn(src.Benefactor)
+		return fail(err)
 	}
-	dst, err := s.benConn(fresh.Benefactor)
-	if err != nil {
-		return err
+	var wg sync.WaitGroup
+	for i, dst := range dsts {
+		wg.Add(1)
+		go func(i int, dst proto.ChunkRef) {
+			defer wg.Done()
+			to, err := s.benConn(dst.Benefactor, addrOf(dst.Benefactor))
+			if err == nil {
+				_, err = to.call(proto.ChunkReq{Op: proto.OpPutChunk, ID: dst.ID, Data: data.Data})
+			}
+			errs[i] = err
+		}(i, dst)
 	}
-	_, err = dst.call(proto.ChunkReq{Op: proto.OpPutChunk, ID: fresh.ID, Data: data.Data})
+	wg.Wait()
 	s.arena.Put(data.Data)
-	return err
+	return errs
 }
 
 // BenefactorConfig tunes a BenefactorServer's observability.
@@ -1571,19 +1636,33 @@ func (c *chunkConn) isBroken() bool {
 
 func (c *chunkConn) close() { c.conn.Close() }
 
-// ManagerClient is a client connection to the manager. A broken connection
-// is redialed transparently, and idempotent metadata RPCs are retried with
-// backoff, so a manager restart or a transient network fault does not kill
-// long-running clients (benefactor heartbeat loops in particular).
+// ManagerClient is a client of one manager. Each gob stream is lock-step —
+// one request in flight — so the client keeps up to DefaultPoolSize streams
+// ("lanes"): a call takes the most recently used idle lane, or opens a new
+// one only when every open lane is busy. A lone caller (a heartbeat loop,
+// nvmctl) therefore holds exactly one socket, while a checkpoint's flush
+// fan-out gets real concurrency. A broken lane is redialed transparently,
+// and idempotent metadata RPCs are retried with backoff, so a manager
+// restart or a transient network fault does not kill long-running clients
+// (benefactor heartbeat loops in particular).
 type ManagerClient struct {
-	mu      sync.Mutex
 	addr    string
 	timeout time.Duration // per-RPC deadline; 0 = none
 	retry   RetryPolicy
-	conn    net.Conn
-	dec     *gob.Decoder
-	enc     *gob.Encoder
-	closed  bool
+	// slots bounds the lanes in use; a caller beyond that waits here.
+	slots chan struct{}
+
+	mu     sync.Mutex
+	idle   []*mgrLane // LIFO stack, so the warm lane is reused first
+	closed bool
+}
+
+// mgrLane is one gob stream to the manager, owned by a single call at a
+// time. A nil conn means "not dialed" (fresh, or dropped after a fault).
+type mgrLane struct {
+	conn net.Conn
+	dec  *gob.Decoder
+	enc  *gob.Encoder
 }
 
 // DialManager connects to a manager server with no per-RPC deadline.
@@ -1592,41 +1671,76 @@ func DialManager(addr string) (*ManagerClient, error) { return DialManagerTimeou
 // DialManagerTimeout connects to a manager server; timeout bounds each
 // metadata RPC round trip (0 disables the deadline).
 func DialManagerTimeout(addr string, timeout time.Duration) (*ManagerClient, error) {
-	c := &ManagerClient{addr: addr, timeout: timeout, retry: RetryPolicy{}.withDefaults()}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.redialLocked(); err != nil {
+	c := &ManagerClient{
+		addr: addr, timeout: timeout, retry: RetryPolicy{}.withDefaults(),
+		slots: make(chan struct{}, DefaultPoolSize),
+	}
+	ln := &mgrLane{}
+	if err := ln.dial(addr); err != nil {
 		return nil, err
 	}
+	c.idle = append(c.idle, ln)
 	return c, nil
 }
 
-// Close closes the connection.
+// Close closes every idle lane; a lane a call still holds is closed when
+// that call returns it.
 func (c *ManagerClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	if c.conn == nil {
-		return nil
+	var err error
+	for _, ln := range c.idle {
+		if ln.conn != nil {
+			err = ln.conn.Close()
+		}
 	}
-	err := c.conn.Close()
-	c.conn = nil
+	c.idle = nil
 	return err
 }
 
-func (c *ManagerClient) redialLocked() error {
-	conn, err := net.DialTimeout("tcp", c.addr, serverDialTimeout)
+func (c *ManagerClient) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
+// takeLane returns the most recently released idle lane, or a new undialed
+// one when all open lanes are busy. The caller holds a slot.
+func (c *ManagerClient) takeLane() *mgrLane {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.idle); n > 0 {
+		ln := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		return ln
+	}
+	return &mgrLane{}
+}
+
+func (c *ManagerClient) putLane(ln *mgrLane) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		ln.drop()
+		return
+	}
+	c.idle = append(c.idle, ln)
+}
+
+func (ln *mgrLane) dial(addr string) error {
+	conn, err := net.DialTimeout("tcp", addr, serverDialTimeout)
 	if err != nil {
 		return err
 	}
-	c.conn, c.dec, c.enc = conn, gob.NewDecoder(conn), gob.NewEncoder(conn)
+	ln.conn, ln.dec, ln.enc = conn, gob.NewDecoder(conn), gob.NewEncoder(conn)
 	return nil
 }
 
-func (c *ManagerClient) dropLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+func (ln *mgrLane) drop() {
+	if ln.conn != nil {
+		ln.conn.Close()
+		ln.conn = nil
 	}
 }
 
@@ -1648,8 +1762,10 @@ func retryableOp(op proto.Op) bool {
 }
 
 func (c *ManagerClient) call(req proto.ManagerReq) (proto.ManagerResp, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.slots <- struct{}{}
+	defer func() { <-c.slots }()
+	ln := c.takeLane()
+	defer c.putLane(ln)
 	var resp proto.ManagerResp
 	attempts := c.retry.MaxAttempts
 	if !retryableOp(req.Op) {
@@ -1660,30 +1776,30 @@ func (c *ManagerClient) call(req proto.ManagerReq) (proto.ManagerResp, error) {
 		if attempt > 1 {
 			time.Sleep(c.retry.backoff(attempt - 1))
 		}
-		if c.closed {
+		if c.isClosed() {
 			return resp, net.ErrClosed
 		}
-		if c.conn == nil {
-			if err := c.redialLocked(); err != nil {
+		if ln.conn == nil {
+			if err := ln.dial(c.addr); err != nil {
 				last = transient(err)
 				continue
 			}
 		}
 		if c.timeout > 0 {
-			_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
+			_ = ln.conn.SetDeadline(time.Now().Add(c.timeout))
 		}
-		if err := c.enc.Encode(&req); err != nil {
-			c.dropLocked()
+		if err := ln.enc.Encode(&req); err != nil {
+			ln.drop()
 			last = transient(err)
 			continue
 		}
-		if err := c.dec.Decode(&resp); err != nil {
-			c.dropLocked()
+		if err := ln.dec.Decode(&resp); err != nil {
+			ln.drop()
 			last = transient(err)
 			continue
 		}
 		if c.timeout > 0 {
-			_ = c.conn.SetDeadline(time.Time{})
+			_ = ln.conn.SetDeadline(time.Time{})
 		}
 		return resp, wireErr(resp.Err)
 	}

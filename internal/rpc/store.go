@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nvmalloc/internal/fusecache"
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/proto"
 	"nvmalloc/internal/shardmap"
@@ -64,7 +65,7 @@ type Options struct {
 // Defaults for Options fields left zero.
 const (
 	DefaultPoolSize      = 4
-	DefaultParallelism   = 8
+	DefaultParallelism   = fusecache.DefaultFuseConcurrency
 	DefaultCallTimeout   = 10 * time.Second
 	DefaultDialTimeout   = 5 * time.Second
 	DefaultSuspectWindow = 2 * time.Second

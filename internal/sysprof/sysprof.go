@@ -158,7 +158,10 @@ type Profile struct {
 	// (Table VII's baseline): whole chunks travel on every writeback.
 	WriteFullChunks bool
 	// FuseConcurrency is the per-node FUSE daemon's store-request
-	// parallelism (0 defaults to 2).
+	// parallelism. A calibration of the simulated testbed, not of the
+	// library: the 2012 implementation served ~2 requests at a time (one
+	// demand fetch plus one read-ahead), and the paper's tables were fitted
+	// with that.
 	FuseConcurrency int
 	// Replication is the store's chunk copy count (0 or 1 = no redundancy,
 	// the paper's baseline; ≥2 enables the fault-tolerance extension:
@@ -202,6 +205,7 @@ func HAL() Profile {
 		FUSECacheSize:   64 * MiB,
 		PageCacheSize:   16 * MiB,
 		ReadAheadChunks: 4,
+		FuseConcurrency: 2,
 
 		// HAL is a 16-node lab cluster; its shared scratch is a modest
 		// parallel file system, far below the aggregate SSD bandwidth —
@@ -321,6 +325,10 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("sysprof: FUSE cache %d smaller than one chunk %d", p.FUSECacheSize, p.ChunkSize)
 	case p.AvailableDRAM() <= 0:
 		return fmt.Errorf("sysprof: system reserve exceeds node DRAM")
+	case p.FuseConcurrency <= 0:
+		// The cache's own zero-value default is sized for the TCP path; a
+		// simulated testbed must state its FUSE daemon's concurrency.
+		return fmt.Errorf("sysprof: nonpositive FUSE concurrency %d", p.FuseConcurrency)
 	}
 	return nil
 }
