@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet importgate build bench-check test race bench obs-bench alloc-bench fuzz-smoke
+.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench alloc-bench fuzz-smoke
 
 # Tier-1 gate: formatting, vet, import boundaries, build, and the full
 # suite under the race detector (the TCP data path is exercised by
@@ -59,6 +59,13 @@ bench:
 # modes must stay within noise of each other (<5%).
 obs-bench:
 	$(GO) test -run xxx -bench=RPCObsOverhead -benchtime 2s -count 3 ./internal/rpc
+
+# The local row of the ckpt-cycle restore ledger (EXPERIMENTS.md): a cold
+# sequential read-back of a 128-chunk file on three 1 ms devices. Reports
+# ms/sweep, demand misses and wasted read-ahead chunks per sweep, and the
+# in-flight peak. Seconds, not minutes; measure on an idle host.
+restore-bench:
+	$(GO) test -run xxx -bench=RestoreReadBack -benchtime 10x -count 3 ./internal/rpc
 
 # Allocation gate for the NVM1 binary data path: the frame codec and arena
 # must run allocation-free, and the cached TCP chunk read path must stay at

@@ -25,8 +25,10 @@ type ConnectConfig struct {
 	PageSize int64
 	// PageCacheBytes sizes the rank-private page cache. 0 means 8 MB.
 	PageCacheBytes int64
-	// ReadAheadChunks is how many chunks to prefetch after a sequential
-	// miss. 0 means 2 (Table III); negative disables read-ahead.
+	// ReadAheadChunks is the starting depth of a confirmed sequential run's
+	// read-ahead window; the cache deepens it while the run continues, up
+	// to half its request gate (DESIGN.md §8). 0 means 2 (Table III);
+	// negative disables read-ahead.
 	ReadAheadChunks int
 	// WriteFullChunks disables the dirty-page writeback optimization
 	// (Table VII baseline).

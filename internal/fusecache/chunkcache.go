@@ -4,9 +4,10 @@
 //
 //   - ChunkCache is the per-node FUSE-layer cache: an LRU of whole chunks
 //     with per-page dirty bitmaps. On eviction only dirty pages travel to
-//     the benefactor (the paper's write optimization, Table VII), and
-//     sequential misses trigger asynchronous read-ahead (the reason
-//     NVMalloc *beats* direct SSD access on STREAM, Table III).
+//     the benefactor (the paper's write optimization, Table VII), and a
+//     sequential run keeps a window of asynchronous read-ahead in flight
+//     in front of the reader (readahead.go; the reason NVMalloc *beats*
+//     direct SSD access on STREAM, Table III).
 //   - PageCache (pagecache.go) is the per-process page-granularity layer
 //     standing in for the kernel page cache above FUSE.
 //
@@ -42,8 +43,10 @@ type Config struct {
 	PageSize  int64
 	// CacheBytes is the FUSE cache capacity (paper: 64 MB).
 	CacheBytes int64
-	// ReadAheadChunks is how many chunks to prefetch after a sequential
-	// miss (0 disables read-ahead).
+	// ReadAheadChunks is the starting depth of a confirmed sequential run's
+	// read-ahead window (0 disables read-ahead). The window grows while the
+	// run continues, up to a budget the cache derives from its gate width
+	// and capacity (readahead.go).
 	ReadAheadChunks int
 	// WriteFullChunks disables the dirty-page write optimization: whole
 	// chunks travel on every writeback, however few pages are dirty. This
@@ -85,6 +88,7 @@ type Stats struct {
 	SSDReadBytes   int64 // chunk payloads fetched from benefactors
 	SSDWriteBytes  int64 // payload bytes shipped to benefactors
 	PrefetchBytes  int64 // subset of SSDReadBytes fetched by read-ahead
+	PrefetchWasted int64 // subset of PrefetchBytes evicted or dropped untouched
 	Hits           int64
 	Misses         int64
 	Waits          int64 // accesses that waited on an in-flight fetch/flush
@@ -101,6 +105,7 @@ type Stats struct {
 type counters struct {
 	fuseRead, fuseWrite         *obs.Counter
 	ssdRead, ssdWrite, prefetch *obs.Counter
+	prefetchWasted              *obs.Counter
 	hits, misses, waits         *obs.Counter
 	evictions, dirtyEvictions   *obs.Counter
 	spills                      *obs.Counter
@@ -115,6 +120,7 @@ func newCounters(o *obs.Obs) counters {
 		ssdRead:        r.Counter("fusecache.ssd_read_bytes"),
 		ssdWrite:       r.Counter("fusecache.ssd_write_bytes"),
 		prefetch:       r.Counter("fusecache.prefetch_bytes"),
+		prefetchWasted: r.Counter("fusecache.prefetch_wasted_bytes"),
 		hits:           r.Counter("fusecache.hits"),
 		misses:         r.Counter("fusecache.misses"),
 		waits:          r.Counter("fusecache.waits"),
@@ -140,8 +146,16 @@ type entry struct {
 	lru    *list.Element
 	// fut is non-nil while the entry is loading or flushing; accessors
 	// must wait on it and retry.
-	fut      store.Future
-	prefetch bool // entry was created by read-ahead (for stats)
+	fut store.Future
+	// prefetch marks a chunk read-ahead reserved that no access has touched
+	// yet. The first touch clears it and moves the file's stream on
+	// (readahead.go); an eviction or Drop that finds it still set counts the
+	// chunk as wasted.
+	prefetch bool
+	// queued is set while the entry is reserved for a read-ahead task that
+	// has not started loading it: Drop withdraws such an entry instead of
+	// waiting for it.
+	queued bool
 }
 
 // ChunkCache is the per-node FUSE-layer chunk cache.
@@ -171,9 +185,13 @@ type ChunkCache struct {
 	// cow marks files whose chunks may be shared with a checkpoint and
 	// need remapping before writeback.
 	cow map[string]bool
-	// lastMiss tracks the last demand-missed chunk index per file for
-	// sequential-pattern detection.
-	lastMiss map[string]int
+	// streams holds the sequential-run state of each file that has been
+	// read through a miss; spec counts the read-ahead chunks issued that no
+	// access has touched yet, in flight or resident, and specMax bounds it
+	// (readahead.go).
+	streams map[string]*stream
+	spec    int
+	specMax int
 	// virgin marks chunks of freshly created files that have never been
 	// written: posix_fallocate reserved them, so they are known-zero and a
 	// miss can be satisfied without fetching (no read-modify-write for
@@ -202,19 +220,20 @@ func NewChunkCache(env store.Env, st store.Client, cfg Config) *ChunkCache {
 		cfg.Obs = obs.New("fusecache")
 	}
 	return &ChunkCache{
-		s:        newCounters(cfg.Obs),
-		env:      env,
-		store:    st,
-		lender:   lenderOf(st),
-		spiller:  spillerOf(st),
-		cfg:      cfg,
-		entries:  make(map[chunkKey]*entry),
-		lru:      list.New(),
-		meta:     make(map[string]*proto.FileInfo),
-		cow:      make(map[string]bool),
-		lastMiss: make(map[string]int),
-		virgin:   make(map[chunkKey]bool),
-		gate:     env.NewGate("fuse-daemon", conc),
+		s:       newCounters(cfg.Obs),
+		env:     env,
+		store:   st,
+		lender:  lenderOf(st),
+		spiller: spillerOf(st),
+		cfg:     cfg,
+		entries: make(map[chunkKey]*entry),
+		lru:     list.New(),
+		meta:    make(map[string]*proto.FileInfo),
+		cow:     make(map[string]bool),
+		streams: make(map[string]*stream),
+		specMax: specBudget(cfg, conc),
+		virgin:  make(map[chunkKey]bool),
+		gate:    env.NewGate("fuse-daemon", conc),
 	}
 }
 
@@ -266,6 +285,7 @@ func (cc *ChunkCache) Stats() Stats {
 		SSDReadBytes:   cc.s.ssdRead.Load(),
 		SSDWriteBytes:  cc.s.ssdWrite.Load(),
 		PrefetchBytes:  cc.s.prefetch.Load(),
+		PrefetchWasted: cc.s.prefetchWasted.Load(),
 		Hits:           cc.s.hits.Load(),
 		Misses:         cc.s.misses.Load(),
 		Waits:          cc.s.waits.Load(),
@@ -281,7 +301,7 @@ func (cc *ChunkCache) Stats() Stats {
 func (cc *ChunkCache) ResetStats() {
 	for _, c := range []*obs.Counter{
 		cc.s.fuseRead, cc.s.fuseWrite, cc.s.ssdRead, cc.s.ssdWrite,
-		cc.s.prefetch, cc.s.hits, cc.s.misses, cc.s.waits,
+		cc.s.prefetch, cc.s.prefetchWasted, cc.s.hits, cc.s.misses, cc.s.waits,
 		cc.s.evictions, cc.s.dirtyEvictions, cc.s.spills,
 		cc.s.remaps, cc.s.flushes,
 	} {
@@ -391,6 +411,11 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int) (*entry, erro
 			}
 			cc.s.hits.Inc()
 			cc.lru.MoveToFront(e.lru)
+			if e.prefetch {
+				e.prefetch = false
+				cc.spec--
+				cc.advance(ctx, file, idx, true)
+			}
 			return e, nil
 		}
 		// Demand miss. fileMeta may block on a manager RPC, so the entry
@@ -422,8 +447,10 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int) (*entry, erro
 			e.lru = cc.lru.PushFront(e)
 			return e, nil
 		}
-		sequential := cc.lastMiss[file] == idx-1
-		e, err := cc.fetch(ctx, key, refsCopy(*fi, idx), false)
+		// The stream moves on before the fetch blocks, so the read-ahead a
+		// sequential miss earns is on the wire together with the miss.
+		cc.advance(ctx, file, idx, false)
+		e, err := cc.fetch(ctx, key, refsCopy(*fi, idx), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -431,43 +458,6 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int) (*entry, erro
 			continue // lost a race; re-check the map
 		}
 		cc.s.misses.Inc()
-		cc.lastMiss[file] = idx
-		// Asynchronous read-ahead on sequential misses: overlapping the
-		// next chunks' fetch with the application's consumption of this
-		// one is what lets NVMalloc outperform direct SSD access
-		// (Table III).
-		if sequential && cc.cfg.ReadAheadChunks > 0 {
-			spawned := false
-			for ahead := 1; ahead <= cc.cfg.ReadAheadChunks; ahead++ {
-				na := idx + ahead
-				if na >= len(fi.Chunks) {
-					break
-				}
-				nk := chunkKey{file, na}
-				if _, ok := cc.entries[nk]; ok {
-					continue
-				}
-				refs := refsCopy(*fi, na)
-				cc.env.Go(ctx, fmt.Sprintf("prefetch %s/%d", file, na), func(pp store.Ctx) {
-					// Best effort: ignore errors (the demand path will
-					// retry and report them).
-					cc.env.Lock(pp)
-					_, _ = cc.fetch(pp, nk, refs, true)
-					cc.env.Unlock(pp)
-				})
-				spawned = true
-			}
-			if spawned {
-				// Read-ahead starts at the miss, not whenever the caller
-				// next lets go of the lock: without this the application's
-				// next read re-takes the mutex first, and a prefetcher that
-				// must write back a dirty victim loses every race to it.
-				cc.env.Yield(ctx)
-				if cc.entries[key] != e || e.fut != nil {
-					continue // a prefetcher's eviction reached e; re-acquire
-				}
-			}
-		}
 		return e, nil
 	}
 }
@@ -478,20 +468,35 @@ func refsCopy(fi proto.FileInfo, idx int) []proto.ChunkRef {
 	return append([]proto.ChunkRef(nil), store.ReplicaRefs(fi, idx)...)
 }
 
-// fetch reserves a slot and loads one chunk from the store. It is used by
-// both the demand path and the prefetcher. A nil, nil return means another
-// accessor started or finished loading the chunk first. Lock held.
-func (cc *ChunkCache) fetch(ctx store.Ctx, key chunkKey, refs []proto.ChunkRef, prefetch bool) (*entry, error) {
-	if _, ok := cc.entries[key]; ok {
+// fetch makes room for one chunk, reserves its entry and loads it from the
+// store. The demand path calls it with ra nil; a read-ahead task that could
+// not be given an entry when it was spawned (roomNow) calls it with the
+// stream that issued it. A nil, nil return means another accessor started
+// or finished loading the chunk first, or — for read-ahead — that Drop
+// retired the stream since: the name may be gone, or live again under a new
+// one. Both are checked again after ensureRoom, which lets go of the lock.
+// Lock held.
+func (cc *ChunkCache) fetch(ctx store.Ctx, key chunkKey, refs []proto.ChunkRef, ra *stream) (*entry, error) {
+	stale := func() bool {
+		_, ok := cc.entries[key]
+		return ok || (ra != nil && cc.streams[key.file] != ra)
+	}
+	if stale() {
 		return nil, nil
 	}
 	if err := cc.ensureRoom(ctx); err != nil {
 		return nil, err
 	}
-	if _, ok := cc.entries[key]; ok {
-		// ensureRoom blocked on a flush; re-check.
+	if stale() {
 		return nil, nil
 	}
+	return cc.load(ctx, cc.reserve(key, ra != nil), refs)
+}
+
+// reserve enters a loading entry for key: accessors wait on its future,
+// Drop waits it out, and nothing evicts it. The caller has made room. Lock
+// held.
+func (cc *ChunkCache) reserve(key chunkKey, prefetch bool) *entry {
 	e := &entry{
 		key:      key,
 		dirty:    make([]bool, cc.pagesPerChunk()),
@@ -500,7 +505,24 @@ func (cc *ChunkCache) fetch(ctx store.Ctx, key chunkKey, refs []proto.ChunkRef, 
 	}
 	cc.entries[key] = e
 	e.lru = cc.lru.PushFront(e)
-	sp, fctx := cc.span(ctx, "cache.get_chunk", key.file)
+	return e
+}
+
+// unreserve withdraws a reservation that will not be loaded and releases
+// its waiters, who re-check the map. Lock held.
+func (cc *ChunkCache) unreserve(e *entry) {
+	if e.prefetch {
+		cc.spec--
+	}
+	delete(cc.entries, e.key)
+	cc.lru.Remove(e.lru)
+	e.fut.Set()
+}
+
+// load fills a reserved entry from the store. Lock held; released around
+// the gate and the transfer.
+func (cc *ChunkCache) load(ctx store.Ctx, e *entry, refs []proto.ChunkRef) (*entry, error) {
+	sp, fctx := cc.span(ctx, "cache.get_chunk", e.key.file)
 	cc.env.Unlock(ctx)
 	cc.gate.Acquire(fctx)
 	data, err := cc.store.GetChunk(fctx, refs)
@@ -510,10 +532,7 @@ func (cc *ChunkCache) fetch(ctx store.Ctx, key chunkKey, refs []proto.ChunkRef, 
 	sp.SetErr(err)
 	sp.EndAt(cc.env.NowNanos(ctx))
 	if err != nil {
-		// Failed load: remove the reservation and release waiters.
-		delete(cc.entries, key)
-		cc.lru.Remove(e.lru)
-		e.fut.Set()
+		cc.unreserve(e)
 		return nil, err
 	}
 	if cc.lender != nil && int64(len(data)) == cc.cfg.ChunkSize {
@@ -529,13 +548,23 @@ func (cc *ChunkCache) fetch(ctx store.Ctx, key chunkKey, refs []proto.ChunkRef, 
 		}
 	}
 	cc.s.ssdRead.Add(int64(len(data)))
-	if prefetch {
+	if e.prefetch {
 		cc.s.prefetch.Add(int64(len(data)))
 	}
 	fut := e.fut
 	e.fut = nil
 	fut.Set()
 	return e, nil
+}
+
+// roomNow reports whether one more entry fits without blocking, evicting
+// the LRU victim on the spot if it is clean. Lock held, and kept.
+func (cc *ChunkCache) roomNow(ctx store.Ctx) bool {
+	if len(cc.entries) < cc.cfg.Chunks() {
+		return true
+	}
+	v := cc.pickVictim()
+	return v != nil && v.nDirty == 0 && cc.evict(ctx, v) == nil
 }
 
 // ensureRoom evicts LRU entries until a new chunk fits. Lock held.
@@ -605,10 +634,19 @@ func (cc *ChunkCache) evict(ctx store.Ctx, e *entry) error {
 			cc.spiller.SpillChunk(ctx, refsCopy(*fi, e.key.idx), e.data)
 		}
 	}
+	cc.remove(e)
+	return nil
+}
+
+// remove takes a resident entry off the cache maps and returns its buffer,
+// counting it as wasted read-ahead if nothing ever touched it. Lock held.
+func (cc *ChunkCache) remove(e *entry) {
+	if e.prefetch {
+		cc.wasted(e)
+	}
 	delete(cc.entries, e.key)
 	cc.lru.Remove(e.lru)
 	cc.releaseEntry(e)
-	return nil
 }
 
 // writeback ships an entry's dirty pages to its benefactor, performing the
@@ -863,15 +901,25 @@ func (cc *ChunkCache) FlushAll(ctx store.Ctx) error {
 
 // Drop discards every cached chunk of file (dirty pages are discarded —
 // used by Free, whose semantics destroy the backing file anyway). In-flight
-// loads or flushes of the file are waited out first so a straggling fetch
-// cannot resurrect data under a name that may be recreated.
+// loads or flushes of the file are waited out first, and read-ahead that is
+// spawned but not yet in flight is fenced off, so a straggling fetch cannot
+// resurrect data under a name that may be recreated.
 func (cc *ChunkCache) Drop(ctx store.Ctx, file string) {
 	cc.env.Lock(ctx)
 	defer cc.env.Unlock(ctx)
+	// Read-ahead that is spawned and not yet loading must load nothing:
+	// retire the stream, which fences tasks that have no entry yet, and
+	// withdraw the entries of those that have (below).
+	delete(cc.streams, file)
 	for {
 		var busy store.Future
 		for k, e := range cc.entries {
-			if k.file == file && e.fut != nil {
+			if k.file != file {
+				continue
+			}
+			if e.queued {
+				cc.unreserve(e)
+			} else if e.fut != nil {
 				busy = e.fut
 				break
 			}
@@ -890,13 +938,10 @@ func (cc *ChunkCache) Drop(ctx store.Ctx, file string) {
 		}
 	}
 	for _, e := range victims {
-		delete(cc.entries, e.key)
-		cc.lru.Remove(e.lru)
-		cc.releaseEntry(e)
+		cc.remove(e)
 	}
 	delete(cc.meta, file)
 	delete(cc.cow, file)
-	delete(cc.lastMiss, file)
 	for k := range cc.virgin {
 		if k.file == file {
 			delete(cc.virgin, k)

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -328,4 +329,75 @@ func BenchmarkCheckpointFlushFanout(b *testing.B) {
 	if got := cache.Stats().Remaps; got != int64(dirtyChunks*b.N) {
 		b.Fatalf("%d remaps over %d flushes, want %d per flush", got, b.N, dirtyChunks)
 	}
+}
+
+// BenchmarkRestoreReadBack is the local row of the ckpt-cycle restore
+// ledger (EXPERIMENTS.md): a cold sequential read-back of a 128-chunk file
+// in 1 MiB ops through the cache, on three 1 ms devices — what a restarted
+// job does with a restored region. Serial device time is 128 ms, spread
+// over 3 benefactors ≈ 43 ms; what a sweep costs beyond that is lost
+// overlap.
+func BenchmarkRestoreReadBack(b *testing.B) {
+	const (
+		chunk  = 256 << 10
+		chunks = 128
+		op     = 1 << 20
+	)
+	ms, err := NewManagerServerWith("127.0.0.1:0", chunk, manager.RoundRobin, ManagerConfig{Replication: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ms.Close() })
+	for i := 0; i < 3; i++ {
+		backend := benefactor.Delay(benefactor.NewMem(), time.Millisecond)
+		bs, err := NewBenefactorServer("127.0.0.1:0", ms.Addr(), i, i, 4*chunks*chunk, chunk, backend, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { bs.Close() })
+	}
+	payload := make([]byte, chunks*chunk)
+	for i := range payload {
+		payload[i] = byte(i/chunk + 1)
+	}
+	// The file is written through a client of its own, so that the reading
+	// store's in-flight peak is the sweep's.
+	wst, err := Open(ms.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = wst.Put("restart", payload)
+	wst.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := Open(ms.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { st.Close() })
+	cache, err := NewCachedStore(st, CacheConfig{CacheBytes: 2 * chunks * chunk, ReadAheadChunks: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, op)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cache.Drop("restart")
+		b.StartTimer()
+		for off := 0; off < len(payload); off += op {
+			if err := cache.ReadAt("restart", int64(off), buf); err != nil {
+				b.Fatal(err)
+			}
+			if !bytes.Equal(buf, payload[off:off+op]) {
+				b.Fatalf("sweep %d: bytes at %d differ", i, off)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/sweep")
+	b.ReportMetric(float64(st.Stats().InFlightPeak), "inflight-peak")
+	b.ReportMetric(float64(cache.Stats().Misses)/float64(b.N), "misses/sweep")
+	b.ReportMetric(float64(cache.Stats().PrefetchWasted)/chunk/float64(b.N), "wasted-chunks/sweep")
 }

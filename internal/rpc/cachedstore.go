@@ -20,8 +20,9 @@ type CacheConfig struct {
 	// PageSize is the dirty-tracking granularity (paper: 4 KB pages).
 	// 0 defaults to 4096. Must divide the store's chunk size.
 	PageSize int64
-	// ReadAheadChunks is how many chunks to prefetch asynchronously after
-	// a sequential miss (0 disables read-ahead).
+	// ReadAheadChunks is the starting depth of a confirmed sequential run's
+	// asynchronous read-ahead window; the cache deepens it while the run
+	// continues, up to half its request gate (0 disables read-ahead).
 	ReadAheadChunks int
 	// WriteFullChunks disables the dirty-page write optimization: whole
 	// chunks travel on every writeback however few pages are dirty — the
@@ -55,6 +56,7 @@ type CacheStats struct {
 	ReadBytes      int64 // bytes served to the application
 	WriteBytes     int64 // bytes accepted from the application
 	PrefetchBytes  int64 // chunk bytes fetched by read-ahead
+	PrefetchWasted int64 // of those, evicted or dropped without being touched
 }
 
 // CachedStore puts a client-side chunk cache in front of a Store. It is a
@@ -62,8 +64,8 @@ type CacheStats struct {
 // read-ahead/COW implementation the simulation runs — driven by a
 // store.GoEnv (real goroutines and a mutex instead of simulated procs).
 // Reads hit the cache; writes dirty pages in place; on eviction or Flush
-// only the dirty pages travel via OpPutPages (Table VII), and sequential
-// read misses trigger asynchronous read-ahead (Table III).
+// only the dirty pages travel via OpPutPages (Table VII), and a sequential
+// run keeps a window of asynchronous read-ahead in flight (Table III).
 //
 // All methods are safe for concurrent use.
 type CachedStore struct {
@@ -147,6 +149,7 @@ func (cs *CachedStore) Stats() CacheStats {
 		ReadBytes:      s.FuseReadBytes,
 		WriteBytes:     s.FuseWriteBytes,
 		PrefetchBytes:  s.PrefetchBytes,
+		PrefetchWasted: s.PrefetchWasted,
 	}
 }
 

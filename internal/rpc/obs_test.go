@@ -451,3 +451,52 @@ func TestSpanTreeAcrossWire(t *testing.T) {
 		t.Fatalf("ingested span node %q, want the exporting client's", mput.Node)
 	}
 }
+
+// TestReadAheadSpansNestUnderCaller: read-ahead runs on tasks the substrate
+// hands a fresh context, so the cache carries the caller's span across the
+// spawn — on a traced sweep every cache.get_chunk span, demand or
+// speculative, belongs to the caller's trace and none floats as a root.
+func TestReadAheadSpansNestUnderCaller(t *testing.T) {
+	const chunks = 12
+	r := newRig(t, 3)
+	st, err := Open(r.mgr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := NewCachedStore(st, CacheConfig{CacheBytes: 2 * chunks * testChunk, PageSize: 256, ReadAheadChunks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	if err := cache.Put("traced", make([]byte, chunks*testChunk)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Flush("traced"); err != nil {
+		t.Fatal(err)
+	}
+	cache.Drop("traced")
+
+	root := st.Obs().StartSpan("", "", "client.sweep")
+	ctx := store.WithSpan(nil, store.SpanInfo{Trace: root.Trace(), Parent: root.ID(), Var: "traced"})
+	buf := make([]byte, testChunk)
+	for c := 0; c < chunks; c++ {
+		if err := cache.ReadAtCtx(ctx, "traced", int64(c)*testChunk, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root.End()
+	cache.env.Quiesce()
+
+	if got := cache.Stats().PrefetchBytes; got != (chunks-2)*testChunk {
+		t.Fatalf("read ahead %d B, want all but the two confirming chunks", got)
+	}
+	gets := st.Obs().Spans.Filter(func(s obs.Span) bool { return s.Name == "cache.get_chunk" })
+	if len(gets) != chunks {
+		t.Fatalf("%d cache.get_chunk spans for %d chunks", len(gets), chunks)
+	}
+	for _, s := range gets {
+		if s.Trace != root.Trace() || s.Parent != root.ID() {
+			t.Fatalf("cache.get_chunk span outside the caller's trace: %+v", s)
+		}
+	}
+}

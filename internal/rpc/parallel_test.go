@@ -283,10 +283,9 @@ func TestCachedStoreHitsAndReadAhead(t *testing.T) {
 	}
 }
 
-// TestCachedStoreReadAheadOneChunkCache: with room for a single chunk, the
-// prefetchers a sequential miss spawns evict the very chunk the demand read
-// just loaded while it yields to them (store.Env.Yield); the read must notice
-// and re-acquire rather than copy out of a recycled buffer.
+// TestCachedStoreReadAheadOneChunkCache: a cache with room for a single
+// chunk has none for speculation, and a sequential sweep through it must
+// never copy out of a buffer read-ahead recycled.
 func TestCachedStoreReadAheadOneChunkCache(t *testing.T) {
 	r := newRig(t, 3)
 	st, err := Open(r.mgr.Addr())
@@ -317,6 +316,101 @@ func TestCachedStoreReadAheadOneChunkCache(t *testing.T) {
 				t.Fatalf("pass %d chunk %d reads %d…, want %d", pass, c, buf[0], c+1)
 			}
 		}
+	}
+}
+
+// TestCachedStoreReadAheadConcurrentStreams sweeps four files from four
+// goroutines through one undersized cache with read-ahead on, while a fifth
+// creates, reads and deletes short-lived files: stream state, the
+// speculative budget and the Drop fence are all shared. Run with -race.
+func TestCachedStoreReadAheadConcurrentStreams(t *testing.T) {
+	const (
+		streams = 4
+		chunks  = 16
+		passes  = 4
+	)
+	r := newRig(t, 3)
+	st, err := Open(r.mgr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := NewCachedStore(st, CacheConfig{CacheBytes: 12 * testChunk, PageSize: 256, ReadAheadChunks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+
+	image := func(tag byte) []byte {
+		img := make([]byte, chunks*testChunk)
+		for i := range img {
+			img[i] = tag + byte(i/testChunk)
+		}
+		return img
+	}
+	sweep := func(name string, want []byte) error {
+		buf := make([]byte, testChunk)
+		for c := 0; c < len(want)/testChunk; c++ {
+			if err := cache.ReadAt(name, int64(c)*testChunk, buf); err != nil {
+				return err
+			}
+			if !bytes.Equal(buf, want[c*testChunk:(c+1)*testChunk]) {
+				return fmt.Errorf("%s chunk %d reads %d…, want %d", name, c, buf[0], want[c*testChunk])
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, streams+1)
+	for g := 0; g < streams; g++ {
+		name, img := fmt.Sprintf("s%d", g), image(byte(16*g))
+		if err := cache.Put(name, img); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < passes; pass++ {
+				if err := sweep(name, img); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3*passes; i++ {
+			// The same name each round, different bytes: read-ahead that
+			// outlived a Delete would serve the previous round's.
+			img := image(byte(100 + i))[:4*testChunk]
+			if err := cache.Put("tmp", img); err != nil {
+				errs <- err
+				return
+			}
+			if err := cache.Flush("tmp"); err != nil {
+				errs <- err
+				return
+			}
+			cache.Drop("tmp")
+			if err := sweep("tmp", img[:2*testChunk]); err != nil {
+				errs <- err
+				return
+			}
+			if err := cache.Delete("tmp"); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	s := cache.Stats()
+	if s.PrefetchBytes == 0 || s.PrefetchWasted > s.PrefetchBytes {
+		t.Fatalf("read ahead %d B, wasted %d B", s.PrefetchBytes, s.PrefetchWasted)
 	}
 }
 

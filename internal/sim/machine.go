@@ -124,6 +124,7 @@ func (m *Machine) CacheStats() fusecache.Stats {
 		total.SSDReadBytes += s.SSDReadBytes
 		total.SSDWriteBytes += s.SSDWriteBytes
 		total.PrefetchBytes += s.PrefetchBytes
+		total.PrefetchWasted += s.PrefetchWasted
 		total.Hits += s.Hits
 		total.Misses += s.Misses
 		total.Waits += s.Waits

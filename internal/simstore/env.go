@@ -20,10 +20,6 @@ type simEnv struct {
 func (e simEnv) Lock(store.Ctx)   {}
 func (e simEnv) Unlock(store.Ctx) {}
 
-// Yield is a no-op like Lock: a proc spawned with Go is already runnable at
-// the caller's virtual instant.
-func (e simEnv) Yield(store.Ctx) {}
-
 func (e simEnv) Go(_ store.Ctx, name string, fn func(store.Ctx)) {
 	e.eng.Go(name, func(p *simtime.Proc) { fn(p) })
 }

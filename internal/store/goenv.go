@@ -1,7 +1,6 @@
 package store
 
 import (
-	"runtime"
 	"sync"
 	"time"
 )
@@ -27,14 +26,6 @@ func (e *GoEnv) Go(_ Ctx, _ string, fn func(Ctx)) {
 		defer e.tasks.Done()
 		fn(nil)
 	}()
-}
-
-// Yield drops the lock for one scheduler round so the tasks the caller just
-// spawned reach their first blocking point (usually a store round trip).
-func (e *GoEnv) Yield(Ctx) {
-	e.mu.Unlock()
-	runtime.Gosched()
-	e.mu.Lock()
 }
 
 // Quiesce blocks until every task spawned via Go has finished. Called on

@@ -131,14 +131,6 @@ type Env interface {
 	Unlock(ctx Ctx)
 	// Go runs fn as an asynchronous task (read-ahead, parallel flushers).
 	Go(ctx Ctx, name string, fn func(Ctx))
-	// Yield lets tasks just spawned with Go start before the caller goes
-	// on; call it with the lock held. The simulation does nothing: a
-	// spawned proc is runnable at the caller's virtual instant and Lock
-	// excludes nobody. GoEnv releases the lock around a scheduler yield — a
-	// goroutine spawned under the lock cannot start until the caller lets
-	// go, and sync.Mutex then hands the lock back to the caller's next
-	// call first. State read before Yield must be re-validated after it.
-	Yield(ctx Ctx)
 	// NewFuture returns a one-shot completion signal.
 	NewFuture(name string) Future
 	// NewGate returns a counting gate admitting width concurrent holders.
