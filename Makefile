@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench alloc-bench fuzz-smoke
+.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench alloc-bench fuzz-smoke loc
 
 # Tier-1 gate: formatting, vet, import boundaries, build, and the full
 # suite under the race detector (the TCP data path is exercised by
@@ -68,8 +68,8 @@ restore-bench:
 	$(GO) test -run xxx -bench=RestoreReadBack -benchtime 10x -count 3 ./internal/rpc
 
 # Allocation gate for the NVM1 binary data path: the frame codec and arena
-# must run allocation-free, and the cached TCP chunk read path must stay at
-# least 2x leaner than the legacy gob envelope. Run without -race — the race
+# must run allocation-free, and a cached TCP chunk get must allocate at most
+# two chunk sizes of heap (an absolute ceiling). Run without -race — the race
 # runtime's instrumentation would drown the budgets.
 alloc-bench:
 	$(GO) test -count 1 -run 'TestFrameCodecZeroAlloc|TestArenaZeroAlloc' ./internal/proto
@@ -81,3 +81,10 @@ alloc-bench:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/proto
 	$(GO) test -run xxx -fuzz FuzzDecodeNVC1Index -fuzztime 15s ./internal/filecache
+
+# Non-test lines per internal package — the figures ROADMAP.md and
+# CHANGES.md track.
+loc:
+	@for d in internal/*; do \
+		printf '%-24s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+	done

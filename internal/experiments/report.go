@@ -101,7 +101,7 @@ type Opts struct {
 	CkptSteps     int
 	CkptDirty     float64
 
-	// Wire framing benchmark (gob vs NVM1 on loopback TCP).
+	// Wire framing benchmark (NVM1 on loopback TCP).
 	WireBytes int64
 }
 

@@ -15,7 +15,7 @@ import (
 // paper's 256 KiB transfer unit at the repository's 1/4 bench scale.
 const wireChunk = 64 * sysprof.KiB
 
-// WireRow is one protocol mode of the framing benchmark.
+// WireRow is the framing benchmark's result.
 type WireRow struct {
 	Mode       string
 	WriteMBps  float64
@@ -25,39 +25,29 @@ type WireRow struct {
 
 // WireFraming benchmarks the TCP chunk data path end to end — real sockets
 // on loopback, in-memory benefactor backends so the wire (not an SSD) is the
-// bottleneck — once over the legacy gob envelope (Options.ForceGob) and once
-// over NVM1 binary framing with pooled buffers. Unlike the other artifacts
-// this one measures the implementation itself rather than reproducing a
-// paper table: it pins the PR's claimed win and feeds the nightly
-// regression diff.
-func WireFraming(o Opts) ([]WireRow, *Report, error) {
+// bottleneck — over NVM1 binary framing with pooled buffers. Unlike the
+// other artifacts this one measures the implementation itself rather than
+// reproducing a paper table: it feeds the nightly regression diff. (The gob
+// envelope it was once compared against is a historical row in
+// EXPERIMENTS.md.)
+func WireFraming(o Opts) (WireRow, *Report, error) {
 	ms, err := rpc.NewManagerServer("127.0.0.1:0", wireChunk, manager.RoundRobin)
 	if err != nil {
-		return nil, nil, err
+		return WireRow{}, nil, err
 	}
 	defer ms.Close()
 	for i := 0; i < 2; i++ {
 		bs, err := rpc.NewBenefactorServer("127.0.0.1:0", ms.Addr(), i, i,
 			2*o.WireBytes, wireChunk, benefactor.NewMem(), 50*time.Millisecond)
 		if err != nil {
-			return nil, nil, err
+			return WireRow{}, nil, err
 		}
 		defer bs.Close()
 	}
 
-	var rows []WireRow
-	for _, mode := range []struct {
-		name     string
-		forceGob bool
-	}{
-		{"gob envelope", true},
-		{"NVM1 binary", false},
-	} {
-		row, err := wireFramingMode(ms.Addr(), mode.name, mode.forceGob, o.WireBytes)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows = append(rows, row)
+	row, err := wireFramingRun(ms.Addr(), o.WireBytes)
+	if err != nil {
+		return WireRow{}, nil, err
 	}
 
 	rep := &Report{
@@ -66,26 +56,22 @@ func WireFraming(o Opts) ([]WireRow, *Report, error) {
 			o.WireBytes>>20, wireChunk>>10),
 		Columns: []string{"framing", "write (MB/s)", "cached read (MB/s)", "alloc/chunk read (KiB)"},
 	}
-	for _, r := range rows {
-		rep.Add(r.Mode, mbps(r.WriteMBps), mbps(r.ReadMBps), fmt.Sprintf("%.1f", r.AllocPerOp/1024))
-	}
-	gob, bin := rows[0], rows[1]
-	rep.Note("binary framing: %s write, %s cached read, %s fewer heap bytes per chunk read vs gob",
-		ratio(bin.WriteMBps, gob.WriteMBps), ratio(bin.ReadMBps, gob.ReadMBps), ratio(gob.AllocPerOp, bin.AllocPerOp))
-	return rows, rep, nil
+	rep.Add(row.Mode, mbps(row.WriteMBps), mbps(row.ReadMBps), fmt.Sprintf("%.1f", row.AllocPerOp/1024))
+	rep.Note("NVM1 is the only chunk wire; its gob predecessor is kept as a historical row in EXPERIMENTS.md")
+	return row, rep, nil
 }
 
-// wireFramingMode runs one protocol mode: a streaming write of total bytes,
+// wireFramingRun is the measurement: a streaming write of total bytes,
 // repeated cached whole-file reads, then an allocation census over
 // chunk-granular reads.
-func wireFramingMode(addr, name string, forceGob bool, total int64) (WireRow, error) {
-	st, err := rpc.OpenWith(addr, rpc.Options{ForceGob: forceGob})
+func wireFramingRun(addr string, total int64) (WireRow, error) {
+	st, err := rpc.Open(addr)
 	if err != nil {
 		return WireRow{}, err
 	}
 	defer st.Close()
 
-	file := "wire-" + name
+	const file = "wire-nvm1"
 	payload := make([]byte, total)
 	for i := range payload {
 		payload[i] = byte(i * 31)
@@ -137,5 +123,5 @@ func wireFramingMode(addr, name string, forceGob bool, total int64) (WireRow, er
 	if err := st.Delete(file); err != nil {
 		return WireRow{}, err
 	}
-	return WireRow{Mode: name, WriteMBps: writeMBps, ReadMBps: readMBps, AllocPerOp: allocPerOp}, nil
+	return WireRow{Mode: "NVM1 binary", WriteMBps: writeMBps, ReadMBps: readMBps, AllocPerOp: allocPerOp}, nil
 }

@@ -168,7 +168,8 @@ func (m *Manager) SetShard(index, count int) {
 func (m *Manager) Shard() (index, count int) { return m.shardIndex, m.shardCount }
 
 // Epoch returns the shard's membership epoch. It starts at 1 and only
-// increases, so a zero epoch (legacy clients) is never fenced.
+// increases, so a zero epoch (unstamped: first contact, benefactor and admin
+// traffic) is never fenced.
 func (m *Manager) Epoch() int64 { return m.epoch }
 
 // Owner returns the shard index that minted (and therefore owns) a chunk

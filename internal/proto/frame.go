@@ -10,13 +10,12 @@ import (
 // Binary chunk framing ("NVM1").
 //
 // The chunk data ops between clients and benefactors — get, put, putpages,
-// delchunk, copychunk — dominate the store's wire traffic, and their gob
-// envelopes cost a reflective encode/decode plus a staging copy of every
-// payload. NVM1 replaces them with a fixed 32-byte header, a small varint
-// metadata section, and the payload bytes appended raw, so a sender can
-// scatter-gather the caller's buffer straight onto the socket and a
-// receiver can read the payload straight into an arena-leased buffer.
-// Low-rate metadata ops against the manager stay on gob.
+// delchunk, copychunk — dominate the store's wire traffic. NVM1 is their
+// only wire form: a fixed 32-byte header, a small varint metadata section,
+// and the payload bytes appended raw, so a sender can scatter-gather the
+// caller's buffer straight onto the socket and a receiver can read the
+// payload straight into an arena-leased buffer. Low-rate metadata ops
+// against the manager are gob envelopes instead.
 //
 // Frame layout (all integers big-endian):
 //
@@ -39,16 +38,15 @@ import (
 // many (offset, length) uvarint pairs slicing the payload into pages. A
 // response holds only the error string.
 //
-// Connection negotiation: a client that speaks NVM1 opens each benefactor
-// connection by sending the single byte Preamble (0xB1) and waiting for the
-// server to echo it. 0xB1 can never begin a gob stream (gob's leading
-// message-length uvarint starts with a byte in [0x00,0x7F] or [0xF8,0xFF]),
-// so a server peeks one byte to tell new clients from old ones, and a
-// legacy gob-only server chokes on the preamble and closes, telling the new
-// client to redial in gob mode. See DESIGN.md §13.
+// Connection handshake: a client opens each benefactor connection by
+// sending the single byte Preamble (0xB1) and waiting for the server to
+// echo it. A server drops a connection whose first byte is anything else,
+// and a client that does not get the echo fails the dial (a transient
+// error its caller retries). The byte is the wire's version gate. See
+// DESIGN.md §13.
 
-// Preamble is the first byte a binary-framing client sends on a fresh
-// benefactor connection, echoed back by servers that speak NVM1.
+// Preamble is the first byte a client sends on a fresh benefactor
+// connection, echoed back by the server.
 const Preamble byte = 0xB1
 
 // FrameVersion is the NVM1 frame format version this package speaks.

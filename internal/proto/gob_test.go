@@ -71,19 +71,6 @@ type prespanManagerReq struct {
 	WriteVolume    int64
 }
 
-// prespanChunkReq is the benefactor request envelope before span tracing
-// added ParentSpanID and VarName.
-type prespanChunkReq struct {
-	Op        proto.Op
-	TraceID   string
-	ID        proto.ChunkID
-	SrcID     proto.ChunkID
-	Data      []byte
-	PageOffs  []int64
-	PageData  [][]byte
-	ChunkSize int64
-}
-
 // preshardManagerReq is the request envelope as it existed before the
 // metadata plane was sharded (no MapEpoch, IDs, Refs, RefReplicas,
 // CreateDst). Frozen so pre-shard daemons and clients stay interoperable
@@ -209,40 +196,6 @@ func TestGobCurrentManagerReqDecodesIntoPrespan(t *testing.T) {
 	transcode(t, &cur, &old)
 	if old.Op != proto.OpCreate || old.Name != "var" || old.Size != 8192 || old.TraceID != "t4" {
 		t.Fatalf("shared fields lost decoding into pre-span struct: %+v", old)
-	}
-}
-
-// TestGobPrespanChunkReqDecodesIntoCurrent: a pre-span client's chunk write
-// must decode on a current benefactor with the span fields zero (no
-// server-side span recorded, payload intact).
-func TestGobPrespanChunkReqDecodesIntoCurrent(t *testing.T) {
-	old := prespanChunkReq{
-		Op: proto.OpPutPages, TraceID: "t5", ID: 11,
-		PageOffs: []int64{0, 4096}, PageData: [][]byte{[]byte("a"), []byte("b")},
-		ChunkSize: 256 << 10,
-	}
-	var cur proto.ChunkReq
-	transcode(t, &old, &cur)
-	if cur.Op != proto.OpPutPages || cur.ID != 11 || cur.TraceID != "t5" ||
-		len(cur.PageOffs) != 2 || len(cur.PageData) != 2 || cur.ChunkSize != 256<<10 {
-		t.Fatalf("pre-span chunk fields lost: %+v", cur)
-	}
-	if cur.ParentSpanID != "" || cur.VarName != "" {
-		t.Fatalf("span fields = (%q, %q) from a pre-span stream, want empty", cur.ParentSpanID, cur.VarName)
-	}
-}
-
-// TestGobCurrentChunkReqDecodesIntoPrespan: a current client's traced chunk
-// request must stay decodable by a pre-span benefactor.
-func TestGobCurrentChunkReqDecodesIntoPrespan(t *testing.T) {
-	cur := proto.ChunkReq{
-		Op: proto.OpGetChunk, TraceID: "t6", ParentSpanID: "span-2",
-		VarName: "nvmvar.r0.1", ID: 13,
-	}
-	var old prespanChunkReq
-	transcode(t, &cur, &old)
-	if old.Op != proto.OpGetChunk || old.ID != 13 || old.TraceID != "t6" {
-		t.Fatalf("shared chunk fields lost decoding into pre-span struct: %+v", old)
 	}
 }
 

@@ -70,7 +70,9 @@ var (
 
 // Request/response messages for the TCP transport. Every request carries an
 // Op discriminant; responses carry Err as a string because error values do
-// not cross gob.
+// not cross the wire. Manager messages travel as gob envelopes; chunk
+// messages are in-process structs whose wire form is an NVM1 frame
+// (frame.go).
 
 // Op enumerates the store RPCs.
 type Op string
@@ -179,8 +181,8 @@ type ManagerReq struct {
 	WriteVolume int64
 	// MapEpoch is the shard-map epoch the client believes this shard is
 	// at. A mismatch is rejected with ErrStaleShardMap and the fresh map
-	// piggybacked on the response. Zero from pre-shard clients (gob
-	// leaves missing fields zero): legacy traffic is never epoch-fenced.
+	// piggybacked on the response. Zero is unstamped — first contact,
+	// benefactor and admin traffic — and is never epoch-fenced.
 	MapEpoch int64
 	// IDs carries the chunk IDs of OpRetainRefs/OpReleaseRefs.
 	IDs []ChunkID
@@ -241,15 +243,16 @@ type ManagerResp struct {
 	ForeignHeld []ChunkRef
 }
 
-// ChunkReq is the benefactor-side request envelope.
+// ChunkReq is one chunk data op as the benefactor's dispatch sees it; an
+// NVM1 frame carries it on the wire.
 type ChunkReq struct {
 	Op Op
 	// TraceID tags the request with the client-side operation that issued
 	// it (see ManagerReq.TraceID).
 	TraceID string
 	// ParentSpanID is the client-side span the benefactor should parent
-	// its own span under (see ManagerReq.ParentSpanID). Empty from older
-	// or untraced clients.
+	// its own span under (see ManagerReq.ParentSpanID). Empty from
+	// untraced clients.
 	ParentSpanID string
 	// VarName is the NVM variable (store file) the chunk belongs to, so
 	// server-side spans can attribute device traffic per variable.
@@ -259,12 +262,11 @@ type ChunkReq struct {
 	Data    []byte
 	// PutPages: parallel slices of page offsets within the chunk and page
 	// payloads.
-	PageOffs  []int64
-	PageData  [][]byte
-	ChunkSize int64
+	PageOffs []int64
+	PageData [][]byte
 }
 
-// ChunkResp is the benefactor-side response envelope.
+// ChunkResp is the result of one chunk data op.
 type ChunkResp struct {
 	Err  string
 	Data []byte

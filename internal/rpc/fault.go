@@ -16,8 +16,8 @@ import (
 //   - FaultController/faultConn corrupt the *network*: a controller's Dial
 //     method plugs into Options.Dial, and every connection it produces can
 //     delay, black-hole, reset, or tear writes on command. This is how the
-//     race-enabled tests stage dead benefactors, wedged links, and torn gob
-//     streams deterministically.
+//     race-enabled tests stage dead benefactors, wedged links, and torn frames
+//     deterministically.
 //   - FlakyBackend corrupts the *storage*: it wraps a benefactor.Backend
 //     and fails a budget of operations, standing in for a dying SSD behind
 //     a healthy NIC.
@@ -38,7 +38,7 @@ const (
 	// benefactor mid-conversation.
 	FaultReset
 	// FaultPartialWrite transmits roughly half of one write and then
-	// closes the connection — a torn gob message.
+	// closes the connection — a torn frame.
 	FaultPartialWrite
 )
 

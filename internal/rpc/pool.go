@@ -1,15 +1,14 @@
 package rpc
 
 import (
-	"sync/atomic"
 	"time"
 
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/proto"
 )
 
-// connPool is a fixed-size pool of gob connections to one benefactor. A
-// single gob stream serializes request/response pairs, so a client that
+// connPool is a fixed-size pool of NVM1 connections to one benefactor. A
+// single connection serializes request/response pairs, so a client that
 // fans chunk transfers out (Store.ReadAt/WriteAt) needs several streams per
 // benefactor for the transfers to actually pipeline — the paper's aggregate
 // bandwidth (§III-D, Tables III–IV) comes from keeping every contributor's
@@ -30,19 +29,13 @@ type connPool struct {
 	// obs mints pool.wait spans under traced requests, so pool contention
 	// shows up in the waterfall as its own layer. May be nil/disabled.
 	obs *obs.Obs
-	// live counts dialed connections. When the last one breaks the pool
-	// has fully drained and onDrain (if set) fires — the Store uses this
-	// to evict the address's cached gob-fallback verdict, so a server
-	// that was upgraded in place gets re-probed on NVM1 at the redial.
-	live    atomic.Int64
-	onDrain func()
 }
 
-func newConnPool(addr string, size int, dial func(addr string) (*chunkConn, error), o *obs.Obs, wait *obs.Histogram, onDrain func()) *connPool {
+func newConnPool(addr string, size int, dial func(addr string) (*chunkConn, error), o *obs.Obs, wait *obs.Histogram) *connPool {
 	if size < 1 {
 		size = 1
 	}
-	p := &connPool{addr: addr, dial: dial, free: make(chan *chunkConn, size), wait: wait, obs: o, onDrain: onDrain}
+	p := &connPool{addr: addr, dial: dial, free: make(chan *chunkConn, size), wait: wait, obs: o}
 	for i := 0; i < size; i++ {
 		p.free <- nil
 	}
@@ -74,15 +67,11 @@ func (p *connPool) call(req proto.ChunkReq) (proto.ChunkResp, error) {
 			p.free <- nil
 			return proto.ChunkResp{}, transient(err)
 		}
-		p.live.Add(1)
 	}
 	resp, err := c.call(req)
 	if c.isBroken() {
 		c.close()
 		p.free <- nil
-		if p.live.Add(-1) == 0 && p.onDrain != nil {
-			p.onDrain()
-		}
 	} else {
 		p.free <- c
 	}
@@ -91,15 +80,13 @@ func (p *connPool) call(req proto.ChunkReq) (proto.ChunkResp, error) {
 
 // close tears down every idle connection. Slots currently borrowed by
 // in-flight calls are closed by their borrowers (the pool is only closed
-// after the store's user is done issuing requests). Deliberate teardown
-// does not fire onDrain — there is nothing left to re-probe.
+// after the store's user is done issuing requests).
 func (p *connPool) close() {
 	for {
 		select {
 		case c := <-p.free:
 			if c != nil {
 				c.close()
-				p.live.Add(-1)
 			}
 		default:
 			return

@@ -7,7 +7,7 @@ import (
 )
 
 // RetryPolicy bounds how a client retries transient transport failures
-// (dial errors, deadline timeouts, connection resets, torn gob streams)
+// (dial errors, deadline timeouts, connection resets, torn frames)
 // against one benefactor before giving up on that replica.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget per replica (first try

@@ -1,6 +1,7 @@
 // Package rpc runs the aggregate NVM store over real TCP: the same
 // manager and benefactor logic the simulation uses (internal/manager,
-// internal/benefactor) served with gob-encoded request/response envelopes
+// internal/benefactor), with metadata served as gob-encoded
+// request/response envelopes and chunk data as NVM1 binary frames
 // (internal/proto). cmd/nvmstore wraps the servers as daemons and
 // cmd/nvmctl is a client; examples/realstore drives the whole stack
 // in-process.
@@ -224,10 +225,10 @@ func serve(l net.Listener, cs *connSet, handleConn func(conn net.Conn)) {
 	}
 }
 
-// serveGob runs one connection's request loop over the legacy gob
-// envelopes until the peer disconnects or the stream breaks.
-func serveGob(conn net.Conn, br *bufio.Reader, handle func(dec *gob.Decoder, enc *gob.Encoder) error) {
-	dec := gob.NewDecoder(br)
+// serveGob runs one manager connection's request loop over gob envelopes
+// until the peer disconnects or the stream breaks.
+func serveGob(conn net.Conn, handle func(dec *gob.Decoder, enc *gob.Encoder) error) {
+	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {
 		if err := handle(dec, enc); err != nil {
@@ -465,7 +466,7 @@ func NewManagerServerWith(addr string, chunkSize int64, policy manager.Placement
 // metadata, so it stays on gob envelopes; only the benefactor data path
 // speaks NVM1 binary frames.
 func (s *ManagerServer) serveConn(conn net.Conn) {
-	serveGob(conn, bufio.NewReader(conn), s.handle)
+	serveGob(conn, s.handle)
 }
 
 // sweepLoop expires stale heartbeats on a clock tick, so benefactor death
@@ -572,9 +573,8 @@ func (s *ManagerServer) benConn(id int, addr string) (*chunkConn, error) {
 	if addr == "" {
 		return nil, proto.ErrBenefactorDead
 	}
-	c, err := dialChunk(addr, nil, serverDialTimeout, serverCallTimeout, wireConfig{
-		arena: s.arena, maxPayload: maxPayloadFor(s.mgr.ChunkSize()),
-	})
+	c, err := dialChunk(addr, nil, serverDialTimeout, serverCallTimeout,
+		s.arena, maxPayloadFor(s.mgr.ChunkSize()))
 	if err != nil {
 		return nil, err
 	}
@@ -615,10 +615,11 @@ func routedByName(op proto.Op) bool {
 }
 
 // fenceLocked rejects a request whose view of this shard is stale: a
-// mismatched membership epoch (MapEpoch 0 — legacy clients — is never
-// fenced), or a name-routed op whose name this shard does not own. The
-// fresh map rides back on the response either way, so the client installs
-// it and retries once without an extra round trip.
+// mismatched membership epoch (MapEpoch 0 is unstamped — first contact,
+// benefactor and admin traffic — and is never fenced), or a name-routed op
+// whose name this shard does not own. The fresh map rides back on the
+// response either way, so the client installs it and retries once without
+// an extra round trip.
 func (s *ManagerServer) fenceLocked(req *proto.ManagerReq, resp *proto.ManagerResp) bool {
 	if req.MapEpoch != 0 && req.MapEpoch != s.mgr.Epoch() {
 		resp.Err = errStr(proto.ErrStaleShardMap)
@@ -1190,28 +1191,24 @@ func (s *BenefactorServer) spanUnder(parent *obs.ActiveSpan, name string) *obs.A
 // reading (the largest legitimate payload is exactly one chunk).
 func maxPayloadFor(chunkSize int64) int { return int(2 * chunkSize) }
 
-// serveConn runs one benefactor connection, sniffing the first byte to
-// pick the wire protocol: a proto.Preamble byte announces an NVM1 binary
-// client (the preamble is consumed, echoed back as the accept, and the
-// binary frame loop runs); anything else is the start of a legacy gob
-// stream, served unchanged so old clients keep working.
+// serveConn runs one benefactor connection: the server half of the NVM1
+// handshake, then the frame loop. The client's first byte must be
+// proto.Preamble, which is echoed back as the accept. Any other first byte
+// is not a chunk client; it is read alone, before anything else is
+// buffered or decoded, and the connection is dropped.
 func (s *BenefactorServer) serveConn(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
+	var first [1]byte
+	if _, err := io.ReadFull(conn, first[:]); err != nil {
 		return
 	}
-	if first[0] == proto.Preamble {
-		if _, err := br.Discard(1); err != nil {
-			return
-		}
-		if _, err := conn.Write([]byte{proto.Preamble}); err != nil {
-			return
-		}
-		s.serveBinary(conn, br)
+	if first[0] != proto.Preamble {
+		s.badFrame(conn, fmt.Errorf("%w: first byte 0x%02x is not the NVM1 preamble", proto.ErrBadFrame, first[0]))
 		return
 	}
-	serveGob(conn, br, s.handle)
+	if _, err := conn.Write(first[:]); err != nil {
+		return
+	}
+	s.serveBinary(conn, bufio.NewReaderSize(conn, 64<<10))
 }
 
 // badFrame logs a malformed frame and tells the caller to drop the
@@ -1295,26 +1292,10 @@ func (s *BenefactorServer) serveBinary(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-func (s *BenefactorServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
-	var req proto.ChunkReq
-	if err := dec.Decode(&req); err != nil {
-		return err
-	}
-	resp := s.dispatch(&req)
-	err := enc.Encode(&resp)
-	if s.privReads && resp.Data != nil {
-		// The encoder copied the payload onto the wire; a private (pooled)
-		// read buffer can go back to the arena.
-		s.arena.Put(resp.Data)
-	}
-	return err
-}
-
-// dispatch executes one chunk data op against the store, shared by the gob
-// and binary serve loops. Ownership: req.Data and req.PageData are only
-// read during the call; resp.Data (get responses) follows the store's
-// PrivateReads policy — the serve loops recycle it after writing when it
-// is private.
+// dispatch executes one chunk data op against the store. Ownership:
+// req.Data and req.PageData are only read during the call; resp.Data (get
+// responses) follows the store's PrivateReads policy — serveBinary recycles
+// it after writing when it is private.
 func (s *BenefactorServer) dispatch(req *proto.ChunkReq) proto.ChunkResp {
 	opStart := time.Now()
 	// A span-traced request (it names a parent span) gets a benefactor-side
@@ -1394,19 +1375,16 @@ const (
 	serverCallTimeout = 30 * time.Second
 )
 
-// chunkConn is a client connection to one benefactor, speaking either NVM1
-// binary frames (negotiated at dial) or the legacy gob envelopes.
+// chunkConn is a client connection to one benefactor, speaking NVM1 binary
+// frames (handshake at dial).
 type chunkConn struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
-	// gob mode (binary == false).
-	dec *gob.Decoder
-	enc *gob.Encoder
-	// binary mode: the wire arena leases response payloads, scratch holds
-	// the encoded request header+meta, and wbufs scatter-gathers header and
-	// caller payload onto the socket without a staging copy.
-	binary     bool
+	// The wire arena leases response payloads (bounded by maxPayload, 2×
+	// chunk), scratch holds the encoded request header+meta, and wbufs
+	// scatter-gathers header and caller payload onto the socket without a
+	// staging copy.
 	arena      *proto.Arena
 	maxPayload int
 	freq       proto.Frame
@@ -1422,114 +1400,56 @@ type chunkConn struct {
 	broken bool
 }
 
-// wireConfig selects the benefactor wire protocol for dialed connections.
-type wireConfig struct {
-	// arena supplies response payload leases in binary mode; nil disables
-	// the binary handshake entirely (gob only).
-	arena *proto.Arena
-	// maxPayload bounds a response frame's declared payload (2× chunk).
-	maxPayload int
-	// gobOnly skips the NVM1 handshake: either the peer is already known to
-	// be a legacy server, or Options.ForceGob pinned the legacy protocol.
-	gobOnly bool
-	// fellBack is set on the result when the handshake was attempted and
-	// the peer turned out to be gob-only, so callers can cache the verdict
-	// per address instead of re-probing on every dial.
-	fellBack *bool
-}
-
-// dialChunk connects to a benefactor. dial overrides the transport (fault
-// injection); when nil a plain TCP dial with dialTimeout is used.
-// callTimeout becomes the per-RPC deadline of the resulting connection.
-//
-// With wc.arena set (and not wc.gobOnly) the NVM1 preamble handshake runs
-// first: the preamble byte is sent and the server must echo it. A legacy
-// gob server instead chokes on the preamble and closes (its gob decoder
-// rejects 0xB1 as a message length), so a handshake failure redials the
-// address in gob mode — old servers keep working behind new clients.
-func dialChunk(addr string, dial func(string) (net.Conn, error), dialTimeout, callTimeout time.Duration, wc wireConfig) (*chunkConn, error) {
-	connect := func() (net.Conn, error) {
-		if dial != nil {
-			return dial(addr)
-		}
-		return net.DialTimeout("tcp", addr, dialTimeout)
+// dialChunk connects to a benefactor and runs the NVM1 handshake. dial
+// overrides the transport (fault injection); when nil a plain TCP dial with
+// dialTimeout is used. callTimeout becomes the per-RPC deadline of the
+// resulting connection. A handshake that does not get its echo fails the
+// dial; the caller's transient-retry path redials.
+func dialChunk(addr string, dial func(string) (net.Conn, error), dialTimeout, callTimeout time.Duration, arena *proto.Arena, maxPayload int) (*chunkConn, error) {
+	var conn net.Conn
+	var err error
+	if dial != nil {
+		conn, err = dial(addr)
+	} else {
+		conn, err = net.DialTimeout("tcp", addr, dialTimeout)
 	}
-	conn, err := connect()
 	if err != nil {
 		return nil, err
 	}
-	binary := false
-	if wc.arena != nil && !wc.gobOnly {
-		hsTimeout := dialTimeout
-		if callTimeout > 0 && (hsTimeout <= 0 || callTimeout < hsTimeout) {
-			hsTimeout = callTimeout
-		}
-		switch legacy, err := negotiateBinary(conn, hsTimeout); {
-		case err == nil:
-			binary = true
-		case legacy:
-			// The peer took the preamble and hung up — the signature of a
-			// legacy gob server whose decoder rejected 0xB1. Redial and
-			// speak gob to it.
-			conn.Close()
-			if conn, err = connect(); err != nil {
-				return nil, err
-			}
-			if wc.fellBack != nil {
-				*wc.fellBack = true
-			}
-		default:
-			// A transport fault (write failure, timeout), not a protocol
-			// verdict: fail the dial so the caller's transient-retry path
-			// redials and probes again, instead of misfiling the address
-			// as gob-only forever.
-			conn.Close()
-			return nil, err
-		}
+	hsTimeout := dialTimeout
+	if callTimeout > 0 && (hsTimeout <= 0 || callTimeout < hsTimeout) {
+		hsTimeout = callTimeout
 	}
-	c := &chunkConn{
+	if err := handshake(conn, hsTimeout); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return &chunkConn{
 		conn: conn, br: bufio.NewReaderSize(conn, 64<<10),
-		binary: binary, arena: wc.arena, maxPayload: wc.maxPayload,
-		timeout: callTimeout,
-	}
-	if !binary {
-		c.dec = gob.NewDecoder(c.br)
-		c.enc = gob.NewEncoder(conn)
-	}
-	return c, nil
+		arena: arena, maxPayload: maxPayload, timeout: callTimeout,
+	}, nil
 }
 
-// negotiateBinary performs the client half of the NVM1 handshake: send the
-// preamble, require the echo. legacy reports the verdict on failure: true
-// means the peer accepted our preamble byte and then closed the connection
-// — exactly what a legacy gob server does when its decoder hits 0xB1 — so
-// the caller should redial and speak gob. false means the transport itself
-// failed (write error, timeout) and no protocol conclusion can be drawn.
-func negotiateBinary(conn net.Conn, timeout time.Duration) (legacy bool, err error) {
+// handshake performs the client half of the NVM1 handshake: send the
+// preamble, require the echo.
+func handshake(conn net.Conn, timeout time.Duration) error {
 	if timeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(timeout))
 	}
 	if _, err := conn.Write([]byte{proto.Preamble}); err != nil {
-		return false, err
+		return err
 	}
 	var ack [1]byte
 	if _, err := io.ReadFull(conn, ack[:]); err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return false, err
-		}
-		// EOF / connection reset after a delivered preamble: the legacy
-		// signature. A crashed modern server looks the same, but then the
-		// gob redial fails too, so misclassifying is harmless.
-		return true, err
+		return fmt.Errorf("rpc: NVM1 handshake: %w", err)
 	}
 	if ack[0] != proto.Preamble {
-		return true, fmt.Errorf("rpc: unexpected NVM1 handshake ack 0x%02x", ack[0])
+		return fmt.Errorf("rpc: unexpected NVM1 handshake ack 0x%02x", ack[0])
 	}
 	if timeout > 0 {
 		_ = conn.SetDeadline(time.Time{})
 	}
-	return false, nil
+	return nil
 }
 
 func (c *chunkConn) call(req proto.ChunkReq) (proto.ChunkResp, error) {
@@ -1541,12 +1461,7 @@ func (c *chunkConn) call(req proto.ChunkReq) (proto.ChunkResp, error) {
 	}
 	// Encode/decode failures are transport-level: the round trip did not
 	// complete, so they are wrapped as transient (retryable) errors.
-	var err error
-	if c.binary {
-		resp, err = c.roundTripBinary(&req)
-	} else {
-		resp, err = c.roundTripGob(&req)
-	}
+	resp, err := c.roundTripBinary(&req)
 	if err != nil {
 		c.broken = true
 		return resp, transient(err)
@@ -1555,17 +1470,6 @@ func (c *chunkConn) call(req proto.ChunkReq) (proto.ChunkResp, error) {
 		_ = c.conn.SetDeadline(time.Time{})
 	}
 	return resp, wireErr(resp.Err)
-}
-
-func (c *chunkConn) roundTripGob(req *proto.ChunkReq) (proto.ChunkResp, error) {
-	var resp proto.ChunkResp
-	if err := c.enc.Encode(req); err != nil {
-		return resp, err
-	}
-	if err := c.dec.Decode(&resp); err != nil {
-		return resp, err
-	}
-	return resp, nil
 }
 
 // roundTripBinary ships one chunk op as an NVM1 frame. The payload goes out
@@ -1848,20 +1752,6 @@ func (c *ManagerClient) Remap(name string, chunkIdx int) (proto.ChunkRef, error)
 	return resp.NewRef, err
 }
 
-// RemapRefs performs the copy-on-write remap of one chunk and returns the
-// fresh chunk's full replica set, primary first. An older manager sends no
-// replica table; the primary ref alone is the degenerate set.
-func (c *ManagerClient) RemapRefs(name string, chunkIdx int) ([]proto.ChunkRef, error) {
-	resp, err := c.call(proto.ManagerReq{Op: proto.OpRemap, Name: name, ChunkIdx: chunkIdx})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.NewRefs) > 0 {
-		return resp.NewRefs, nil
-	}
-	return []proto.ChunkRef{resp.NewRef}, nil
-}
-
 // Derive creates a file sharing a chunk sub-range of src (checkpoint
 // restore without data movement).
 func (c *ManagerClient) Derive(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
@@ -1876,13 +1766,6 @@ func (c *ManagerClient) Derive(name, src string, fromChunk, nChunks int, size in
 // manager's start.
 func (c *ManagerClient) SetTTL(name string, expiresAt time.Duration) error {
 	_, err := c.call(proto.ManagerReq{Op: proto.OpSetTTL, Name: name, ExpiresAtNanos: int64(expiresAt)})
-	return err
-}
-
-// SetTTLIn assigns a lifetime of ttl from now, measured on the manager's
-// clock — remote clients do not know the manager's epoch.
-func (c *ManagerClient) SetTTLIn(name string, ttl time.Duration) error {
-	_, err := c.call(proto.ManagerReq{Op: proto.OpSetTTL, Name: name, TTLNanos: int64(ttl)})
 	return err
 }
 

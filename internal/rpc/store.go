@@ -18,8 +18,8 @@ import (
 
 // Options tunes the client data path.
 type Options struct {
-	// PoolSize is the number of connections kept per benefactor. One gob
-	// stream serializes its calls, so this is the per-SSD pipelining depth.
+	// PoolSize is the number of connections kept per benefactor. One
+	// connection serializes its calls, so this is the per-SSD pipelining depth.
 	// 0 means DefaultPoolSize.
 	PoolSize int
 	// Parallelism bounds how many chunk transfers a single
@@ -42,10 +42,6 @@ type Options struct {
 	// Dial overrides the benefactor transport dialer (fault injection in
 	// tests). When nil, plain TCP with DialTimeout is used.
 	Dial func(addr string) (net.Conn, error)
-	// ForceGob pins benefactor connections to the legacy gob envelopes,
-	// skipping the NVM1 binary-framing handshake. A compatibility escape
-	// hatch — and the baseline side of the framing benchmarks.
-	ForceGob bool
 	// Obs receives the client's metrics (per-op latency histograms, pool
 	// wait time, data-path counters) and chunk-lifecycle events. Nil gets
 	// a fresh private obs.New instance; obs.Disabled() turns every
@@ -200,9 +196,6 @@ type Store struct {
 	// ReleaseChunk (directly by readAt/writeAt, via store.BufferLender by
 	// the chunk cache). Sized to the store's chunk geometry at Open.
 	arena *proto.Arena
-	// gobAddrs caches benefactor addresses that failed the NVM1 handshake
-	// (legacy servers), so redials skip the probe.
-	gobAddrs map[string]bool
 
 	obs *obs.Obs
 	m   storeMetrics
@@ -255,7 +248,6 @@ func OpenWith(addr string, opts Options) (*Store, error) {
 		suspectUntil: make(map[int]time.Time),
 		pools:        make(map[int]*connPool),
 		meta:         make(map[string]proto.FileInfo),
-		gobAddrs:     make(map[string]bool),
 		obs:          opts.Obs,
 		m:            newStoreMetrics(opts.Obs),
 	}
@@ -664,10 +656,8 @@ func (s *Store) ChunkSize() int64 { return s.chunkSize }
 
 // ReleaseChunk returns a chunk payload obtained from GetChunk (or the
 // chunk-granular read path) to the store's buffer arena. The buffer must
-// not be used afterwards. Buffers of foreign geometry — including payloads
-// decoded from legacy gob connections before the arena existed, which are
-// private anyway — are accepted or ignored safely, so callers can release
-// unconditionally.
+// not be used afterwards. Buffers of foreign geometry are ignored safely, so
+// callers can release unconditionally.
 func (s *Store) ReleaseChunk(buf []byte) { s.arena.Put(buf) }
 
 // Manager exposes the shard-0 metadata client — the whole cluster on an
@@ -746,36 +736,10 @@ func (s *Store) pool(ref proto.ChunkRef) (*connPool, error) {
 		return nil, fmt.Errorf("%w: benefactor %d has no address", proto.ErrBenefactorDead, ref.Benefactor)
 	}
 	dial := func(a string) (*chunkConn, error) {
-		s.mu.Lock()
-		gobOnly := s.opts.ForceGob || s.gobAddrs[a]
-		s.mu.Unlock()
-		var fellBack bool
-		c, err := dialChunk(a, s.opts.Dial, s.opts.DialTimeout, s.opts.CallTimeout, wireConfig{
-			arena: s.arena, maxPayload: maxPayloadFor(s.chunkSize),
-			gobOnly: gobOnly, fellBack: &fellBack,
-		})
-		if fellBack {
-			// The peer is a legacy gob server: remember, so later dials to
-			// this address skip the handshake probe.
-			s.mu.Lock()
-			s.gobAddrs[a] = true
-			s.mu.Unlock()
-		}
-		return c, err
+		return dialChunk(a, s.opts.Dial, s.opts.DialTimeout, s.opts.CallTimeout,
+			s.arena, maxPayloadFor(s.chunkSize))
 	}
-	// When the pool's last live connection breaks, forget the address's
-	// gob verdict: the server may have been upgraded in place, and the
-	// next dial should probe NVM1 again instead of speaking gob forever.
-	onDrain := func() {
-		s.mu.Lock()
-		evicted := s.gobAddrs[addr]
-		delete(s.gobAddrs, addr)
-		s.mu.Unlock()
-		if evicted {
-			s.obs.Event("rpc", "gob-verdict-evict", "", "addr="+addr)
-		}
-	}
-	p := newConnPool(addr, s.opts.PoolSize, dial, s.obs, s.m.poolWait, onDrain)
+	p := newConnPool(addr, s.opts.PoolSize, dial, s.obs, s.m.poolWait)
 	s.pools[ref.Benefactor] = p
 	return p, nil
 }
@@ -910,11 +874,6 @@ func (s *Store) invalidateMeta(name string) {
 func (s *Store) Create(name string, size int64) error {
 	_, err := s.create(eventScope(name), name, size)
 	return err
-}
-
-// CreateInfo reserves a file and returns its chunk map.
-func (s *Store) CreateInfo(name string, size int64) (proto.FileInfo, error) {
-	return s.create(eventScope(name), name, size)
 }
 
 // create allocates the file under an existing span context. The trace and
@@ -1385,7 +1344,7 @@ func chunkSpans(chunkSize, off int64, buf []byte) []span {
 
 // forEach runs do(0..n-1) with at most s.opts.Parallelism calls in flight,
 // returning the first error. After an error no new work starts; transfers
-// already in flight finish (gob calls are not interruptible mid-message).
+// already in flight finish (a chunk RPC is not interruptible mid-frame).
 func (s *Store) forEach(n int, do func(int) error) error {
 	par := s.opts.Parallelism
 	if par > n {

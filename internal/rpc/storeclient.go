@@ -87,8 +87,8 @@ func (c *StoreClient) GetChunk(ctx store.Ctx, refs []proto.ChunkRef) ([]byte, er
 }
 
 // PrivateChunks implements store.BufferLender: the TCP data path's GetChunk
-// results are arena leases (or gob-decoded private buffers), owned by the
-// caller — unlike simstore, whose results alias simulated device memory.
+// results are arena leases, owned by the caller — unlike simstore, whose
+// results alias simulated device memory.
 func (c *StoreClient) PrivateChunks() bool { return true }
 
 // ReleaseChunk implements store.BufferLender: a finished GetChunk buffer

@@ -6,106 +6,26 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
-	"nvmalloc/internal/benefactor"
-	"nvmalloc/internal/manager"
-	"nvmalloc/internal/obs"
 	"nvmalloc/internal/proto"
 )
 
-// legacyGobServer emulates a pre-NVM1 benefactor: a bare gob loop with no
-// preamble peek. Its decoder chokes on the 0xB1 handshake byte and closes
-// the connection, exactly as an old binary would. Every successful GetChunk
-// returns legacyPayload.
-var legacyPayload = []byte("served-by-legacy-gob")
-
-func startLegacyGobServer(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req proto.ChunkReq
-					if err := dec.Decode(&req); err != nil {
-						return // 0xB1 preamble lands here: decode error, close
-					}
-					var resp proto.ChunkResp
-					if req.Op == proto.OpGetChunk {
-						resp.Data = legacyPayload
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return l.Addr().String()
-}
-
-// TestLegacyServerFallback covers new client ↔ old server: the NVM1
-// handshake dies against a gob-only peer, the client redials in gob mode,
-// reports the fallback for per-address caching, and the call still works.
-func TestLegacyServerFallback(t *testing.T) {
-	addr := startLegacyGobServer(t)
-	fell := false
-	c, err := dialChunk(addr, nil, time.Second, 500*time.Millisecond, wireConfig{
-		arena:      proto.NewArena(testChunk),
-		maxPayload: maxPayloadFor(testChunk),
-		fellBack:   &fell,
-	})
-	if err != nil {
-		t.Fatalf("dial against legacy server: %v", err)
-	}
-	defer c.close()
-	if !fell {
-		t.Error("fallback not reported: client would re-probe this address forever")
-	}
-	if c.binary {
-		t.Fatal("connection claims binary mode against a gob-only server")
-	}
-	resp, err := c.call(proto.ChunkReq{Op: proto.OpGetChunk, ID: 1})
-	if err != nil {
-		t.Fatalf("gob call after fallback: %v", err)
-	}
-	if !bytes.Equal(resp.Data, legacyPayload) {
-		t.Fatalf("payload %q, want %q", resp.Data, legacyPayload)
-	}
-}
-
-// TestBinaryNegotiation covers new client ↔ new server at the connection
-// level: the handshake upgrades to NVM1 and semantic errors round-trip
-// through the binary error frame.
+// TestBinaryNegotiation covers the chunk wire at the connection level: the
+// handshake completes against a live benefactor and semantic errors
+// round-trip through the binary error frame.
 func TestBinaryNegotiation(t *testing.T) {
 	r := newRig(t, 1)
-	fell := false
-	c, err := dialChunk(r.bens[0].Addr(), nil, time.Second, 500*time.Millisecond, wireConfig{
-		arena:      proto.NewArena(testChunk),
-		maxPayload: maxPayloadFor(testChunk),
-		fellBack:   &fell,
-	})
+	c, err := dialChunk(r.bens[0].Addr(), nil, time.Second, 500*time.Millisecond,
+		proto.NewArena(testChunk), maxPayloadFor(testChunk))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.close()
-	if !c.binary || fell {
-		t.Fatalf("binary=%v fellBack=%v, want true/false", c.binary, fell)
-	}
 	// Round trip data through the binary frames.
 	payload := pattern(3, testChunk)
 	if _, err := c.call(proto.ChunkReq{Op: proto.OpPutChunk, ID: 7, Data: payload}); err != nil {
@@ -134,86 +54,10 @@ func TestBinaryNegotiation(t *testing.T) {
 	}
 }
 
-// TestForceGobCompat covers old client ↔ new server: Options.ForceGob pins
-// the legacy protocol (no preamble ever sent), and the peeking server serves
-// the whole workload over gob.
-func TestForceGobCompat(t *testing.T) {
-	r := newRig(t, 2)
-	opts := fastOpts()
-	opts.ForceGob = true
-	st, err := OpenWith(r.mgr.Addr(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	payload := pattern(9, 3*testChunk+100)
-	if err := st.Put("compat", payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Get("compat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("gob-pinned round trip mismatch")
-	}
-	if err := st.WriteAt("compat", 5000, []byte("PATCH")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 5)
-	if err := st.ReadAt("compat", 5000, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "PATCH" {
-		t.Fatalf("patch read %q", buf)
-	}
-}
-
-// TestMixedProtocolClients runs a binary client and a gob-pinned client
-// against the same servers at once: both see each other's writes.
-func TestMixedProtocolClients(t *testing.T) {
-	r := newRig(t, 2)
-	newSt, err := OpenWith(r.mgr.Addr(), fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer newSt.Close()
-	opts := fastOpts()
-	opts.ForceGob = true
-	oldSt, err := OpenWith(r.mgr.Addr(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oldSt.Close()
-
-	wrote := pattern(1, 2*testChunk)
-	if err := newSt.Put("from-new", wrote); err != nil {
-		t.Fatal(err)
-	}
-	got, err := oldSt.Get("from-new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wrote) {
-		t.Fatal("gob client read of binary client's write mismatched")
-	}
-
-	wrote = pattern(2, 2*testChunk)
-	if err := oldSt.Put("from-old", wrote); err != nil {
-		t.Fatal(err)
-	}
-	got, err = newSt.Get("from-old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wrote) {
-		t.Fatal("binary client read of gob client's write mismatched")
-	}
-}
-
-// TestMalformedFramesDropped sends hostile frames at a benefactor after a
-// successful NVM1 handshake: the server must close the connection without
-// staging the declared payload, and must stay healthy for other clients.
+// TestMalformedFramesDropped sends hostile bytes at a benefactor — a stream
+// that never offers the preamble, then bad frames after a successful NVM1
+// handshake: the server must close the connection without decoding or
+// staging anything, and must stay healthy for other clients.
 func TestMalformedFramesDropped(t *testing.T) {
 	r := newRig(t, 1)
 	addr := r.bens[0].Addr()
@@ -242,6 +86,33 @@ func TestMalformedFramesDropped(t *testing.T) {
 			t.Fatal("server kept the connection open after a malformed frame")
 		}
 	}
+
+	t.Run("gob envelope instead of preamble", func(t *testing.T) {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+		// What the deleted gob chunk path used to accept as a request.
+		var env bytes.Buffer
+		if err := gob.NewEncoder(&env).Encode(&proto.ChunkReq{Op: proto.OpGetChunk, ID: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(env.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		expectClosed(t, conn)
+		found := false
+		for _, ev := range r.bens[0].Obs().Ring.Events() {
+			if ev.Comp == "benefactor" && ev.Kind == "bad-frame" && strings.Contains(ev.Detail, "preamble") {
+				found = true
+			}
+		}
+		if !found {
+			t.Error("no bad-frame event for a connection that skipped the preamble")
+		}
+	})
 
 	t.Run("garbage bytes", func(t *testing.T) {
 		conn := handshake(t)
@@ -292,58 +163,128 @@ func TestMalformedFramesDropped(t *testing.T) {
 }
 
 // TestHandshakeTransportFaultIsTransient pins the retry semantics the fault
-// tests rely on: a connection torn mid-handshake must surface as a dial
-// error (so the caller's transient-retry path redials), NOT silently mark
-// the address gob-only.
+// tests rely on: a handshake that does not get its echo — whatever the
+// reason — is a dial error the caller's transient-retry path redials, and
+// never a verdict about the peer.
 func TestHandshakeTransportFaultIsTransient(t *testing.T) {
-	// A listener that accepts and immediately closes: the preamble write may
-	// succeed (buffered), but the ack read sees a reset/EOF — which IS the
-	// legacy signature, so this dial must fall back, not error.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			conn.Close()
-		}
-	}()
-	fell := false
-	c, err := dialChunk(l.Addr().String(), nil, time.Second, 200*time.Millisecond, wireConfig{
-		arena:      proto.NewArena(testChunk),
-		maxPayload: maxPayloadFor(testChunk),
-		fellBack:   &fell,
-	})
-	if err == nil {
-		// The gob redial connected (the listener closes conns, but dial
-		// itself succeeds) — acceptable; the point is the classification.
-		c.close()
-	}
-	if !fell {
-		t.Error("peer that closed after the preamble was not classified as legacy")
-	}
+	arena := proto.NewArena(testChunk)
 
-	// A dial function that fails writes outright is a transport fault: no
-	// fallback, an error instead.
-	fell = false
-	failDial := func(string) (net.Conn, error) {
-		return &writeFailConn{}, nil
+	t.Run("peer closes instead of echoing", func(t *testing.T) {
+		// A listener that accepts and immediately closes: the preamble write
+		// may succeed (buffered), but the ack read sees a reset/EOF.
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		go func() {
+			for {
+				conn, err := l.Accept()
+				if err != nil {
+					return
+				}
+				conn.Close()
+			}
+		}()
+		if c, err := dialChunk(l.Addr().String(), nil, time.Second, 200*time.Millisecond, arena, maxPayloadFor(testChunk)); err == nil {
+			c.close()
+			t.Fatal("dial succeeded against a peer that closed instead of echoing the preamble")
+		}
+	})
+
+	t.Run("preamble write fails", func(t *testing.T) {
+		failDial := func(string) (net.Conn, error) {
+			return &writeFailConn{}, nil
+		}
+		if _, err := dialChunk("ignored", failDial, time.Second, 200*time.Millisecond, arena, maxPayloadFor(testChunk)); err == nil {
+			t.Fatal("dial succeeded through a conn that cannot write")
+		}
+	})
+
+	// End to end: one handshake against a live benefactor is reset after the
+	// preamble went out. The chunk op must succeed by retry, and every
+	// connection the client opens — the surviving one included — must open
+	// with the NVM1 preamble.
+	t.Run("reset handshake is retried on NVM1", func(t *testing.T) {
+		r := newRig(t, 1)
+		var (
+			mu     sync.Mutex
+			dials  int
+			firsts []byte // first byte each dialed connection wrote
+		)
+		opts := fastOpts()
+		opts.PoolSize = 1
+		opts.Dial = func(addr string) (net.Conn, error) {
+			conn, err := net.DialTimeout("tcp", addr, time.Second)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			dials++
+			return &sniffConn{Conn: conn, resetRead: dials == 1, first: func(b byte) {
+				mu.Lock()
+				firsts = append(firsts, b)
+				mu.Unlock()
+			}}, nil
+		}
+		st, err := OpenWith(r.mgr.Addr(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+
+		payload := pattern(4, testChunk)
+		if err := st.Put("hs-reset", payload); err != nil {
+			t.Fatalf("put across a reset handshake: %v", err)
+		}
+		got, err := st.Get("hs-reset")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatal("round trip after a reset handshake mismatched")
+		}
+		if st.Stats().Retries == 0 {
+			t.Error("the reset handshake was not retried as a transient failure")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(firsts) < 2 {
+			t.Fatalf("want a reset dial and a redial, saw %d connections", len(firsts))
+		}
+		for i, b := range firsts {
+			if b != proto.Preamble {
+				t.Errorf("connection %d opened with 0x%02x, not the NVM1 preamble", i, b)
+			}
+		}
+	})
+}
+
+// sniffConn reports the first byte written on a connection and, when
+// resetRead is set, tears the connection down at the first read — a reset
+// arriving where the handshake echo should.
+type sniffConn struct {
+	net.Conn
+	resetRead bool
+	wrote     bool
+	first     func(byte)
+}
+
+func (c *sniffConn) Write(b []byte) (int, error) {
+	if !c.wrote && len(b) > 0 {
+		c.wrote = true
+		c.first(b[0])
 	}
-	if _, err := dialChunk("ignored", failDial, time.Second, 200*time.Millisecond, wireConfig{
-		arena:      proto.NewArena(testChunk),
-		maxPayload: maxPayloadFor(testChunk),
-		fellBack:   &fell,
-	}); err == nil {
-		t.Fatal("dial succeeded through a conn that cannot write")
+	return c.Conn.Write(b)
+}
+
+func (c *sniffConn) Read(b []byte) (int, error) {
+	if c.resetRead {
+		c.Conn.Close()
+		return 0, syscall.ECONNRESET
 	}
-	if fell {
-		t.Error("transport write failure misclassified as a legacy gob server")
-	}
+	return c.Conn.Read(b)
 }
 
 // writeFailConn is a net.Conn whose writes always fail, emulating a torn
@@ -355,165 +296,3 @@ func (c *writeFailConn) Close() error                     { return nil }
 func (c *writeFailConn) SetDeadline(time.Time) error      { return nil }
 func (c *writeFailConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *writeFailConn) SetWriteDeadline(time.Time) error { return nil }
-
-// startStoppableLegacyServer is startLegacyGobServer with an explicit stop
-// that also severs accepted connections, emulating a legacy benefactor
-// being taken down for an in-place upgrade.
-func startStoppableLegacyServer(t *testing.T) (string, func()) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var conns []net.Conn
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			conns = append(conns, conn)
-			mu.Unlock()
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req proto.ChunkReq
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					var resp proto.ChunkResp
-					if req.Op == proto.OpGetChunk {
-						resp.Data = legacyPayload
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			l.Close()
-			mu.Lock()
-			for _, c := range conns {
-				c.Close()
-			}
-			mu.Unlock()
-		})
-	}
-	t.Cleanup(stop)
-	return l.Addr().String(), stop
-}
-
-// TestGobVerdictEvictedOnPoolDrain covers the in-place upgrade story: a
-// client learns an address is gob-only, the legacy server goes away (the
-// pool drains), and an NVM1 server comes back on the same address. The
-// drained pool must evict the cached gob verdict so the redial probes
-// NVM1 again, instead of pinning the upgraded server to gob forever.
-func TestGobVerdictEvictedOnPoolDrain(t *testing.T) {
-	addr, stopLegacy := startStoppableLegacyServer(t)
-
-	// A Store wired straight at the legacy address (no manager round trip:
-	// the test drives the per-benefactor pool directly). PoolSize 1 so a
-	// single broken connection drains the pool.
-	o := obs.New("client")
-	s := &Store{
-		opts:         Options{PoolSize: 1}.withDefaults(),
-		benAddrs:     map[int]string{1: addr},
-		benAlive:     map[int]bool{},
-		suspectUntil: map[int]time.Time{},
-		pools:        map[int]*connPool{},
-		meta:         map[string]proto.FileInfo{},
-		gobAddrs:     map[string]bool{},
-		obs:          o,
-		chunkSize:    testChunk,
-	}
-	s.m = newStoreMetrics(o)
-	s.arena = proto.NewArena(testChunk)
-
-	ref := proto.ChunkRef{Benefactor: 1, ID: 7}
-	p, err := s.pool(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := p.call(proto.ChunkReq{Op: proto.OpGetChunk, ID: 7})
-	if err != nil {
-		t.Fatalf("call against legacy server: %v", err)
-	}
-	if !bytes.Equal(resp.Data, legacyPayload) {
-		t.Fatalf("payload %q, want legacy payload", resp.Data)
-	}
-	s.mu.Lock()
-	pinned := s.gobAddrs[addr]
-	s.mu.Unlock()
-	if !pinned {
-		t.Fatal("legacy fallback did not cache the gob verdict")
-	}
-
-	// Take the legacy server down: the pooled connection breaks on the
-	// next call, the pool drains, and the verdict must be evicted.
-	stopLegacy()
-	for i := 0; i < 3; i++ {
-		if _, err := p.call(proto.ChunkReq{Op: proto.OpGetChunk, ID: 7}); err == nil {
-			t.Fatal("call succeeded against a stopped server")
-		}
-		s.mu.Lock()
-		pinned = s.gobAddrs[addr]
-		s.mu.Unlock()
-		if !pinned {
-			break
-		}
-	}
-	if pinned {
-		t.Fatal("pool drain did not evict the gob verdict")
-	}
-	found := false
-	for _, ev := range o.Ring.Events() {
-		if ev.Comp == "rpc" && ev.Kind == "gob-verdict-evict" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no gob-verdict-evict event recorded")
-	}
-
-	// The upgraded server comes back on the same address. The next dial
-	// must probe NVM1 (not speak gob), so the pooled connection upgrades.
-	ms, err := NewManagerServer("127.0.0.1:0", testChunk, manager.RoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms.Close()
-	bs, err := NewBenefactorServer(addr, ms.Addr(), 1, 0, 64*testChunk, testChunk, benefactor.NewMem(), 0)
-	if err != nil {
-		t.Fatalf("restarting benefactor on %s: %v", addr, err)
-	}
-	defer bs.Close()
-
-	payload := pattern(9, testChunk)
-	if _, err := p.call(proto.ChunkReq{Op: proto.OpPutChunk, ID: 7, Data: payload}); err != nil {
-		t.Fatalf("put against upgraded server: %v", err)
-	}
-	c := <-p.free
-	if c == nil {
-		t.Fatal("no pooled connection after successful call")
-	}
-	binary := c.binary
-	p.free <- c
-	if !binary {
-		t.Fatal("upgraded server still spoken to over gob: verdict not re-probed")
-	}
-	resp, err = p.call(proto.ChunkReq{Op: proto.OpGetChunk, ID: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resp.Data, payload) {
-		t.Fatal("read through re-probed binary connection mismatched")
-	}
-}
