@@ -17,7 +17,6 @@ const wireChunk = 64 * sysprof.KiB
 
 // WireRow is the framing benchmark's result.
 type WireRow struct {
-	Mode       string
 	WriteMBps  float64
 	ReadMBps   float64
 	AllocPerOp float64 // heap bytes allocated per cached one-chunk read, process-wide
@@ -56,7 +55,7 @@ func WireFraming(o Opts) (WireRow, *Report, error) {
 			o.WireBytes>>20, wireChunk>>10),
 		Columns: []string{"framing", "write (MB/s)", "cached read (MB/s)", "alloc/chunk read (KiB)"},
 	}
-	rep.Add(row.Mode, mbps(row.WriteMBps), mbps(row.ReadMBps), fmt.Sprintf("%.1f", row.AllocPerOp/1024))
+	rep.Add("NVM1 binary", mbps(row.WriteMBps), mbps(row.ReadMBps), fmt.Sprintf("%.1f", row.AllocPerOp/1024))
 	rep.Note("NVM1 is the only chunk wire; its gob predecessor is kept as a historical row in EXPERIMENTS.md")
 	return row, rep, nil
 }
@@ -123,5 +122,5 @@ func wireFramingRun(addr string, total int64) (WireRow, error) {
 	if err := st.Delete(file); err != nil {
 		return WireRow{}, err
 	}
-	return WireRow{Mode: "NVM1 binary", WriteMBps: writeMBps, ReadMBps: readMBps, AllocPerOp: allocPerOp}, nil
+	return WireRow{WriteMBps: writeMBps, ReadMBps: readMBps, AllocPerOp: allocPerOp}, nil
 }
