@@ -643,89 +643,81 @@ func runTop(st *rpc.Store) {
 	}
 }
 
-// runTrace assembles one trace's span tree from every node's span ring and
-// renders it as a waterfall with the critical path marked, followed by the
-// trace's raw events. Without an id it dumps recent events only (spans of
-// many unrelated traces do not merge into a meaningful waterfall).
+// runTrace scrapes every node's span ring once. With an id it renders that
+// trace's span tree as a waterfall with the critical path marked, followed
+// by the trace's events; without one it lists the newest n events of every
+// node (spans of many unrelated traces do not merge into a meaningful
+// waterfall).
 func runTrace(st *rpc.Store, id string, n int) {
 	nodes, _, _, err := discover(st)
 	if err != nil {
 		fatal(err)
 	}
-	if id != "" {
-		spans := collectSpans(nodes, id, false, 0)
-		if len(spans) > 0 {
-			renderWaterfall(spans)
-			fmt.Println()
-		}
-	}
-	type tagged struct {
-		node string
-		ev   obs.Event
-	}
-	var all []tagged
-	for _, nd := range nodes {
-		if nd.addr == "" {
-			continue
-		}
-		events, err := obs.FetchTrace(nd.addr, id, n)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nvmctl: %s: %v\n", nd.name, err)
-			continue
-		}
-		for _, ev := range events {
-			all = append(all, tagged{nd.name, ev})
-		}
+	spans, events := collectSpans(nodes, id, false, 0, n)
+	if len(spans) > 0 && id != "" {
+		renderWaterfall(spans)
+		fmt.Println()
 	}
 	// Stable sort with a full tie-break: events from different nodes often
 	// share a timestamp at coarse clock resolution, and re-running the
 	// command must not shuffle them.
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].ev.UnixNanos != all[j].ev.UnixNanos {
-			return all[i].ev.UnixNanos < all[j].ev.UnixNanos
+	sort.SliceStable(events, func(i, j int) bool {
+		if events[i].StartNanos != events[j].StartNanos {
+			return events[i].StartNanos < events[j].StartNanos
 		}
-		if all[i].node != all[j].node {
-			return all[i].node < all[j].node
+		if events[i].Node != events[j].Node {
+			return events[i].Node < events[j].Node
 		}
-		return all[i].ev.Detail < all[j].ev.Detail
+		return events[i].Detail < events[j].Detail
 	})
-	for _, t := range all {
-		trace := t.ev.Trace
+	for _, ev := range events {
+		comp, kind, _ := strings.Cut(ev.Name, ".")
+		trace := ev.Trace
 		if trace == "" {
 			trace = "-"
 		}
 		fmt.Printf("%s %-16s %-12s %-14s %s %s\n",
-			t.ev.Time().Format("15:04:05.000000"), t.node, t.ev.Comp, t.ev.Kind, trace, t.ev.Detail)
+			time.Unix(0, ev.StartNanos).Format("15:04:05.000000"), ev.Node, comp, kind, trace, ev.Detail)
 	}
-	if len(all) == 0 {
+	if len(events) == 0 && (id == "" || len(spans) == 0) {
 		fmt.Println("no events (daemons running without -debug-addr, or ring empty)")
 	}
 }
 
 // collectSpans scrapes every node's span ring (or its slow-op flight
-// recorder) and deduplicates by span ID — a span can surface on two nodes
-// when a client exported it to the manager.
-func collectSpans(nodes []node, trace string, slow bool, n int) []obs.Span {
+// recorder; n > 0 keeps each node's newest n entries) and splits it into
+// timed spans, deduplicated by span ID — a span can surface on two nodes
+// when a client exported it to the manager — and events, which never leave
+// the node they happened on: each is labelled with that node's cluster name
+// and, for nEvents > 0, only each node's newest nEvents are kept.
+func collectSpans(nodes []node, trace string, slow bool, n, nEvents int) (spans, events []obs.Span) {
 	seen := make(map[string]bool)
-	var out []obs.Span
 	for _, nd := range nodes {
 		if nd.addr == "" {
 			continue
 		}
-		spans, err := obs.FetchSpans(nd.addr, trace, slow, n)
+		got, err := obs.FetchSpans(nd.addr, trace, slow, n)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nvmctl: %s: %v\n", nd.name, err)
 			continue
 		}
-		for _, sp := range spans {
-			if sp.ID == "" || seen[sp.ID] {
-				continue
+		var evs []obs.Span
+		for _, sp := range got {
+			switch {
+			case sp.IsEvent():
+				sp.Node = nd.name
+				evs = append(evs, sp)
+			case !seen[sp.ID]:
+				seen[sp.ID] = true
+				spans = append(spans, sp)
 			}
-			seen[sp.ID] = true
-			out = append(out, sp)
 		}
+		if nEvents > 0 && len(evs) > nEvents {
+			evs = evs[len(evs)-nEvents:]
+		}
+		events = append(events, evs...)
 	}
-	return out
+	return spans, events
 }
 
 // layerOf maps a span's "layer.op" name to the waterfall's breakdown rows.
@@ -933,7 +925,7 @@ func runSlow(st *rpc.Store, n int) {
 	if err != nil {
 		fatal(err)
 	}
-	spans := collectSpans(nodes, "", true, n)
+	spans, _ := collectSpans(nodes, "", true, n, 0)
 	sort.SliceStable(spans, func(i, j int) bool {
 		if spans[i].DurNanos != spans[j].DurNanos {
 			return spans[i].DurNanos > spans[j].DurNanos
@@ -962,7 +954,7 @@ func runTopByVar(st *rpc.Store) {
 	if err != nil {
 		fatal(err)
 	}
-	spans := collectSpans(nodes, "", false, 0)
+	spans, _ := collectSpans(nodes, "", false, 0, 0)
 	type agg struct {
 		ops   int64
 		nanos int64

@@ -27,11 +27,10 @@
 // With -debug-addr either daemon serves its observability state over HTTP:
 // /metrics (JSON metrics snapshot), /metrics.prom (Prometheus text
 // exposition), /healthz (503 while an alert rule fires), /vitals (windowed
-// rates/percentiles + alert state), /trace (recent events, ?trace=ID
-// filters), /spans (hierarchical spans, ?trace=ID filters, ?slow=1 reads
-// the slow-op flight recorder), and /debug/pprof. nvmctl's
-// metrics/top/trace/slow/watch commands scrape these endpoints; -slow tunes
-// which root spans the flight recorder retains.
+// rates/percentiles + alert state), /spans (hierarchical spans and events,
+// ?trace=ID filters, ?slow=1 reads the slow-op flight recorder), and
+// /debug/pprof. nvmctl's metrics/top/trace/slow/watch commands scrape these
+// endpoints; -slow tunes which root spans the flight recorder retains.
 //
 // Both daemons self-monitor: every -sample interval the metrics registry is
 // snapshotted into a bounded in-process time series (-history samples) and
@@ -41,9 +40,10 @@
 //
 // With -incident-dir, any alert rule's pending→firing edge snapshots an
 // incident bundle into that directory (goroutine dump, heap + CPU profiles,
-// span ring, slow-op flight recorder, recent time-series samples, firing
-// rules, shard identity), keeping at most -incident-max bundles. nvmctl's
-// capture/incidents/bundle commands drive the same recorder over HTTP.
+// span ring with its events, slow-op flight recorder, recent time-series
+// samples, firing rules, shard identity), keeping at most -incident-max
+// bundles. nvmctl's capture/incidents/bundle commands drive the same
+// recorder over HTTP.
 package main
 
 import (
@@ -142,7 +142,7 @@ func incidentFlags(fs *flag.FlagSet) func() obs.IncidentConfig {
 	}
 }
 
-// newObs builds a daemon's observability bundle: metrics registry, event
+// newObs builds a daemon's observability bundle: metrics registry, span
 // ring, and a key=value logger on stderr at the requested level.
 func newObs(node, level string) *obs.Obs {
 	lvl, err := obs.ParseLevel(level)
@@ -165,7 +165,7 @@ func runManager(args []string) {
 	sweep := fs.Duration("sweep", 0, "death-sweep clock tick (0 = half of hbtimeout, negative disables)")
 	shard := fs.String("shard", "", "shard position i/n on a sharded metadata plane (e.g. 0/2; empty = unsharded)")
 	peers := fs.String("peers", "", "comma-separated manager addresses of every shard, in shard order (required with -shard)")
-	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /trace, /spans, /debug/pprof on this address (empty disables)")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /spans, /debug/pprof on this address (empty disables)")
 	logLevel := fs.String("log", "info", "log level: debug|info|warn|error|off")
 	slow := fs.Duration("slow", obs.DefaultSlowThreshold, "root spans at least this long are copied to the slow-op flight recorder (0 disables)")
 	monitor := monitorFlags(fs)
@@ -231,7 +231,7 @@ func runBenefactor(args []string) {
 	capacity := fs.Int64("capacity", 1<<30, "contributed bytes")
 	chunk := fs.Int64("chunk", 256<<10, "chunk size (must match the manager)")
 	beat := fs.Duration("beat", 2*time.Second, "heartbeat interval")
-	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /trace, /spans, /debug/pprof on this address (empty disables)")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /spans, /debug/pprof on this address (empty disables)")
 	logLevel := fs.String("log", "info", "log level: debug|info|warn|error|off")
 	slow := fs.Duration("slow", obs.DefaultSlowThreshold, "root spans at least this long are copied to the slow-op flight recorder (0 disables)")
 	monitor := monitorFlags(fs)

@@ -19,6 +19,7 @@ import (
 	"nvmalloc/internal/manager"
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/rpc"
+	"nvmalloc/internal/store"
 )
 
 func main() {
@@ -211,8 +212,8 @@ func failoverDemo(tmp string) {
 
 // observabilityDemo runs daemons with their HTTP debug endpoints enabled
 // and plays operator: scrape /metrics from every node, then follow one
-// write's trace ID from the client through the manager to a benefactor —
-// exactly what `nvmctl top` and `nvmctl trace` do against a live cluster.
+// traced write from the client through the manager to the benefactors —
+// what `nvmctl top` and `nvmctl trace` do against a live cluster.
 func observabilityDemo(tmp string) {
 	const chunk = 64 << 10
 	fmt.Println("\n--- observability: metrics scrape & trace ---")
@@ -245,9 +246,17 @@ func observabilityDemo(tmp string) {
 		log.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("traced-var", bytes.Repeat([]byte("observe "), 32768)); err != nil { // 256 KB
+	// Root the write in a span the way `nvmctl put` does: the manager and
+	// benefactors record their halves under the same trace.
+	data := bytes.Repeat([]byte("observe "), 32768) // 256 KB
+	root := st.Obs().StartSpan("", "", "client.put")
+	root.SetVar("traced-var")
+	root.AddBytes(int64(len(data)))
+	ctx := store.WithSpan(nil, store.SpanInfo{Trace: root.Trace(), Parent: root.ID(), Var: "traced-var"})
+	if err := st.PutCtx(ctx, "traced-var", data); err != nil {
 		log.Fatal(err)
 	}
+	root.End()
 
 	// Scrape every node the way `nvmctl top` does.
 	for _, addr := range append([]string{mgr.DebugAddr()}, debugAddrs...) {
@@ -264,21 +273,18 @@ func observabilityDemo(tmp string) {
 		fmt.Println()
 	}
 
-	// Follow the Put's trace ID across the cluster like `nvmctl trace`.
-	var tid string
-	for _, ev := range st.Obs().Ring.Events() {
-		if ev.Kind == "put" {
-			tid = ev.Trace
-		}
-	}
-	fmt.Printf("trace %s:\n", tid)
+	// Follow the Put's trace across the cluster like `nvmctl trace`: the
+	// client's own spans, then each daemon's.
+	fmt.Printf("trace %s:\n", root.Trace())
+	spans := st.Obs().Spans.ByTrace(root.Trace())
 	for _, addr := range append([]string{mgr.DebugAddr()}, debugAddrs...) {
-		events, err := obs.FetchTrace(addr, tid, 0)
+		got, err := obs.FetchSpans(addr, root.Trace(), false, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, ev := range events {
-			fmt.Printf("  %s %-10s %-8s %s\n", ev.Time().Format("15:04:05.000"), ev.Comp, ev.Kind, ev.Detail)
-		}
+		spans = append(spans, got...)
+	}
+	for _, sp := range spans {
+		fmt.Printf("  %-18s %-13s %10v %7dB\n", sp.Name, sp.Node, time.Duration(sp.DurNanos).Round(time.Microsecond), sp.Bytes)
 	}
 }

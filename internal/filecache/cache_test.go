@@ -170,15 +170,9 @@ func TestOpenRebuildsOnAnyCorruptByte(t *testing.T) {
 			t.Fatalf("corrupt byte %d in header/index did not rebuild", pos)
 		}
 		if rebuilt {
-			events := cfg.Obs.Ring.Events()
-			found := false
-			for _, ev := range events {
-				if ev.Comp == "filecache" && ev.Kind == "rebuild" {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("corrupt byte %d: rebuild happened without an obs rebuild event", pos)
+			events := cfg.Obs.Spans.Filter(func(s obs.Span) bool { return s.Name == "filecache.rebuild" })
+			if len(events) == 0 {
+				t.Fatalf("corrupt byte %d: rebuild happened without a filecache.rebuild event", pos)
 			}
 		}
 		// Payload corruption passes the open (CRCs are lazy) but must be

@@ -22,11 +22,9 @@ import (
 //	/vitals       JSON Vitals: windowed rates/percentiles from the
 //	              daemon's own time series plus alert state;
 //	              ?window=30s tunes the lookback
-//	/trace        JSON []Event from the ring; ?trace=ID filters by trace
-//	              ID, ?n=N keeps only the newest N events
-//	/spans        JSON []Span from the span ring; ?trace=ID filters by
-//	              trace ID, ?slow=1 reads the slow-op flight recorder
-//	              instead, ?n=N keeps only the newest N spans
+//	/spans        JSON []Span from the span ring, events included;
+//	              ?trace=ID filters by trace ID, ?slow=1 reads the slow-op
+//	              flight recorder instead, ?n=N keeps only the newest N
 //	/debug/pprof  the standard Go profiling endpoints
 type DebugServer struct {
 	l   net.Listener
@@ -79,24 +77,6 @@ func ServeDebug(addr string, o *Obs) (*DebugServer, error) {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(o.Vitals(window))
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-		q := req.URL.Query()
-		var events []Event
-		if id := q.Get("trace"); id != "" {
-			events = o.Ring.ByTrace(id)
-		} else {
-			events = o.Ring.Events()
-		}
-		if ns := q.Get("n"); ns != "" {
-			if n, err := strconv.Atoi(ns); err == nil && n >= 0 && n < len(events) {
-				events = events[len(events)-n:]
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(events)
 	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
@@ -273,44 +253,21 @@ func FetchHealth(addr string) (healthy bool, firing []Alert, err error) {
 	}
 }
 
-// FetchTrace scrapes one node's /trace endpoint. trace filters by trace ID
-// when non-empty; n limits to the newest n events when positive.
-func FetchTrace(addr, trace string, n int) ([]Event, error) {
-	url := "http://" + addr + "/trace?"
-	if trace != "" {
-		url += "trace=" + trace + "&"
-	}
-	if n > 0 {
-		url += fmt.Sprintf("n=%d", n)
-	}
-	resp, err := scrapeClient.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obs: %s/trace: %s", addr, resp.Status)
-	}
-	var events []Event
-	err = json.NewDecoder(resp.Body).Decode(&events)
-	return events, err
-}
-
-// FetchSpans scrapes one node's /spans endpoint. trace filters by trace ID
-// when non-empty; slow reads the flight recorder instead of the span ring;
-// n limits to the newest n spans when positive.
+// FetchSpans scrapes one node's /spans endpoint, events included. trace
+// filters by trace ID when non-empty; slow reads the flight recorder
+// instead of the span ring; n limits to the newest n entries when positive.
 func FetchSpans(addr, trace string, slow bool, n int) ([]Span, error) {
-	url := "http://" + addr + "/spans?"
+	q := url.Values{}
 	if trace != "" {
-		url += "trace=" + trace + "&"
+		q.Set("trace", trace)
 	}
 	if slow {
-		url += "slow=1&"
+		q.Set("slow", "1")
 	}
 	if n > 0 {
-		url += fmt.Sprintf("n=%d", n)
+		q.Set("n", strconv.Itoa(n))
 	}
-	resp, err := scrapeClient.Get(url)
+	resp, err := scrapeClient.Get("http://" + addr + "/spans?" + q.Encode())
 	if err != nil {
 		return nil, err
 	}

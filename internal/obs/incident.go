@@ -64,7 +64,8 @@ type IncidentMeta struct {
 }
 
 // IncidentRecorder snapshots bounded diagnostic bundles to disk: a
-// goroutine dump, heap and CPU profiles, the span ring and slow-op flight
+// goroutine dump, heap and CPU profiles, the span ring (with its events:
+// the death that fired a rule is in spans.json) and slow-op flight
 // recorder, the tail of the monitor time series, the firing-rule state,
 // and the daemon's cluster identity — everything a responder needs,
 // saved at the moment the alert fired rather than reconstructed later.

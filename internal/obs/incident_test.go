@@ -4,7 +4,10 @@ import (
 	"archive/tar"
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -260,6 +263,38 @@ func TestIncidentCaptureAndCooldown(t *testing.T) {
 	if len(list) != 2 || list[0].ID != forced.ID {
 		t.Fatalf("List = %+v, want newest (forced) first", list)
 	}
+}
+
+// TestIncidentBundleHoldsEvents: events live in the span ring, so the
+// bundle a rule firing writes holds the state change that caused it.
+func TestIncidentBundleHoldsEvents(t *testing.T) {
+	o := New("manager")
+	ir, err := NewIncidentRecorder(o, quickIncidents(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Event("manager", "death", "", "benefactor 2 heartbeat expired")
+	meta, _, err := ir.Capture("rule:under-replicated", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(ir.Dir(), meta.ID, "spans.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []struct {
+		Name   string `json:"name"`
+		Detail string `json:"detail"`
+	}
+	if err := json.Unmarshal(b, &spans); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range spans {
+		if sp.Name == "manager.death" && sp.Detail == "benefactor 2 heartbeat expired" {
+			return
+		}
+	}
+	t.Fatalf("spans.json holds no manager.death event: %s", b)
 }
 
 func TestIncidentPruneBoundsRing(t *testing.T) {

@@ -1,10 +1,10 @@
 // Package obs is the zero-dependency observability layer of the aggregate
 // NVM store: a concurrent metrics registry (counters, gauges, fixed-bucket
 // latency histograms with quantile snapshots), a leveled key=value logger,
-// and a bounded in-memory event ring that records chunk-lifecycle and
-// fault events tagged with a trace ID. The same trace ID travels the wire
-// protocol (proto.ManagerReq/ChunkReq), so one allocation or read can be
-// followed from a client through the manager to each benefactor.
+// and a bounded in-memory span ring holding hierarchical trace spans and
+// state-change events (zero-duration spans). A span tree's trace ID travels
+// the wire protocol (proto.ManagerReq/ChunkReq), so one traced operation
+// can be followed from a client through the manager to each benefactor.
 //
 // Everything is nil-safe: a nil *Obs (or any nil handle obtained from one)
 // turns every recording call into a no-op, so hot paths can be compiled
@@ -21,22 +21,24 @@ import (
 )
 
 // Obs bundles one process's (or one component's) observability state: a
-// metrics registry, an event trace ring, and a logger. Components receive
-// a *Obs at construction and record into it; daemons expose it over the
-// debug HTTP endpoint (ServeDebug).
+// metrics registry, a span ring, and a logger. Components receive a *Obs at
+// construction and record into it; daemons expose it over the debug HTTP
+// endpoint (ServeDebug).
 type Obs struct {
-	Reg  *Registry
-	Ring *Ring
-	Log  *Logger
-	// Spans is the bounded buffer of completed hierarchical spans, newest
-	// overwriting oldest (served at /spans).
+	Reg *Registry
+	Log *Logger
+	// Spans is the bounded buffer of completed hierarchical spans and
+	// events, newest overwriting oldest (served at /spans).
 	Spans *SpanRing
 	// Slow is the flight recorder: root spans slower than the threshold
 	// are copied here so stragglers survive span-ring churn.
 	Slow *SpanRing
 
-	slowNanos atomic.Int64
-	sink      atomic.Value // spanSink
+	// spansOverwritten counts entries Spans lost to wraparound
+	// (obs.spans_overwritten): non-zero means a trace may be incomplete.
+	spansOverwritten *Counter
+	slowNanos        atomic.Int64
+	sink             atomic.Value // spanSink
 
 	// Continuous-monitoring state (StartMonitor): the time series of
 	// periodic registry samples and the alert-rule evaluator whose firing
@@ -140,20 +142,17 @@ func (o *Obs) firingEdge(a Alert) {
 	}
 }
 
-// DefaultRingEvents is the event capacity of rings made by New.
-const DefaultRingEvents = 4096
-
 // New returns an enabled Obs: a fresh registry named node, a
-// DefaultRingEvents-event ring, and a quiet (discarding) logger so library
-// users and tests stay silent unless a daemon raises the level.
+// DefaultRingSpans-entry span ring, and a quiet (discarding) logger so
+// library users and tests stay silent unless a daemon raises the level.
 func New(node string) *Obs {
 	o := &Obs{
 		Reg:   NewRegistry(node),
-		Ring:  NewRing(DefaultRingEvents),
 		Log:   NewLogger(nil, LevelOff),
 		Spans: NewSpanRing(DefaultRingSpans),
 		Slow:  NewSpanRing(DefaultSlowSpans),
 	}
+	o.spansOverwritten = o.Reg.Counter("obs.spans_overwritten")
 	o.slowNanos.Store(int64(DefaultSlowThreshold))
 	return o
 }
@@ -163,18 +162,18 @@ func New(node string) *Obs {
 // avoid) instrumentation overhead.
 func Disabled() *Obs { return &Obs{} }
 
-// Event records one event into the ring (no-op when o or the ring is nil).
+// Event records a state change (a death, a failover, a bad frame, ...) as
+// a zero-duration span named comp.kind carrying detail, joined to trace
+// when the change happened inside a traced op. Like IngestSpan it lands in
+// the span ring only — the sink never fires, so an event stays on the node
+// where it happened — and it gets no span ID: nothing parents under it.
+// No-op when o is nil or disabled.
 func (o *Obs) Event(comp, kind, trace, detail string) {
-	if o == nil {
+	if o == nil || o.Spans == nil {
 		return
 	}
-	o.Ring.Add(comp, kind, trace, detail)
+	o.ingest(Span{Trace: trace, Name: comp + "." + kind, Detail: detail, StartNanos: time.Now().UnixNano()})
 }
-
-// EventsEnabled reports whether Event calls actually record anywhere.
-// Hot paths check it before building an event's detail string, so a
-// disabled Obs costs neither the fmt.Sprintf nor its allocations.
-func (o *Obs) EventsEnabled() bool { return o != nil && o.Ring != nil }
 
 // MonitorConfig configures continuous self-monitoring: periodic registry
 // sampling into a bounded time series, plus optional alert-rule
@@ -317,9 +316,9 @@ func (o *Obs) FiringAlerts() []Alert {
 // traceSeq disambiguates trace IDs generated within one process.
 var traceSeq atomic.Uint64
 
-// NewTraceID returns a fresh request/trace identifier: 16 hex digits mixing
+// NewTraceID returns a fresh trace or span identifier: 16 hex digits mixing
 // process randomness with a process-local sequence number, unique enough to
-// follow one operation across the cluster's event rings.
+// follow one operation across the cluster's span rings.
 func NewTraceID() string {
 	return fmt.Sprintf("%016x", rand.Uint64()^(traceSeq.Add(1)<<48))
 }

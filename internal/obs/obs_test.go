@@ -17,7 +17,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		opsEach    = 2000
 	)
 	r := NewRegistry("test")
-	ring := NewRing(256)
+	ring := NewSpanRing(256)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -30,13 +30,13 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Gauge("shared.gauge").Add(1)
 				r.Gauge("shared.peak").Max(int64(g*opsEach + i))
 				r.Histogram("shared.latency").Observe(time.Duration(i) * time.Microsecond)
-				ring.Add("test", "op", "tid", "detail")
+				ring.Record(Span{Trace: "tid", Name: "test.op", Detail: "detail"})
 				if i%100 == 0 {
 					s := r.Snapshot()
 					if s.Counters["shared.counter"] < 0 {
 						t.Error("negative counter in snapshot")
 					}
-					ring.Events()
+					ring.Spans()
 				}
 			}
 		}(g)
@@ -59,7 +59,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Errorf("histogram count = %d, want %d", hs.Count, total)
 	}
 	if ring.Len() != 256 {
-		t.Errorf("ring retained %d events, want capacity 256", ring.Len())
+		t.Errorf("ring retained %d spans, want capacity 256", ring.Len())
 	}
 }
 
@@ -140,32 +140,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestRingBoundedAndFiltered(t *testing.T) {
-	r := NewRing(16)
-	for i := 0; i < 40; i++ {
-		trace := "even"
-		if i%2 == 1 {
-			trace = "odd"
-		}
-		r.Add("c", "k", trace, "")
-	}
-	ev := r.Events()
-	if len(ev) != 16 {
-		t.Fatalf("retained %d events, want 16", len(ev))
-	}
-	if ev[0].Seq != 24 || ev[15].Seq != 39 {
-		t.Errorf("retained seqs [%d, %d], want [24, 39]", ev[0].Seq, ev[15].Seq)
-	}
-	for i := 1; i < len(ev); i++ {
-		if ev[i].Seq != ev[i-1].Seq+1 {
-			t.Fatalf("events out of order at %d", i)
-		}
-	}
-	if got := len(r.ByTrace("odd")); got != 8 {
-		t.Errorf("ByTrace(odd) = %d events, want 8", got)
-	}
-}
-
 // TestNilSafety exercises every recording call against nil handles — the
 // Disabled() zero-overhead mode must never panic.
 func TestNilSafety(t *testing.T) {
@@ -179,8 +153,6 @@ func TestNilSafety(t *testing.T) {
 	o.Reg.Histogram("z").Observe(time.Second)
 	_ = o.Reg.Histogram("z").Snapshot()
 	_ = o.Reg.Snapshot()
-	o.Ring.Add("c", "k", "", "")
-	_ = o.Ring.Events()
 	o.Event("c", "k", "", "")
 	o.Log.Info("hi", "k", "v")
 	var nilObs *Obs
@@ -212,8 +184,9 @@ func TestDebugServerEndpoints(t *testing.T) {
 	o := New("unit")
 	o.Reg.Counter("test.counter").Add(7)
 	o.Reg.Histogram("test.latency").Observe(3 * time.Millisecond)
-	o.Ring.Add("unit", "alloc", "tid-1", "file=x")
-	o.Ring.Add("unit", "write", "tid-2", "file=y")
+	o.Event("unit", "alloc", "tid-1", "file=x")
+	o.Event("unit", "write", "tid-2", "file=y")
+	o.RecordSpan(Span{Trace: "tid-2", ID: "s1", Name: "client.put", DurNanos: int64(time.Hour)})
 
 	ds, err := ServeDebug("127.0.0.1:0", o)
 	if err != nil {
@@ -235,19 +208,32 @@ func TestDebugServerEndpoints(t *testing.T) {
 		t.Errorf("scraped histogram bad: %+v", h)
 	}
 
-	all, err := FetchTrace(ds.Addr(), "", 0)
+	for _, c := range []struct {
+		trace string
+		slow  bool
+		want  int
+	}{
+		{"", false, 3},
+		{"tid-2", false, 2},
+		{"", true, 1},
+		// The trace ID is a query value, not query syntax: an unescaped one
+		// would read the slow ring's tid-2 root here.
+		{"tid-2&slow=1", false, 0},
+	} {
+		got, err := FetchSpans(ds.Addr(), c.trace, c.slow, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != c.want {
+			t.Fatalf("spans(trace=%q slow=%v) = %+v, want %d entries", c.trace, c.slow, got, c.want)
+		}
+	}
+	evs, err := FetchSpans(ds.Addr(), "tid-2", false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 2 {
-		t.Fatalf("trace returned %d events, want 2", len(all))
-	}
-	one, err := FetchTrace(ds.Addr(), "tid-2", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != 1 || one[0].Kind != "write" {
-		t.Fatalf("filtered trace = %+v, want the single tid-2 write", one)
+	if ev := evs[0]; !ev.IsEvent() || ev.Name != "unit.write" || ev.Detail != "file=y" || ev.Node != "unit" || ev.DurNanos != 0 {
+		t.Fatalf("scraped event = %+v, want the zero-duration unit.write with its detail", ev)
 	}
 
 	resp, err := scrapeClient.Get("http://" + ds.Addr() + "/healthz")
@@ -291,15 +277,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			h.Observe(137 * time.Microsecond)
-		}
-	})
-}
-
-func BenchmarkRingAdd(b *testing.B) {
-	r := NewRing(4096)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			r.Add("rpc", "stripe-write", "0123456789abcdef", "b0/c42")
 		}
 	})
 }

@@ -8,20 +8,25 @@ import (
 // Span is one timed node of a hierarchical trace. Spans minted on
 // different machines share a Trace and are stitched into one tree by the
 // collector (nvmctl trace) via the Parent links that travel the wire
-// protocol. Field layout is mirrored by proto.Span so the two convert
-// directly; keep them identical.
+// protocol. An event (Obs.Event) is a Span with no ID and no duration.
+// Field layout is mirrored by proto.Span so the two convert directly; keep
+// them identical.
 type Span struct {
 	Trace  string `json:"trace"`
 	ID     string `json:"id"`
 	Parent string `json:"parent,omitempty"`
 	// Name is "layer.op" (client.put, cache.get_chunk, pool.wait,
-	// rpc.get_chunk, manager.create, benefactor.put, ssd.put); the layer
-	// prefix drives the collector's per-layer time breakdown.
+	// rpc.get_chunk, manager.create, benefactor.put, ssd.put) for a timed
+	// span — the layer prefix drives the collector's per-layer time
+	// breakdown — and "comp.kind" (manager.death, rpc.failover) for an
+	// event.
 	Name string `json:"name"`
 	Node string `json:"node,omitempty"`
 	// Var is the NVM variable (store file) the op is attributed to.
 	Var string `json:"var,omitempty"`
 	Err string `json:"err,omitempty"`
+	// Detail is an event's human-readable text.
+	Detail string `json:"detail,omitempty"`
 	// StartNanos is substrate time: wall-clock Unix nanos on the real
 	// path, virtual nanos since boot on the simulated path. Timestamps
 	// from different nodes are only loosely comparable (clock skew);
@@ -33,6 +38,10 @@ type Span struct {
 
 // Root reports whether the span is a trace root (no parent).
 func (s Span) Root() bool { return s.Parent == "" }
+
+// IsEvent reports whether the span is an event rather than a timed span:
+// events carry no span ID.
+func (s Span) IsEvent() bool { return s.ID == "" }
 
 // End returns the span's end timestamp.
 func (s Span) End() int64 { return s.StartNanos + s.DurNanos }
@@ -48,7 +57,7 @@ const DefaultSlowSpans = 256
 const DefaultSlowThreshold = 50 * time.Millisecond
 
 // SpanRing is a bounded concurrent buffer of completed spans, newest
-// overwriting oldest — the span-shaped sibling of Ring.
+// overwriting oldest.
 type SpanRing struct {
 	mu   sync.Mutex
 	buf  []Span
@@ -63,10 +72,11 @@ func NewSpanRing(capacity int) *SpanRing {
 	return &SpanRing{buf: make([]Span, 0, capacity)}
 }
 
-// Record appends one completed span (no-op on a nil ring).
-func (r *SpanRing) Record(s Span) {
+// Record appends one completed span and reports whether that overwrote the
+// oldest retained one (no-op on a nil ring).
+func (r *SpanRing) Record(s Span) (overwrote bool) {
 	if r == nil {
-		return
+		return false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -74,8 +84,10 @@ func (r *SpanRing) Record(s Span) {
 		r.buf = append(r.buf, s)
 	} else {
 		r.buf[r.next%int64(cap(r.buf))] = s
+		overwrote = true
 	}
 	r.next++
+	return overwrote
 }
 
 // Len returns the number of spans currently retained.
@@ -255,7 +267,9 @@ func (o *Obs) ingest(s Span) {
 	if s.Node == "" && o.Reg != nil {
 		s.Node = o.Reg.Node()
 	}
-	o.Spans.Record(s)
+	if o.Spans.Record(s) {
+		o.spansOverwritten.Inc()
+	}
 	if t := o.slowNanos.Load(); t > 0 && s.Root() && s.DurNanos >= t {
 		o.Slow.Record(s)
 	}

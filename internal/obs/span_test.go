@@ -117,22 +117,27 @@ func TestSlowRing(t *testing.T) {
 }
 
 // TestSpanSink: the sink observes locally recorded spans but never ingested
-// ones — that asymmetry is what stops a manager re-exporting spans a client
-// just exported to it.
+// ones or events — that asymmetry is what stops a manager re-exporting spans
+// a client just exported to it, and keeps events on the node they describe.
 func TestSpanSink(t *testing.T) {
 	o := New("n")
 	var seen []Span
 	o.SetSpanSink(func(s Span) { seen = append(seen, s) })
 	o.RecordSpan(Span{Trace: "t", ID: "local"})
 	o.IngestSpan(Span{Trace: "t", ID: "remote"})
+	o.Event("rpc", "failover", "t", "read served by replica 1")
 	if len(seen) != 1 || seen[0].ID != "local" {
 		t.Fatalf("sink saw %v, want [local] only", seen)
 	}
 	if seen[0].Node != "n" {
 		t.Fatalf("exported span carries node %q, want the local identity", seen[0].Node)
 	}
-	if got := o.Spans.ByTrace("t"); len(got) != 2 {
-		t.Fatalf("ring retained %d spans, want both", len(got))
+	got := o.Spans.ByTrace("t")
+	if len(got) != 3 {
+		t.Fatalf("ring retained %d entries, want all three", len(got))
+	}
+	if ev := got[2]; !ev.IsEvent() || ev.Name != "rpc.failover" || ev.Node != "n" || ev.DurNanos != 0 {
+		t.Fatalf("event recorded as %+v, want a zero-duration rpc.failover on n", ev)
 	}
 	o.SetSpanSink(nil)
 	o.RecordSpan(Span{Trace: "t", ID: "after"})
@@ -180,31 +185,23 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 }
 
-// TestRingOverflowBoundary: the event ring at exactly capacity, capacity+1,
-// and far past it — the wrap boundary must never duplicate or drop.
-func TestRingOverflowBoundary(t *testing.T) {
-	r := NewRing(16)
-	for i := 0; i < 16; i++ {
-		r.Add("c", "k", "", "")
+// TestSpansOverwrittenCounted: every entry the span ring loses to
+// wraparound — a recorded span, an ingested one, or an event — counts in
+// obs.spans_overwritten, so "is the trace incomplete" is one number.
+func TestSpansOverwrittenCounted(t *testing.T) {
+	o := New("n")
+	lost := o.Reg.Counter("obs.spans_overwritten")
+	for i := 0; i < DefaultRingSpans; i++ {
+		o.RecordSpan(Span{Trace: "t", ID: fmt.Sprintf("s%d", i)})
 	}
-	if ev := r.Events(); len(ev) != 16 || ev[0].Seq != 0 || ev[15].Seq != 15 {
-		t.Fatalf("at capacity: %d events, seqs [%d,%d]", len(ev), ev[0].Seq, ev[len(ev)-1].Seq)
+	if got := lost.Load(); got != 0 {
+		t.Fatalf("a ring filled to capacity counted %d overwrites", got)
 	}
-	r.Add("c", "k", "", "")
-	if ev := r.Events(); len(ev) != 16 || ev[0].Seq != 1 || ev[15].Seq != 16 {
-		t.Fatalf("one past capacity: %d events, seqs [%d,%d]", len(ev), ev[0].Seq, ev[len(ev)-1].Seq)
-	}
-	for i := 0; i < 1000; i++ {
-		r.Add("c", "k", "", "")
-	}
-	ev := r.Events()
-	if len(ev) != 16 || ev[15].Seq != 1016 {
-		t.Fatalf("after churn: %d events ending at seq %d", len(ev), ev[len(ev)-1].Seq)
-	}
-	for i := 1; i < len(ev); i++ {
-		if ev[i].Seq != ev[i-1].Seq+1 {
-			t.Fatal("gap in retained sequence")
-		}
+	o.RecordSpan(Span{Trace: "t", ID: "local"})
+	o.IngestSpan(Span{Trace: "t", ID: "remote"})
+	o.Event("manager", "death", "", "benefactor 1 heartbeat expired")
+	if got := lost.Load(); got != 3 {
+		t.Fatalf("obs.spans_overwritten = %d after 3 records past capacity, want 3", got)
 	}
 }
 

@@ -43,7 +43,7 @@ type BenefactorInfo struct {
 	// clients connect to it directly for chunk data, §III-D).
 	Addr string
 	// DebugAddr is the benefactor's observability endpoint
-	// (/metrics, /healthz, /trace, pprof); empty when the daemon runs
+	// (/metrics, /healthz, /spans, pprof); empty when the daemon runs
 	// without -debug-addr.
 	DebugAddr string
 	// BeatAgeNanos is how long ago the manager last heard this
@@ -125,7 +125,9 @@ const (
 
 // Span is the wire form of one completed trace span (obs.Span, which
 // mirrors this layout field for field). Carried by OpReportSpans so
-// client-side spans outlive the client process.
+// client-side spans outlive the client process. Detail is set only on
+// events, which never leave their node; gob ignores a field one side
+// lacks, so peers without it interoperate.
 type Span struct {
 	Trace      string
 	ID         string
@@ -134,6 +136,7 @@ type Span struct {
 	Node       string
 	Var        string
 	Err        string
+	Detail     string
 	StartNanos int64
 	DurNanos   int64
 	Bytes      int64
@@ -142,10 +145,11 @@ type Span struct {
 // ManagerReq is the manager-side request envelope.
 type ManagerReq struct {
 	Op Op
-	// TraceID tags the request with the client-side operation that issued
-	// it, so the manager's event ring can be correlated with client and
-	// benefactor rings. Empty from older clients (gob leaves missing
-	// fields zero, so the extension is backward-compatible both ways).
+	// TraceID names the span tree of the client-side operation that issued
+	// the request, so the manager's spans and events join the client's and
+	// the benefactors' trace. Empty from untraced requests and older
+	// clients (gob leaves missing fields zero, so the extension is
+	// backward-compatible both ways).
 	TraceID string
 	// ParentSpanID is the client-side span the manager should parent its
 	// own span under. Empty from older (or untraced) clients; the

@@ -15,59 +15,17 @@ import (
 	"nvmalloc/internal/store"
 )
 
-// findEvent returns the first ring event matching comp+kind, or false.
-func findEvent(events []obs.Event, comp, kind string) (obs.Event, bool) {
-	for _, ev := range events {
-		if ev.Comp == comp && ev.Kind == kind {
-			return ev, true
-		}
-	}
-	return obs.Event{}, false
-}
-
-// TestTraceIDPropagatesAcrossWire is the end-to-end trace drill: one Put on
-// the client must show up under the same trace ID in the client's ring
-// (top-level op), the manager's ring (allocation), and a benefactor's ring
-// (chunk write) — proving the ID survives both gob hops.
-func TestTraceIDPropagatesAcrossWire(t *testing.T) {
-	r := newRig(t, 2)
-	st, err := Open(r.mgr.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	payload := bytes.Repeat([]byte("trace"), 3*testChunk/5)
-	if err := st.Put("traced", payload); err != nil {
-		t.Fatal(err)
-	}
-
-	putEv, ok := findEvent(st.Obs().Ring.Events(), "rpc", "put")
-	if !ok {
-		t.Fatal("client ring has no put event")
-	}
-	tid := putEv.Trace
-	if len(tid) != 16 {
-		t.Fatalf("trace ID %q: want 16 hex chars", tid)
-	}
-
-	if _, ok := findEvent(r.mgr.Obs().Ring.ByTrace(tid), "manager", "alloc"); !ok {
-		t.Fatalf("manager ring has no alloc event for trace %s", tid)
-	}
-	wrote := false
-	for _, bs := range r.bens {
-		if _, ok := findEvent(bs.Obs().Ring.ByTrace(tid), "benefactor", "write"); ok {
-			wrote = true
-		}
-	}
-	if !wrote {
-		t.Fatalf("no benefactor ring has a write event for trace %s", tid)
-	}
+// tracedCtx roots a client.<op> span on st and returns the context that
+// puts an op under it, as nvmctl put/get do.
+func tracedCtx(st *Store, op, name string) (store.Ctx, *obs.ActiveSpan) {
+	root := st.Obs().StartSpan("", "", "client."+op)
+	root.SetVar(name)
+	return store.WithSpan(nil, store.SpanInfo{Trace: root.Trace(), Parent: root.ID(), Var: name}), root
 }
 
 // TestFailoverEmitsMetricAndEvent checks the fault path is observable: a
-// replica failover increments rpc.failovers and leaves a failover event in
-// the client ring carrying the read's trace ID.
+// replica failover increments rpc.failovers and leaves an rpc.failover
+// event in the client's span ring carrying the read's trace ID.
 func TestFailoverEmitsMetricAndEvent(t *testing.T) {
 	r := newFaultRig(t, 2, ManagerConfig{Replication: 2, SweepInterval: -1})
 	st, err := OpenWith(r.mgr.Addr(), fastOpts())
@@ -81,24 +39,38 @@ func TestFailoverEmitsMetricAndEvent(t *testing.T) {
 
 	r.backends[0].FailGets(-1)
 	defer r.backends[0].FailGets(0)
-	if _, err := st.Get("x"); err != nil {
+	ctx, root := tracedCtx(st, "get", "x")
+	if _, err := st.GetCtx(ctx, "x"); err != nil {
 		t.Fatal(err)
 	}
+	root.End()
 
 	snap := st.Obs().Reg.Snapshot()
 	if snap.Counters["rpc.failovers"] == 0 {
 		t.Fatal("rpc.failovers counter not incremented")
 	}
-	foEv, ok := findEvent(st.Obs().Ring.Events(), "rpc", "failover")
+	fo, ok := findSpan(st.Obs().Spans.ByTrace(root.Trace()), "rpc.failover")
 	if !ok {
-		t.Fatal("client ring has no failover event")
+		t.Fatalf("client span ring has no rpc.failover event for the read's trace %s", root.Trace())
 	}
-	getEv, ok := findEvent(st.Obs().Ring.Events(), "rpc", "get")
-	if !ok {
-		t.Fatal("client ring has no get event")
+	if !fo.IsEvent() || !strings.Contains(fo.Detail, "served by replica 1") {
+		t.Fatalf("failover event = %+v", fo)
 	}
-	if foEv.Trace != getEv.Trace {
-		t.Fatalf("failover trace %s != get trace %s", foEv.Trace, getEv.Trace)
+}
+
+// TestSpanExportErrorsCounted: a span batch the manager never receives is
+// counted in rpc.span_export_errors, not silently dropped.
+func TestSpanExportErrorsCounted(t *testing.T) {
+	r := newRig(t, 1)
+	st, err := Open(r.mgr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Obs().StartSpan("", "", "client.put").End()
+	r.mgr.Close()
+	st.Close() // flushes the pending batch into the dead manager
+	if got := st.Obs().Reg.Counter("rpc.span_export_errors").Load(); got != 1 {
+		t.Fatalf("rpc.span_export_errors = %d after one lost batch, want 1", got)
 	}
 }
 
@@ -135,7 +107,8 @@ func TestLatencyHistogramsRecorded(t *testing.T) {
 
 // TestDebugEndpoints spins up a manager and benefactor with debug servers
 // and exercises the full scrape path nvmctl uses: StatusDetail discovery,
-// /metrics, /healthz, and /trace filtered by a real trace ID.
+// /metrics, /healthz, and /spans — filtered by a real trace ID, and
+// unfiltered for the daemons' events.
 func TestDebugEndpoints(t *testing.T) {
 	ms, err := NewManagerServerWith("127.0.0.1:0", testChunk, manager.RoundRobin,
 		ManagerConfig{DebugAddr: "127.0.0.1:0"})
@@ -155,9 +128,11 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("d", make([]byte, 2*testChunk)); err != nil {
+	ctx, root := tracedCtx(st, "put", "d")
+	if err := st.PutCtx(ctx, "d", make([]byte, 2*testChunk)); err != nil {
 		t.Fatal(err)
 	}
+	root.End()
 
 	// Discovery: the manager must announce its own debug endpoint and the
 	// benefactor's (learned at registration).
@@ -194,25 +169,23 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("benefactor.write_bytes = %d, want >= %d", bSnap.Counters["benefactor.write_bytes"], 2*testChunk)
 	}
 
-	// Trace scrape: the Put's trace ID must be queryable over HTTP from
-	// both daemons.
-	putEv, ok := findEvent(st.Obs().Ring.Events(), "rpc", "put")
-	if !ok {
-		t.Fatal("client ring has no put event")
-	}
-	mEvents, err := obs.FetchTrace(ms.DebugAddr(), putEv.Trace, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := findEvent(mEvents, "manager", "alloc"); !ok {
-		t.Fatalf("/trace on manager returned no alloc event for %s", putEv.Trace)
-	}
-	bEvents, err := obs.FetchTrace(bs.DebugAddr(), putEv.Trace, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := findEvent(bEvents, "benefactor", "write"); !ok {
-		t.Fatalf("/trace on benefactor returned no write event for %s", putEv.Trace)
+	// Trace scrape: the Put's trace must be queryable over HTTP from both
+	// daemons, and the manager's unfiltered ring must list the
+	// benefactor's registration event.
+	for _, c := range []struct {
+		addr, trace, name string
+	}{
+		{ms.DebugAddr(), root.Trace(), "manager.create"},
+		{bs.DebugAddr(), root.Trace(), "benefactor.put"},
+		{ms.DebugAddr(), "", "manager.register"},
+	} {
+		spans, err := obs.FetchSpans(c.addr, c.trace, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := findSpan(spans, c.name); !ok {
+			t.Fatalf("/spans?trace=%s on %s has no %s: %+v", c.trace, c.addr, c.name, spans)
+		}
 	}
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", ms.DebugAddr()))
@@ -417,23 +390,37 @@ func TestSpanTreeAcrossWire(t *testing.T) {
 		t.Fatalf("no benefactor ring has a benefactor.put span for %s", tid)
 	}
 
-	// An event-only convenience op must mint no spans anywhere: the wire
-	// carries a trace ID for ring events but no parent span.
-	if err := st.Put("plain", make([]byte, testChunk)); err != nil {
+	// A plain convenience Put is untraced: it must leave every daemon's span
+	// ring unchanged and put no trace or parent span ID on the wire.
+	daemons := []*obs.Obs{r.mgr.Obs()}
+	for _, bs := range r.bens {
+		daemons = append(daemons, bs.Obs())
+	}
+	var before []int
+	for _, o := range daemons {
+		before = append(before, o.Spans.Len())
+	}
+	tap := &wireTap{}
+	plain, err := OpenWith(r.mgr.Addr(), Options{Dial: tap.dial})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var plainTrace string
-	for _, ev := range st.Obs().Ring.Events() {
-		if ev.Comp == "rpc" && ev.Kind == "put" && strings.Contains(ev.Detail, `"plain"`) {
-			plainTrace = ev.Trace
+	if err := plain.Put("plain", make([]byte, testChunk)); err != nil {
+		t.Fatal(err)
+	}
+	plain.Close()
+	for i, o := range daemons {
+		if got := o.Spans.Len(); got != before[i] {
+			t.Fatalf("plain Put grew %s's span ring %d -> %d: %+v", o.Reg.Node(), before[i], got, o.Spans.Spans()[before[i]:])
 		}
 	}
-	if plainTrace == "" {
-		t.Fatal("client ring has no put event for the plain file")
+	frames := tap.requests(t)
+	if len(frames) == 0 {
+		t.Fatal("tap saw no chunk request frames")
 	}
-	for _, bs := range r.bens {
-		if got := bs.Obs().Spans.ByTrace(plainTrace); len(got) != 0 {
-			t.Fatalf("convenience Put minted server spans: %+v", got)
+	for _, f := range frames {
+		if f.Trace != "" || f.Parent != "" {
+			t.Fatalf("plain Put sent %s frame with trace %q parent %q", f.Op.Op(), f.Trace, f.Parent)
 		}
 	}
 

@@ -137,7 +137,7 @@ func (s *Store) probeBen(id int) error {
 	if err != nil {
 		return fmt.Errorf("probe ben%d: %w", id, err)
 	}
-	_, err = p.call(proto.ChunkReq{Op: proto.OpGetChunk, ID: 0, TraceID: obs.NewTraceID()})
+	_, err = p.call(proto.ChunkReq{Op: proto.OpGetChunk, ID: 0})
 	if err == nil || errors.Is(err, proto.ErrNoSuchChunk) {
 		return nil
 	}

@@ -280,7 +280,7 @@ type ManagerConfig struct {
 	// heartbeat timeout; negative disables the tick.
 	SweepInterval time.Duration
 	// DebugAddr, when non-empty, serves the manager's observability state
-	// over HTTP (/metrics, /healthz, /trace, /debug/pprof) on that address.
+	// over HTTP (/metrics, /healthz, /spans, /debug/pprof) on that address.
 	DebugAddr string
 	// Obs receives the manager's metrics and events. Nil gets a fresh
 	// obs.New("manager"); obs.Disabled() silences instrumentation.
@@ -683,10 +683,6 @@ func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 	case proto.OpCreate:
 		fi, err := s.mgr.Create(req.Name, req.Size)
 		resp.File, resp.Err = fi, errStr(err)
-		if err == nil {
-			s.obs.Event("manager", "alloc", req.TraceID,
-				fmt.Sprintf("file=%q size=%d chunks=%d", req.Name, req.Size, len(fi.Chunks)))
-		}
 	case proto.OpLookup:
 		fi, err := s.mgr.Lookup(req.Name)
 		resp.File, resp.Err = fi, errStr(err)
@@ -759,9 +755,8 @@ func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 	s.mu.Unlock()
 	s.mm.opLat[req.Op].Observe(time.Since(opStart))
 	// A span-traced request (it names a parent span) gets a manager-side
-	// child span under the client's parent; event-only and untraced ones
-	// (heartbeats, status polls, convenience ops, older clients) record
-	// nothing.
+	// child span under the client's parent; untraced ones (heartbeats,
+	// status polls, convenience ops, older clients) record nothing.
 	if req.ParentSpanID != "" && req.Op != proto.OpReportSpans {
 		sp := s.obs.StartSpanAt(req.TraceID, req.ParentSpanID, "manager."+string(req.Op), opStart.UnixNano())
 		sp.SetVar(req.Name)
@@ -918,7 +913,7 @@ func (s *ManagerServer) copyChunk(src proto.ChunkRef, dsts []proto.ChunkRef, add
 // BenefactorConfig tunes a BenefactorServer's observability.
 type BenefactorConfig struct {
 	// DebugAddr, when non-empty, serves the benefactor's observability
-	// state over HTTP (/metrics, /healthz, /trace, /debug/pprof) on that
+	// state over HTTP (/metrics, /healthz, /spans, /debug/pprof) on that
 	// address. The address is announced to the manager at registration so
 	// cluster tools (nvmctl top/trace) can discover it.
 	DebugAddr string
@@ -1300,7 +1295,7 @@ func (s *BenefactorServer) dispatch(req *proto.ChunkReq) proto.ChunkResp {
 	opStart := time.Now()
 	// A span-traced request (it names a parent span) gets a benefactor-side
 	// child span (and a nested ssd.* span around the backend call);
-	// event-only and untraced ones record nothing.
+	// untraced ones record nothing.
 	var sp *obs.ActiveSpan
 	if req.ParentSpanID != "" {
 		sp = s.obs.StartSpanAt(req.TraceID, req.ParentSpanID, "benefactor."+string(req.Op), opStart.UnixNano())
@@ -1317,9 +1312,6 @@ func (s *BenefactorServer) dispatch(req *proto.ChunkReq) proto.ChunkResp {
 		resp.Data, resp.Err = d, errStr(err)
 		sp.AddBytes(int64(len(d)))
 		s.bm.readBytes.Add(int64(len(d)))
-		if s.obs.EventsEnabled() {
-			s.obs.Event("benefactor", "read", req.TraceID, fmt.Sprintf("chunk=%d bytes=%d", req.ID, len(d)))
-		}
 	case proto.OpPutChunk:
 		ssd := s.spanUnder(sp, "ssd.write")
 		err := s.st.PutChunk(req.ID, req.Data)
@@ -1329,9 +1321,6 @@ func (s *BenefactorServer) dispatch(req *proto.ChunkReq) proto.ChunkResp {
 		resp.Err = errStr(err)
 		sp.AddBytes(int64(len(req.Data)))
 		s.bm.writeBytes.Add(int64(len(req.Data)))
-		if s.obs.EventsEnabled() {
-			s.obs.Event("benefactor", "write", req.TraceID, fmt.Sprintf("chunk=%d bytes=%d", req.ID, len(req.Data)))
-		}
 	case proto.OpPutPages:
 		var n int64
 		for _, pg := range req.PageData {
@@ -1345,20 +1334,14 @@ func (s *BenefactorServer) dispatch(req *proto.ChunkReq) proto.ChunkResp {
 		resp.Err = errStr(err)
 		sp.AddBytes(n)
 		s.bm.writeBytes.Add(n)
-		if s.obs.EventsEnabled() {
-			s.obs.Event("benefactor", "write-pages", req.TraceID,
-				fmt.Sprintf("chunk=%d pages=%d bytes=%d", req.ID, len(req.PageOffs), n))
-		}
 	case proto.OpDeleteChunk:
 		resp.Err = errStr(s.st.DeleteChunk(req.ID))
-		s.obs.Event("benefactor", "delete", req.TraceID, fmt.Sprintf("chunk=%d", req.ID))
 	case proto.OpCopyChunk:
 		ssd := s.spanUnder(sp, "ssd.copy")
 		err := s.st.CopyChunk(req.ID, req.SrcID)
 		ssd.SetErr(err)
 		ssd.End()
 		resp.Err = errStr(err)
-		s.obs.Event("benefactor", "copy", req.TraceID, fmt.Sprintf("chunk=%d src=%d", req.ID, req.SrcID))
 	default:
 		resp.Err = fmt.Sprintf("benefactor: unknown op %q", req.Op)
 	}

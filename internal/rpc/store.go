@@ -43,7 +43,7 @@ type Options struct {
 	// tests). When nil, plain TCP with DialTimeout is used.
 	Dial func(addr string) (net.Conn, error)
 	// Obs receives the client's metrics (per-op latency histograms, pool
-	// wait time, data-path counters) and chunk-lifecycle events. Nil gets
+	// wait time, data-path counters), spans and fault events. Nil gets
 	// a fresh private obs.New instance; obs.Disabled() turns every
 	// recording call into a no-op (and zeroes Stats).
 	Obs *obs.Obs
@@ -116,6 +116,7 @@ type storeMetrics struct {
 	ssdReadBytes, ssdWriteBytes        *obs.Counter
 	metaRetries, mapRetries            *obs.Counter
 	retries, failovers, degradedWrites *obs.Counter
+	spanExportErrs                     *obs.Counter
 	inFlight, inFlightPeak             *obs.Gauge
 	getLat, putLat, pagePutLat         *obs.Histogram
 	poolWait                           *obs.Histogram
@@ -134,6 +135,7 @@ func newStoreMetrics(o *obs.Obs) storeMetrics {
 		retries:        r.Counter("rpc.retries"),
 		failovers:      r.Counter("rpc.failovers"),
 		degradedWrites: r.Counter("rpc.degraded_writes"),
+		spanExportErrs: r.Counter("rpc.span_export_errors"),
 		inFlight:       r.Gauge("rpc.inflight"),
 		inFlightPeak:   r.Gauge("rpc.inflight_peak"),
 		getLat:         r.Histogram("rpc.get_chunk.latency"),
@@ -317,7 +319,7 @@ func (s *Store) exportSpan(sp obs.Span) {
 	s.exports.Add(1)
 	go func() {
 		defer s.exports.Done()
-		_, _ = s.callShard(0, proto.ManagerReq{Op: proto.OpReportSpans, Spans: batch})
+		s.shipSpans(batch)
 	}()
 }
 
@@ -330,21 +332,20 @@ func (s *Store) flushSpans() {
 	if len(batch) == 0 {
 		return
 	}
-	_, _ = s.callShard(0, proto.ManagerReq{Op: proto.OpReportSpans, Spans: batch})
+	s.shipSpans(batch)
 }
 
-// eventScope mints the correlation context of one public convenience op: a
-// fresh trace ID that stamps ring events on every machine the op touches,
-// but no spans. Span trees begin only at the library roots (core.Client's
-// malloc/free/checkpoint/restore) or at a caller-provided span context (the
-// *Ctx variants), so the untraced hot path pays for an ID and its events —
-// the pre-span cost — never for span minting or export.
-func eventScope(varName string) store.SpanInfo {
-	return store.SpanInfo{Trace: obs.NewTraceID(), Var: varName}
+// shipSpans sends one batch to the manager's span ring. A lost batch is not
+// retried but counted (rpc.span_export_errors), so a trace missing its
+// client half is visible as such.
+func (s *Store) shipSpans(batch []proto.Span) {
+	if _, err := s.callShard(0, proto.ManagerReq{Op: proto.OpReportSpans, Spans: batch}); err != nil {
+		s.m.spanExportErrs.Inc()
+	}
 }
 
 // startChild begins a span joined to sc, or nothing when sc carries no
-// parent span (an event-only convenience op).
+// parent span (an untraced convenience op).
 func (s *Store) startChild(sc store.SpanInfo, name string) *obs.ActiveSpan {
 	if !sc.Traced() {
 		return nil
@@ -721,7 +722,7 @@ func (s *Store) Stats() Stats {
 }
 
 // Obs exposes the client's observability state (metrics registry and
-// event ring) so applications can export or inspect it.
+// span ring) so applications can export or inspect it.
 func (s *Store) Obs() *obs.Obs { return s.obs }
 
 // pool returns the connection pool for the benefactor holding ref.
@@ -872,13 +873,13 @@ func (s *Store) invalidateMeta(name string) {
 
 // Create reserves a file of the given size.
 func (s *Store) Create(name string, size int64) error {
-	_, err := s.create(eventScope(name), name, size)
+	_, err := s.create(store.SpanInfo{Var: name}, name, size)
 	return err
 }
 
 // create allocates the file under an existing span context. The trace and
 // parent span ride the manager RPC, so the manager records its allocation
-// span (and events) under the client's.
+// span under the client's.
 func (s *Store) create(sc store.SpanInfo, name string, size int64) (proto.FileInfo, error) {
 	resp, err := s.callRouted(proto.ManagerReq{
 		Op: proto.OpCreate, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: name, Size: size,
@@ -886,7 +887,6 @@ func (s *Store) create(sc store.SpanInfo, name string, size int64) (proto.FileIn
 	if err != nil {
 		return proto.FileInfo{}, err
 	}
-	s.obs.Event("rpc", "alloc", sc.Trace, fmt.Sprintf("file=%q size=%d chunks=%d", name, size, len(resp.File.Chunks)))
 	s.mu.Lock()
 	s.meta[name] = resp.File
 	s.mu.Unlock()
@@ -898,7 +898,7 @@ func (s *Store) create(sc store.SpanInfo, name string, size int64) (proto.FileIn
 // manager's post-link view; the parts' maps are untouched (linking does
 // not move their chunks).
 func (s *Store) Link(dst string, parts []string) (proto.FileInfo, error) {
-	return s.link(eventScope(dst), dst, parts)
+	return s.link(store.SpanInfo{Var: dst}, dst, parts)
 }
 
 func (s *Store) link(sc store.SpanInfo, dst string, parts []string) (proto.FileInfo, error) {
@@ -912,7 +912,6 @@ func (s *Store) link(sc store.SpanInfo, dst string, parts []string) (proto.FileI
 		s.invalidateMeta(dst)
 		return proto.FileInfo{}, err
 	}
-	s.obs.Event("rpc", "link", sc.Trace, fmt.Sprintf("dst=%q parts=%d chunks=%d", dst, len(parts), len(resp.File.Chunks)))
 	s.mu.Lock()
 	s.meta[dst] = resp.File
 	s.mu.Unlock()
@@ -965,8 +964,6 @@ func (s *Store) linkSharded(sc store.SpanInfo, dst string, parts []string) (prot
 		s.invalidateMeta(dst)
 		return proto.FileInfo{}, err
 	}
-	s.obs.Event("rpc", "link", sc.Trace,
-		fmt.Sprintf("dst=%q parts=%d chunks=%d held=%d (cross-shard)", dst, len(parts), len(resp.File.Chunks), len(held)))
 	s.mu.Lock()
 	s.meta[dst] = resp.File
 	s.mu.Unlock()
@@ -1040,7 +1037,7 @@ func (s *Store) releaseAt(sc store.SpanInfo, owner int, ids []proto.ChunkID) {
 // Derive creates name sharing a chunk sub-range of src (checkpoint restore
 // without data movement) and caches the new file's chunk map.
 func (s *Store) Derive(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	return s.derive(eventScope(name), name, src, fromChunk, nChunks, size)
+	return s.derive(store.SpanInfo{Var: name}, name, src, fromChunk, nChunks, size)
 }
 
 func (s *Store) derive(sc store.SpanInfo, name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
@@ -1055,7 +1052,6 @@ func (s *Store) derive(sc store.SpanInfo, name, src string, fromChunk, nChunks i
 		s.invalidateMeta(name)
 		return proto.FileInfo{}, err
 	}
-	s.obs.Event("rpc", "derive", sc.Trace, fmt.Sprintf("file=%q src=%q chunks=%d", name, src, nChunks))
 	s.mu.Lock()
 	s.meta[name] = resp.File
 	s.mu.Unlock()
@@ -1097,8 +1093,6 @@ func (s *Store) deriveSharded(sc store.SpanInfo, name, src string, fromChunk, nC
 		s.invalidateMeta(name)
 		return proto.FileInfo{}, err
 	}
-	s.obs.Event("rpc", "derive", sc.Trace,
-		fmt.Sprintf("file=%q src=%q chunks=%d held=%d (cross-shard)", name, src, nChunks, len(held)))
 	s.mu.Lock()
 	s.meta[name] = resp.File
 	s.mu.Unlock()
@@ -1111,7 +1105,7 @@ func (s *Store) deriveSharded(sc store.SpanInfo, name, src string, fromChunk, nC
 // reads and writes through this Store target the fresh chunk instead of
 // failing on the stale one.
 func (s *Store) Remap(name string, chunkIdx int) ([]proto.ChunkRef, error) {
-	return s.remap(eventScope(name), name, chunkIdx)
+	return s.remap(store.SpanInfo{Var: name}, name, chunkIdx)
 }
 
 func (s *Store) remap(sc store.SpanInfo, name string, chunkIdx int) ([]proto.ChunkRef, error) {
@@ -1129,7 +1123,6 @@ func (s *Store) remap(sc store.SpanInfo, name string, chunkIdx int) ([]proto.Chu
 	if len(fresh) == 0 {
 		fresh = []proto.ChunkRef{resp.NewRef}
 	}
-	s.obs.Event("rpc", "remap", sc.Trace, fmt.Sprintf("file=%q chunk=%d %v -> %v", name, chunkIdx, resp.OldRef, fresh[0]))
 	s.mu.Lock()
 	if fi, ok := s.meta[name]; ok && chunkIdx < len(fi.Chunks) {
 		fi.Chunks = append([]proto.ChunkRef(nil), fi.Chunks...)
@@ -1155,7 +1148,7 @@ func (s *Store) SetTTL(name string, ttl time.Duration) error {
 
 // Delete removes a file.
 func (s *Store) Delete(name string) error {
-	return s.deleteFile(eventScope(name), name)
+	return s.deleteFile(store.SpanInfo{Var: name}, name)
 }
 
 func (s *Store) deleteFile(sc store.SpanInfo, name string) error {
@@ -1167,7 +1160,6 @@ func (s *Store) deleteFile(sc store.SpanInfo, name string) error {
 		// The file may have referenced chunks owned by other shards (from a
 		// cross-shard link or derive); drop the matching holds at the owners.
 		s.releaseRemote(sc, resp.ForeignFreed)
-		s.obs.Event("rpc", "delete", sc.Trace, fmt.Sprintf("file=%q", name))
 	}
 	return err
 }
@@ -1288,9 +1280,6 @@ func (s *Store) putChunk(sc store.SpanInfo, refs []proto.ChunkRef, data []byte) 
 	}
 	s.m.chunkPuts.Add(1)
 	s.m.ssdWriteBytes.Add(int64(len(data)))
-	if s.obs.EventsEnabled() {
-		s.obs.Event("rpc", "stripe-write", sc.Trace, fmt.Sprintf("%v %d bytes", refs[0], len(data)))
-	}
 	return nil
 }
 
@@ -1410,9 +1399,7 @@ func (s *Store) withMetaRetry(sc store.SpanInfo, name string, fn func(proto.File
 // ReadAt fills buf from the file at off. Chunk fetches fan out across the
 // connection pools, bounded by Options.Parallelism.
 func (s *Store) ReadAt(name string, off int64, buf []byte) error {
-	sc := eventScope(name)
-	s.obs.Event("rpc", "read", sc.Trace, fmt.Sprintf("file=%q off=%d len=%d", name, off, len(buf)))
-	return s.readAt(sc, name, off, buf)
+	return s.readAt(store.SpanInfo{Var: name}, name, off, buf)
 }
 
 func (s *Store) readAt(sc store.SpanInfo, name string, off int64, buf []byte) error {
@@ -1441,9 +1428,7 @@ func (s *Store) readAt(sc store.SpanInfo, name string, off int64, buf []byte) er
 // WriteAt stores data into the file at off (read-modify-write for partial
 // chunks). Chunk transfers fan out like ReadAt's.
 func (s *Store) WriteAt(name string, off int64, data []byte) error {
-	sc := eventScope(name)
-	s.obs.Event("rpc", "write", sc.Trace, fmt.Sprintf("file=%q off=%d len=%d", name, off, len(data)))
-	return s.writeAt(sc, name, off, data)
+	return s.writeAt(store.SpanInfo{Var: name}, name, off, data)
 }
 
 func (s *Store) writeAt(sc store.SpanInfo, name string, off int64, data []byte) error {
@@ -1470,22 +1455,18 @@ func (s *Store) writeAt(sc store.SpanInfo, name string, off int64, data []byte) 
 	})
 }
 
-// Put uploads a whole payload as a (new) file. The allocation and every
-// stripe write share one event trace ID.
+// Put uploads a whole payload as a (new) file.
 func (s *Store) Put(name string, data []byte) error {
-	sc := eventScope(name)
-	s.obs.Event("rpc", "put", sc.Trace, fmt.Sprintf("file=%q len=%d", name, len(data)))
-	return s.put(sc, name, data)
+	return s.put(store.SpanInfo{Var: name}, name, data)
 }
 
 // PutCtx is Put under a caller-provided span context (store.WithSpan): the
-// upload joins the caller's trace instead of rooting its own.
+// upload joins the caller's trace.
 func (s *Store) PutCtx(ctx store.Ctx, name string, data []byte) error {
 	sc := store.SpanOf(ctx)
 	if !sc.Traced() {
 		return s.Put(name, data)
 	}
-	s.obs.Event("rpc", "put", sc.Trace, fmt.Sprintf("file=%q len=%d", name, len(data)))
 	return s.put(sc, name, data)
 }
 
@@ -1498,9 +1479,7 @@ func (s *Store) put(sc store.SpanInfo, name string, data []byte) error {
 
 // Get downloads a whole file.
 func (s *Store) Get(name string) ([]byte, error) {
-	sc := eventScope(name)
-	s.obs.Event("rpc", "get", sc.Trace, fmt.Sprintf("file=%q", name))
-	return s.get(sc, name)
+	return s.get(store.SpanInfo{Var: name}, name)
 }
 
 // GetCtx is Get under a caller-provided span context.
@@ -1509,7 +1488,6 @@ func (s *Store) GetCtx(ctx store.Ctx, name string) ([]byte, error) {
 	if !sc.Traced() {
 		return s.Get(name)
 	}
-	s.obs.Event("rpc", "get", sc.Trace, fmt.Sprintf("file=%q", name))
 	return s.get(sc, name)
 }
 

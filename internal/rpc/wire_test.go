@@ -103,14 +103,9 @@ func TestMalformedFramesDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 		expectClosed(t, conn)
-		found := false
-		for _, ev := range r.bens[0].Obs().Ring.Events() {
-			if ev.Comp == "benefactor" && ev.Kind == "bad-frame" && strings.Contains(ev.Detail, "preamble") {
-				found = true
-			}
-		}
-		if !found {
-			t.Error("no bad-frame event for a connection that skipped the preamble")
+		ev, ok := findSpan(r.bens[0].Obs().Spans.Spans(), "benefactor.bad-frame")
+		if !ok || !ev.IsEvent() || !strings.Contains(ev.Detail, "preamble") {
+			t.Errorf("no benefactor.bad-frame event for a connection that skipped the preamble (got %+v)", ev)
 		}
 	})
 
@@ -285,6 +280,65 @@ func (c *sniffConn) Read(b []byte) (int, error) {
 		return 0, syscall.ECONNRESET
 	}
 	return c.Conn.Read(b)
+}
+
+// wireTap records every byte a client writes on its chunk connections
+// (Options.Dial = tap.dial) so a test can decode the request frames that
+// crossed the wire.
+type wireTap struct {
+	mu    sync.Mutex
+	conns []*tapConn
+}
+
+type tapConn struct {
+	net.Conn
+	mu   sync.Mutex
+	sent bytes.Buffer
+}
+
+func (c *tapConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.sent.Write(b)
+	c.mu.Unlock()
+	return c.Conn.Write(b)
+}
+
+func (w *wireTap) dial(addr string) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		return nil, err
+	}
+	c := &tapConn{Conn: conn}
+	w.mu.Lock()
+	w.conns = append(w.conns, c)
+	w.mu.Unlock()
+	return c, nil
+}
+
+// requests decodes every tapped connection: the NVM1 preamble byte, then
+// request frames back to back.
+func (w *wireTap) requests(t *testing.T) []proto.Frame {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	arena := proto.NewArena(testChunk)
+	var out []proto.Frame
+	for _, c := range w.conns {
+		c.mu.Lock()
+		r := bytes.NewReader(bytes.Clone(c.sent.Bytes()))
+		c.mu.Unlock()
+		if b, err := r.ReadByte(); err != nil || b != proto.Preamble {
+			t.Fatalf("tapped connection opened with 0x%02x (%v), not the preamble", b, err)
+		}
+		for r.Len() > 0 {
+			var f proto.Frame
+			if _, err := proto.ReadFrame(r, &f, arena, maxPayloadFor(testChunk)); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // writeFailConn is a net.Conn whose writes always fail, emulating a torn
