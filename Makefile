@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench alloc-bench fuzz-smoke loc
+.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench write-bench alloc-bench fuzz-smoke loc
 
 # Tier-1 gate: formatting, vet, import boundaries, build, and the full
 # suite under the race detector (the TCP data path is exercised by
@@ -66,6 +66,13 @@ obs-bench:
 # in-flight peak. Seconds, not minutes; measure on an idle host.
 restore-bench:
 	$(GO) test -run xxx -bench=RestoreReadBack -benchtime 10x -count 3 ./internal/rpc
+
+# The local row of the seq-stream write ledger (EXPERIMENTS.md): 1 MiB
+# WriteAt+Sync ops overwriting a region four times the chunk cache on three
+# 1 ms devices. Reports ms/op and chunk gets per op, which must be 0: a
+# write reads nothing it overwrites. Seconds; measure on an idle host.
+write-bench:
+	$(GO) test -run xxx -bench=SeqWriteSync -benchtime 64x -count 3 ./internal/rpc
 
 # Allocation gate for the NVM1 binary data path: the frame codec and arena
 # must run allocation-free, and a cached TCP chunk get must allocate at most

@@ -239,13 +239,14 @@ func (r *Region) WriteAt(ctx store.Ctx, off int64, data []byte) error {
 	return r.c.pc.Write(ctx, r.name, off, data)
 }
 
-// Sync implements Buffer: dirty pages reach the FUSE layer, dirty chunks
-// reach the benefactors (msync + fsync semantics).
+// Sync implements Buffer: dirty chunks reach the benefactors (msync +
+// fsync semantics). The page cache writes through, so it holds nothing to
+// push down first.
 func (r *Region) Sync(ctx store.Ctx) error {
 	if r.freed {
 		return fmt.Errorf("core: sync of freed region %q", r.name)
 	}
-	return r.c.pc.Sync(ctx, r.name, true)
+	return r.c.cc.Flush(ctx, r.name)
 }
 
 // Free implements Buffer (ssdfree): the mapping is dropped and the backing

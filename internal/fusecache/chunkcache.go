@@ -2,9 +2,11 @@
 // granularity gap between byte-addressable memory accesses and the 256 KB
 // chunks of the distributed block store (paper §III-D):
 //
-//   - ChunkCache is the per-node FUSE-layer cache: an LRU of whole chunks
-//     with per-page dirty bitmaps. On eviction only dirty pages travel to
-//     the benefactor (the paper's write optimization, Table VII), and a
+//   - ChunkCache is the per-node FUSE-layer cache: an LRU of chunks with
+//     per-page dirty bitmaps. A write that covers whole pages of a missing
+//     chunk installs them without fetching the rest (per-page validity).
+//     On eviction only dirty pages travel to the benefactor (the paper's
+//     write optimization, Table VII), and a
 //     sequential run keeps a window of asynchronous read-ahead in flight
 //     in front of the reader (readahead.go; the reason NVMalloc *beats*
 //     direct SSD access on STREAM, Table III).
@@ -143,9 +145,16 @@ type entry struct {
 	data   []byte
 	dirty  []bool // per page
 	nDirty int
+	// valid is nil when the entry holds the whole chunk. A write miss that
+	// covers whole pages installs the entry without fetching (acquire);
+	// valid then marks the pages it holds and nValid counts them, until a
+	// write completes the set or a fill fetches the rest. Dirty pages are
+	// always valid.
+	valid  []bool
+	nValid int
 	lru    *list.Element
-	// fut is non-nil while the entry is loading or flushing; accessors
-	// must wait on it and retry.
+	// fut is non-nil while the entry is loading, filling or flushing;
+	// accessors must wait on it and retry.
 	fut store.Future
 	// prefetch marks a chunk read-ahead reserved that no access has touched
 	// yet. The first touch clears it and moves the file's stream on
@@ -199,6 +208,10 @@ type ChunkCache struct {
 	virgin map[chunkKey]bool
 	// gate bounds concurrent store requests from this node's FUSE daemon.
 	gate store.Gate
+	// spare is the buffer of the latest entry to leave the cache, kept for
+	// the next entry installed without a fetch: a run of write misses then
+	// recycles its victims' buffers instead of allocating a chunk each.
+	spare []byte
 
 	s counters
 }
@@ -254,14 +267,36 @@ func spillerOf(st store.Client) store.ChunkSpiller {
 	return nil
 }
 
-// releaseEntry hands an entry's chunk buffer back to the lending store's
-// pool (no-op without a lender). The entry must already be off the cache
-// maps, or about to be.
+// releaseEntry takes an entry's chunk buffer: it becomes the spare if there
+// is none, and otherwise goes back to the lending store's pool (or to the
+// garbage collector without a lender). The entry must already be off the
+// cache maps, or about to be.
 func (cc *ChunkCache) releaseEntry(e *entry) {
-	if cc.lender != nil && e.data != nil {
+	switch {
+	case e.data == nil:
+		return
+	case cc.spare == nil && int64(len(e.data)) == cc.cfg.ChunkSize:
+		cc.spare = e.data
+	case cc.lender != nil:
 		cc.lender.ReleaseChunk(e.data)
-		e.data = nil
 	}
+	e.data = nil
+}
+
+// installBuffer returns a chunk buffer for an entry installed without a
+// fetch: the spare if there is one, cleared when the entry must read as
+// zeroes. A partly valid entry needs no clearing, because nothing reads or
+// ships its invalid pages. Lock held.
+func (cc *ChunkCache) installBuffer(zero bool) []byte {
+	buf := cc.spare
+	if buf == nil {
+		return make([]byte, cc.cfg.ChunkSize)
+	}
+	cc.spare = nil
+	if zero {
+		clear(buf)
+	}
+	return buf
 }
 
 // MarkFresh records that a file was just created by this node, so all its
@@ -394,10 +429,12 @@ func (cc *ChunkCache) DisarmCOW(ctx store.Ctx, file string) {
 // pagesPerChunk returns the dirty-bitmap width.
 func (cc *ChunkCache) pagesPerChunk() int { return int(cc.cfg.ChunkSize / cc.cfg.PageSize) }
 
-// acquire returns the cache entry for (file, idx), fetching on miss. The
-// returned entry is resident (fut == nil) and freshly touched in the LRU.
-// Lock held.
-func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int) (*entry, error) {
+// acquire returns the cache entry for (file, idx), ready for an access to
+// [off, off+n) of the chunk: resident (fut == nil), freshly touched in the
+// LRU, and holding every byte the access needs (holds). A miss fetches the
+// chunk, except where nothing in it needs reading: a known-zero chunk, or a
+// write that covers whole pages only. Lock held.
+func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int, off, n int64, write bool) (*entry, error) {
 	key := chunkKey{file, idx}
 	for {
 		if e, ok := cc.entries[key]; ok {
@@ -409,7 +446,11 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int) (*entry, erro
 				cc.env.Lock(ctx)
 				continue // state changed; re-check
 			}
-			cc.s.hits.Inc()
+			if cc.holds(e, off, n, write) {
+				cc.s.hits.Inc()
+			} else if err := cc.complete(ctx, e); err != nil {
+				return nil, err
+			}
 			cc.lru.MoveToFront(e.lru)
 			if e.prefetch {
 				e.prefetch = false
@@ -428,9 +469,11 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int) (*entry, erro
 		if idx < 0 || idx >= len(fi.Chunks) {
 			return nil, fmt.Errorf("%w: chunk %d of %q (%d chunks)", proto.ErrChunkOutOfRange, idx, file, len(fi.Chunks))
 		}
-		if cc.virgin[key] {
-			// Known-zero chunk of a freshly created file: materialize it
-			// in cache without any store traffic.
+		if fresh := cc.virgin[key]; fresh || write && off%cc.cfg.PageSize == 0 && n%cc.cfg.PageSize == 0 {
+			// Known-zero chunk of a freshly created file, or pages the write
+			// overwrites whole: materialize the entry without any store
+			// traffic, and without moving the read-ahead stream. Only a
+			// known-zero entry holds the pages the write does not cover.
 			if err := cc.ensureRoom(ctx); err != nil {
 				return nil, err
 			}
@@ -440,8 +483,11 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int) (*entry, erro
 			delete(cc.virgin, key)
 			e := &entry{
 				key:   key,
-				data:  make([]byte, cc.cfg.ChunkSize),
+				data:  cc.installBuffer(fresh),
 				dirty: make([]bool, cc.pagesPerChunk()),
+			}
+			if !fresh {
+				e.valid = make([]bool, cc.pagesPerChunk())
 			}
 			cc.entries[key] = e
 			e.lru = cc.lru.PushFront(e)
@@ -519,10 +565,18 @@ func (cc *ChunkCache) unreserve(e *entry) {
 	e.fut.Set()
 }
 
-// load fills a reserved entry from the store. Lock held; released around
-// the gate and the transfer.
-func (cc *ChunkCache) load(ctx store.Ctx, e *entry, refs []proto.ChunkRef) (*entry, error) {
-	sp, fctx := cc.span(ctx, "cache.get_chunk", e.key.file)
+// settle ends an entry's load, fill or flush and wakes its waiters. Lock
+// held.
+func (cc *ChunkCache) settle(e *entry) {
+	fut := e.fut
+	e.fut = nil
+	fut.Set()
+}
+
+// getChunk reads one chunk of file from the store under the request gate.
+// Lock held; released around the gate and the transfer.
+func (cc *ChunkCache) getChunk(ctx store.Ctx, file string, refs []proto.ChunkRef) ([]byte, error) {
+	sp, fctx := cc.span(ctx, "cache.get_chunk", file)
 	cc.env.Unlock(ctx)
 	cc.gate.Acquire(fctx)
 	data, err := cc.store.GetChunk(fctx, refs)
@@ -531,6 +585,16 @@ func (cc *ChunkCache) load(ctx store.Ctx, e *entry, refs []proto.ChunkRef) (*ent
 	sp.AddBytes(int64(len(data)))
 	sp.SetErr(err)
 	sp.EndAt(cc.env.NowNanos(ctx))
+	if err == nil {
+		cc.s.ssdRead.Add(int64(len(data)))
+	}
+	return data, err
+}
+
+// load fills a reserved entry from the store. Lock held; released around
+// the gate and the transfer.
+func (cc *ChunkCache) load(ctx store.Ctx, e *entry, refs []proto.ChunkRef) (*entry, error) {
+	data, err := cc.getChunk(ctx, e.key.file, refs)
 	if err != nil {
 		cc.unreserve(e)
 		return nil, err
@@ -547,14 +611,72 @@ func (cc *ChunkCache) load(ctx store.Ctx, e *entry, refs []proto.ChunkRef) (*ent
 			cc.lender.ReleaseChunk(data)
 		}
 	}
-	cc.s.ssdRead.Add(int64(len(data)))
 	if e.prefetch {
 		cc.s.prefetch.Add(int64(len(data)))
 	}
-	fut := e.fut
-	e.fut = nil
-	fut.Set()
+	cc.settle(e)
 	return e, nil
+}
+
+// holds reports whether e has every byte an access to [off, off+n) of its
+// chunk needs: a read needs each page it touches, a write only the pages it
+// covers in part. Lock held.
+func (cc *ChunkCache) holds(e *entry, off, n int64, write bool) bool {
+	if e.valid == nil {
+		return true
+	}
+	ps := cc.cfg.PageSize
+	first, last := off/ps, (off+n-1)/ps
+	if write {
+		return (off%ps == 0 || e.valid[first]) && ((off+n)%ps == 0 || e.valid[last])
+	}
+	for pg := first; pg <= last; pg++ {
+		if !e.valid[pg] {
+			return false
+		}
+	}
+	return true
+}
+
+// complete fills a partly valid entry for an access that needs pages it
+// does not hold. Lock held; released around the fetch, with e.fut set so
+// that no other accessor, eviction or Drop touches the entry meanwhile.
+func (cc *ChunkCache) complete(ctx store.Ctx, e *entry) error {
+	e.fut = cc.env.NewFuture("fill " + e.key.file)
+	defer cc.settle(e)
+	fi, err := cc.fileMeta(ctx, e.key.file)
+	if err != nil {
+		return err
+	}
+	if e.key.idx >= len(fi.Chunks) {
+		return fmt.Errorf("%w: fill of %q chunk %d", proto.ErrChunkOutOfRange, e.key.file, e.key.idx)
+	}
+	return cc.fill(ctx, e, refsCopy(*fi, e.key.idx))
+}
+
+// fill fetches a partly valid entry's chunk and copies it into the pages
+// the entry does not hold — the ones it holds are as new or newer — which
+// makes the entry whole. It counts as a demand miss. Lock held; the caller
+// has set e.fut.
+func (cc *ChunkCache) fill(ctx store.Ctx, e *entry, refs []proto.ChunkRef) error {
+	cc.s.misses.Inc()
+	data, err := cc.getChunk(ctx, e.key.file, refs)
+	if err != nil {
+		return err
+	}
+	ps := cc.cfg.PageSize
+	for pg, ok := range e.valid {
+		if !ok {
+			off := int64(pg) * ps
+			page := e.data[off : off+ps]
+			clear(page[copy(page, data[min(off, int64(len(data))):]):])
+		}
+	}
+	e.valid = nil
+	if cc.lender != nil {
+		cc.lender.ReleaseChunk(data)
+	}
+	return nil
 }
 
 // roomNow reports whether one more entry fits without blocking, evicting
@@ -618,17 +740,16 @@ func (cc *ChunkCache) evict(ctx store.Ctx, e *entry) error {
 		cc.s.dirtyEvictions.Inc()
 		e.fut = cc.env.NewFuture("flush " + e.key.file)
 		err := cc.writeback(ctx, e)
-		fut := e.fut
-		e.fut = nil
-		fut.Set()
+		cc.settle(e)
 		if err != nil {
 			return err
 		}
 	}
 	// The victim is clean now; hand its payload to the spill tier (a
 	// synchronous copy) before the buffer goes back to the lender pool —
-	// the tier copies, it never adopts, so ownership is undisturbed.
-	if cc.spiller != nil && e.data != nil {
+	// the tier copies, it never adopts, so ownership is undisturbed. A
+	// partly valid payload is not the chunk, and never spills.
+	if cc.spiller != nil && e.data != nil && e.valid == nil {
 		if fi, ok := cc.meta[e.key.file]; ok && e.key.idx < len(fi.Chunks) {
 			cc.s.spills.Inc()
 			cc.spiller.SpillChunk(ctx, refsCopy(*fi, e.key.idx), e.data)
@@ -710,6 +831,12 @@ func (cc *ChunkCache) writeback(ctx store.Ctx, e *entry) error {
 // page is dirty (or the Table VII optimization is disabled), otherwise
 // only the dirty pages. Lock held; released around the transfer.
 func (cc *ChunkCache) ship(ctx store.Ctx, e *entry, refs []proto.ChunkRef) error {
+	if cc.cfg.WriteFullChunks && e.valid != nil {
+		// A whole-chunk put must not carry pages the entry never held.
+		if err := cc.fill(ctx, e, refs); err != nil {
+			return err
+		}
+	}
 	if e.nDirty == len(e.dirty) || cc.cfg.WriteFullChunks {
 		sp, sctx := cc.span(ctx, "cache.put_chunk", e.key.file)
 		cc.env.Unlock(ctx)
@@ -767,7 +894,7 @@ func (cc *ChunkCache) ReadRange(ctx store.Ctx, file string, off int64, buf []byt
 	defer cc.env.Unlock(ctx)
 	for len(buf) > 0 {
 		idx, coff := cc.locate(off)
-		e, err := cc.acquire(ctx, file, idx)
+		e, err := cc.acquire(ctx, file, idx, coff, min(int64(len(buf)), cc.cfg.ChunkSize-coff), false)
 		if err != nil {
 			return err
 		}
@@ -780,7 +907,8 @@ func (cc *ChunkCache) ReadRange(ctx store.Ctx, file string, off int64, buf []byt
 
 // WriteRange writes data into file at off through the cache, marking the
 // touched pages dirty. Writes are page-aligned when they come from the
-// page layer; arbitrary alignment is handled for bulk I/O.
+// page layer, and then never read the chunk; arbitrary alignment is
+// handled for bulk I/O.
 func (cc *ChunkCache) WriteRange(ctx store.Ctx, file string, off int64, data []byte) error {
 	cc.s.fuseWrite.Add(int64(len(data)))
 	ps := cc.cfg.PageSize
@@ -788,7 +916,7 @@ func (cc *ChunkCache) WriteRange(ctx store.Ctx, file string, off int64, data []b
 	defer cc.env.Unlock(ctx)
 	for len(data) > 0 {
 		idx, coff := cc.locate(off)
-		e, err := cc.acquire(ctx, file, idx)
+		e, err := cc.acquire(ctx, file, idx, coff, min(int64(len(data)), cc.cfg.ChunkSize-coff), true)
 		if err != nil {
 			return err
 		}
@@ -799,6 +927,12 @@ func (cc *ChunkCache) WriteRange(ctx store.Ctx, file string, off int64, data []b
 			if !e.dirty[pg] {
 				e.dirty[pg] = true
 				e.nDirty++
+			}
+			if e.valid != nil && !e.valid[pg] {
+				e.valid[pg] = true
+				if e.nValid++; e.nValid == len(e.valid) {
+					e.valid = nil // every page written: the entry is whole
+				}
 			}
 		}
 		data = data[n:]
@@ -858,9 +992,7 @@ func (cc *ChunkCache) Flush(ctx store.Ctx, file string) error {
 			}
 			cc.env.Lock(fctx)
 			err := cc.writeback(fctx, ent)
-			fut := ent.fut
-			ent.fut = nil
-			fut.Set()
+			cc.settle(ent)
 			if err != nil && flushErr == nil {
 				flushErr = err
 			}

@@ -287,7 +287,7 @@ func TestPageCacheWritebackOnSync(t *testing.T) {
 		r.cc.RegisterMeta(p, fi)
 		want := bytes.Repeat([]byte{0xEE}, int(3*ps))
 		pc.Write(p, "v", ps/2, want)
-		if err := pc.Sync(p, "v", true); err != nil {
+		if err := r.cc.Flush(p, "v"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -384,7 +384,7 @@ func TestCacheMatchesFlatArrayProperty(t *testing.T) {
 			}
 			// Sync everything out, drop all caches, and verify the store
 			// holds the reference image.
-			if err := pc.Sync(p, "v", true); err != nil {
+			if err := r.cc.Flush(p, "v"); err != nil {
 				ok = false
 				return
 			}

@@ -2,7 +2,6 @@ package fusecache
 
 import (
 	"container/list"
-	"fmt"
 
 	"nvmalloc/internal/store"
 )
@@ -38,17 +37,16 @@ type pageKey struct {
 }
 
 type page struct {
-	key   pageKey
-	data  []byte
-	dirty bool
-	lru   *list.Element
+	key  pageKey
+	data []byte
+	lru  *list.Element
 }
 
 // PageStats counts the traffic of one PageCache.
 type PageStats struct {
 	Hits       int64
 	Faults     int64 // page misses served by the FUSE layer
-	Writebacks int64 // dirty pages pushed down on eviction/sync
+	Writebacks int64 // pages pushed through to the FUSE layer by writes
 	// FaultBytes/WritebackBytes are the byte volumes of the above — the
 	// page-granular requests that reach the FUSE layer.
 	FaultBytes     int64
@@ -85,9 +83,7 @@ func (pc *PageCache) pageSize() int64 { return pc.cc.cfg.PageSize }
 // page's current content is fetched — a write that covers the whole page
 // can skip the read (the kernel does the same for full-page overwrites).
 func (pc *PageCache) fault(ctx store.Ctx, key pageKey, fill bool) (*page, error) {
-	if err := pc.ensureRoom(ctx); err != nil {
-		return nil, err
-	}
+	pc.ensureRoom()
 	pg := &page{key: key, data: make([]byte, pc.pageSize())}
 	if fill {
 		pc.s.Faults++
@@ -96,9 +92,7 @@ func (pc *PageCache) fault(ctx store.Ctx, key pageKey, fill bool) (*page, error)
 			return nil, err
 		}
 	}
-	// Re-check after the blocking read: another proc of the same rank
-	// cannot exist, but the fault path is also used by Sync-triggered
-	// refills; keep the map authoritative.
+	// Re-check after the blocking read; keep the map authoritative.
 	if cur, ok := pc.entries[key]; ok {
 		return cur, nil
 	}
@@ -109,33 +103,19 @@ func (pc *PageCache) fault(ctx store.Ctx, key pageKey, fill bool) (*page, error)
 
 // ensureRoom evicts LRU pages until one more fits. Pages are never dirty
 // (writes are pushed through immediately), so eviction is a plain drop.
-func (pc *PageCache) ensureRoom(ctx store.Ctx) error {
+func (pc *PageCache) ensureRoom() {
 	for len(pc.entries) >= pc.cap {
-		el := pc.lru.Back()
-		if el == nil {
-			return fmt.Errorf("fusecache: page cache wedged")
-		}
-		pg := el.Value.(*page)
-		if pg.dirty {
-			if err := pc.writeback(ctx, pg); err != nil {
-				return err
-			}
-		}
+		pg := pc.lru.Back().Value.(*page)
 		delete(pc.entries, pg.key)
-		pc.lru.Remove(el)
+		pc.lru.Remove(pg.lru)
 	}
-	return nil
 }
 
 // writeback pushes one whole page to the FUSE layer.
 func (pc *PageCache) writeback(ctx store.Ctx, pg *page) error {
 	pc.s.Writebacks++
 	pc.s.WritebackBytes += pc.pageSize()
-	if err := pc.cc.WriteRange(ctx, pg.key.file, pg.key.idx*pc.pageSize(), pg.data); err != nil {
-		return err
-	}
-	pg.dirty = false
-	return nil
+	return pc.cc.WriteRange(ctx, pg.key.file, pg.key.idx*pc.pageSize(), pg.data)
 }
 
 // Read copies [off, off+len(buf)) of file into buf through the page cache.
@@ -197,27 +177,7 @@ func (pc *PageCache) Write(ctx store.Ctx, file string, off int64, data []byte) e
 	return nil
 }
 
-// Sync pushes the file's dirty state out: with write-through pages the
-// page layer is already clean, so Sync asks the FUSE layer to flush the
-// file's dirty chunks to the store (msync + fsync semantics). The through
-// flag is kept for callers that only want the page-layer guarantee.
-func (pc *PageCache) Sync(ctx store.Ctx, file string, through bool) error {
-	for el := pc.lru.Front(); el != nil; el = el.Next() {
-		pg := el.Value.(*page)
-		if pg.key.file == file && pg.dirty {
-			if err := pc.writeback(ctx, pg); err != nil {
-				return err
-			}
-		}
-	}
-	if through {
-		return pc.cc.Flush(ctx, file)
-	}
-	return nil
-}
-
-// Drop discards all pages of file (dirty pages are discarded; callers Sync
-// first if they need them).
+// Drop discards all pages of file.
 func (pc *PageCache) Drop(file string) {
 	var victims []*page
 	for k, pg := range pc.entries {

@@ -14,14 +14,25 @@ import (
 	"nvmalloc/internal/sysprof"
 )
 
-// probeClient is a store.Client double that counts GetChunk calls and how
-// many are in flight at once.
+// probeClient is a store.Client double that counts GetChunk calls, how
+// many are in flight at once, and whole-chunk puts; onGet, when set, runs
+// as each GetChunk starts.
 type probeClient struct {
 	store.Client
 	gets, inflight, peak int
+	puts                 int
+	onGet                func()
+}
+
+func (c *probeClient) PutChunk(ctx store.Ctx, refs []proto.ChunkRef, data []byte) error {
+	c.puts++
+	return c.Client.PutChunk(ctx, refs, data)
 }
 
 func (c *probeClient) GetChunk(ctx store.Ctx, refs []proto.ChunkRef) ([]byte, error) {
+	if c.onGet != nil {
+		c.onGet()
+	}
 	c.gets++
 	if c.inflight++; c.inflight > c.peak {
 		c.peak = c.inflight

@@ -482,6 +482,102 @@ func TestCachedStoreConcurrent(t *testing.T) {
 	}
 }
 
+// TestCachedStorePartialPagesConcurrent drives one undersized CachedStore
+// with a file tier from four goroutines on disjoint regions of a file that
+// starts out on the benefactors: whole-page writes install partly valid
+// entries without fetching, unaligned bulk writes and reads fill them, Flush
+// ships them, and eviction spills whole chunks only. Every read and the
+// final image must be byte-exact. Run with -race.
+func TestCachedStorePartialPagesConcurrent(t *testing.T) {
+	const (
+		goroutines = 4
+		page       = 256
+		iters      = 60
+	)
+	r := newRig(t, 3)
+	st, err := Open(r.mgr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := NewCachedStore(st, CacheConfig{
+		CacheBytes:      4 * testChunk,
+		PageSize:        page,
+		ReadAheadChunks: 2,
+		CacheDir:        t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+
+	region := int64(3) * testChunk
+	want := make([]byte, goroutines*region)
+	rand.New(rand.NewSource(1)).Read(want)
+	if err := st.Put("v", want); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(200 + g)))
+			base := int64(g) * region
+			mine := want[base : base+region]
+			for it := 0; it < iters; it++ {
+				op := rng.Intn(4)
+				off := rng.Int63n(region)
+				n := 1 + rng.Int63n(testChunk+page)
+				if op == 0 { // whole pages, as the page layer writes
+					off -= off % page
+					n = page * (1 + rng.Int63n(8))
+				}
+				n = min(n, region-off)
+				var err error
+				switch op {
+				case 0, 1:
+					patch := make([]byte, n)
+					rng.Read(patch)
+					copy(mine[off:], patch)
+					err = cache.WriteAt("v", base+off, patch)
+				case 2:
+					got := make([]byte, n)
+					if err = cache.ReadAt("v", base+off, got); err == nil && !bytes.Equal(got, mine[off:off+n]) {
+						err = fmt.Errorf("goroutine %d iter %d: read [%d,+%d) mismatch", g, it, off, n)
+					}
+				case 3:
+					err = cache.Flush("v")
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := cache.Flush("v"); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(r.mgr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	got, err := st2.Get("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("flushed contents not byte-exact after concurrent partial-page writes")
+	}
+}
+
 // TestFileBackendAtomicPut hammers one chunk file with concurrent whole-
 // chunk rewrites while readers check they only ever observe a complete
 // payload (all-old or all-new) — the temp-file + rename guarantee.
