@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench write-bench alloc-bench fuzz-smoke loc
+.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench write-bench delete-bench alloc-bench fuzz-smoke loc
 
 # Tier-1 gate: formatting, vet, import boundaries, build, and the full
 # suite under the race detector (the TCP data path is exercised by
@@ -73,6 +73,13 @@ restore-bench:
 # write reads nothing it overwrites. Seconds; measure on an idle host.
 write-bench:
 	$(GO) test -run xxx -bench=SeqWriteSync -benchtime 64x -count 3 ./internal/rpc
+
+# The local row of the meta-churn delete ledger (EXPERIMENTS.md): Create +
+# Delete of a 3-chunk file on a loopback manager with 3 benefactors at
+# replication 2. Reports us/op and delete frames per op, which must be 3 —
+# one per benefactor, not one per freed replica. Seconds; measure idle.
+delete-bench:
+	$(GO) test -run xxx -bench=ManagerDelete -benchtime 2000x -count 3 ./internal/rpc
 
 # Allocation gate for the NVM1 binary data path: the frame codec and arena
 # must run allocation-free, and a cached TCP chunk get must allocate at most

@@ -26,17 +26,20 @@ import (
 //	6    1    flags (bit0 response, bit1 error)
 //	7    1    reserved (0)
 //	8    8    chunk ID
-//	16   8    aux (copychunk: source chunk ID; putpages: page count; else 0)
+//	16   8    aux (copychunk: source chunk ID; putpages: page count;
+//	          delete: number of further chunk IDs; else 0)
 //	24   4    meta length M
 //	28   4    payload length P
 //	32   M    meta section
 //	32+M P    payload
 //
 // The meta section carries uvarint-length-prefixed strings. A request holds
-// trace ID, parent span ID, and variable name (the span-propagation fields
-// of PR 5), followed — for putpages only — by a uvarint page count and that
-// many (offset, length) uvarint pairs slicing the payload into pages. A
-// response holds only the error string.
+// trace ID, parent span ID, and variable name (the span-propagation
+// fields), followed — for putpages — by a uvarint page count and that many
+// (offset, length) uvarint pairs slicing the payload into pages, or — for
+// delete — by aux further chunk IDs as uvarints, deleted after the header's
+// ID (a delete with aux 0 names one chunk and carries no list). A response
+// holds only the error string.
 //
 // Connection handshake: a client opens each benefactor connection by
 // sending the single byte Preamble (0xB1) and waiting for the server to
@@ -130,7 +133,7 @@ type Frame struct {
 	Resp bool // response frame (flags bit0)
 
 	ID  ChunkID
-	Aux uint64 // FrameCopy requests: source chunk ID; FramePutPages: page count
+	Aux uint64 // FrameCopy requests: source chunk ID; FramePutPages: page count; FrameDelete: len(MoreIDs)
 
 	// Request meta (span propagation, PR 5).
 	Trace, Parent, Var string
@@ -140,6 +143,10 @@ type Frame struct {
 	// payload (sum of lengths == PayloadLen).
 	PageOffs []int64
 	PageLens []int
+	// FrameDelete requests: the chunks deleted after ID, carried in the
+	// meta section, never the payload (a payload leases a chunk-sized
+	// arena buffer).
+	MoreIDs []ChunkID
 
 	// PayloadLen is the payload byte count declared in the header.
 	PayloadLen int
@@ -168,6 +175,11 @@ func (f *Frame) AppendTo(dst []byte) []byte {
 			for i, off := range f.PageOffs {
 				m = binary.AppendUvarint(m, uint64(off))
 				m = binary.AppendUvarint(m, uint64(f.PageLens[i]))
+			}
+		}
+		if f.Op == FrameDelete {
+			for _, id := range f.MoreIDs {
+				m = binary.AppendUvarint(m, uint64(id))
 			}
 		}
 	}
@@ -258,6 +270,7 @@ func ReadFrame(r io.Reader, f *Frame, arena *Arena, maxPayload int) ([]byte, err
 	f.Aux = binary.BigEndian.Uint64(hdr[16:])
 	f.Trace, f.Parent, f.Var, f.Err = "", "", "", ""
 	f.PageOffs, f.PageLens = f.PageOffs[:0], f.PageLens[:0]
+	f.MoreIDs = f.MoreIDs[:0]
 	f.PayloadLen = int(payloadLen)
 
 	if cap(f.meta) < int(metaLen) {
@@ -312,6 +325,21 @@ func ReadFrame(r io.Reader, f *Frame, arena *Arena, maxPayload int) ([]byte, err
 			}
 			if sum != uint64(payloadLen) {
 				return nil, fmt.Errorf("%w: page lengths sum %d, payload %d", ErrBadFrame, sum, payloadLen)
+			}
+		}
+		if op == FrameDelete {
+			// Each further ID costs at least one meta byte, so the
+			// remaining meta length bounds a sane count.
+			if f.Aux > uint64(len(m)-pos) {
+				return nil, fmt.Errorf("%w: %d further chunk IDs in %d meta bytes", ErrBadFrame, f.Aux, len(m)-pos)
+			}
+			for i := uint64(0); i < f.Aux; i++ {
+				id, w := binary.Uvarint(m[pos:])
+				if w <= 0 {
+					return nil, fmt.Errorf("%w: truncated chunk ID list", ErrBadFrame)
+				}
+				pos += w
+				f.MoreIDs = append(f.MoreIDs, ChunkID(id))
 			}
 		}
 	}

@@ -50,6 +50,18 @@ var goldenFrames = []struct {
 		frame: Frame{Op: FrameCopy, ID: 11, Aux: 10, Trace: "t3", Var: "x"},
 		hex:   "4e564d3101050000000000000000000b000000000000000a0000000600000000027433000178",
 	},
+	{
+		name:  "delete request",
+		frame: Frame{Op: FrameDelete, ID: 12, Trace: "t4", Var: "v"},
+		hex:   "4e564d3101040000000000000000000c00000000000000000000000600000000027434000176",
+	},
+	{
+		// Three chunks in one frame: the header ID, then aux = 2 further
+		// IDs as uvarints after the three strings (300 takes two bytes).
+		name:  "delete request, 3 IDs",
+		frame: Frame{Op: FrameDelete, ID: 12, Aux: 2, Trace: "t4", Var: "v", MoreIDs: []ChunkID{13, 300}},
+		hex:   "4e564d3101040000000000000000000c00000000000000020000000900000000027434000176" + "0dac02",
+	},
 }
 
 // TestFrameGoldenEncode freezes the encode direction: today's encoder must
@@ -93,6 +105,9 @@ func TestFrameGoldenDecode(t *testing.T) {
 		if len(got.PageLens) == 0 {
 			got.PageLens = want.PageLens
 		}
+		if len(got.MoreIDs) == 0 {
+			got.MoreIDs = want.MoreIDs
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: decoded frame = %+v, want %+v", g.name, got, want)
 		}
@@ -116,6 +131,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Frame{Op: FramePutPages, ID: 3, Aux: 3, PageOffs: []int64{0, 100, 4000}, PageLens: []int{2, 2, 2}, PayloadLen: 6}, "abcdef"},
 		{Frame{Op: FrameDelete, Resp: true, ID: 4, Err: "gone"}, ""},
 		{Frame{Op: FrameCopy, ID: 6, Aux: 5, Var: "v"}, ""},
+		{Frame{Op: FrameDelete, ID: 7, Aux: 3, Trace: "t", MoreIDs: []ChunkID{8, 1 << 40, 9}}, ""},
+		{Frame{Op: FrameDelete, ID: 10}, ""},
 	}
 	for _, c := range cases {
 		enc = c.f
@@ -140,6 +157,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		if len(got.PageLens) == 0 {
 			got.PageLens = want.PageLens
+		}
+		if len(got.MoreIDs) == 0 {
+			got.MoreIDs = want.MoreIDs
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("op %d: decoded = %+v, want %+v", c.f.Op, got, want)
@@ -230,6 +250,47 @@ func TestReadFramePageTableConsistency(t *testing.T) {
 		var dec Frame
 		if _, err := ReadFrame(bytes.NewReader(encode(f, "ABCD")), &dec, nil, -1); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("err = %v, want ErrBadFrame", err)
+		}
+	})
+}
+
+func TestReadFrameDeleteIDList(t *testing.T) {
+	// deleteWithMeta is a delete request whose aux and meta tail (after
+	// three empty strings) are set by hand.
+	deleteWithMeta := func(aux uint64, tail ...byte) []byte {
+		raw := (&Frame{Op: FrameDelete, ID: 1}).AppendTo(nil)
+		meta := append([]byte{0, 0, 0}, tail...)
+		binary.BigEndian.PutUint64(raw[16:], aux)
+		binary.BigEndian.PutUint32(raw[24:], uint32(len(meta)))
+		return append(raw[:FrameHeaderLen], meta...)
+	}
+	t.Run("absurd ID count rejected before allocating", func(t *testing.T) {
+		var dec Frame
+		if _, err := ReadFrame(bytes.NewReader(deleteWithMeta(1<<40, 5)), &dec, nil, -1); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("err = %v, want ErrBadFrame", err)
+		}
+		if cap(dec.MoreIDs) != 0 {
+			t.Errorf("rejected frame grew the ID list to cap %d", cap(dec.MoreIDs))
+		}
+	})
+	t.Run("truncated ID list", func(t *testing.T) {
+		var dec Frame
+		// aux 3 but two IDs, the second cut mid-uvarint.
+		if _, err := ReadFrame(bytes.NewReader(deleteWithMeta(3, 5, 0x80, 0x80)), &dec, nil, -1); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("err = %v, want ErrBadFrame", err)
+		}
+	})
+	t.Run("IDs past aux are trailing bytes", func(t *testing.T) {
+		var dec Frame
+		if _, err := ReadFrame(bytes.NewReader(deleteWithMeta(1, 5, 6)), &dec, nil, -1); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("err = %v, want ErrBadFrame", err)
+		}
+	})
+	t.Run("response carries no list", func(t *testing.T) {
+		raw := (&Frame{Op: FrameDelete, Resp: true, ID: 1, Aux: 2}).AppendTo(nil)
+		var dec Frame
+		if _, err := ReadFrame(bytes.NewReader(raw), &dec, nil, -1); err != nil || len(dec.MoreIDs) != 0 {
+			t.Errorf("err = %v, MoreIDs = %v; want a clean decode with no IDs", err, dec.MoreIDs)
 		}
 	})
 }
@@ -406,6 +467,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if len(a.PageLens) == 0 && len(b.PageLens) == 0 {
 			a.PageLens, b.PageLens = nil, nil
+		}
+		if len(a.MoreIDs) == 0 && len(b.MoreIDs) == 0 {
+			a.MoreIDs, b.MoreIDs = nil, nil
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("frame changed across re-encode cycle\n got %+v\nwant %+v", b, a)

@@ -263,6 +263,8 @@ type ChunkReq struct {
 	VarName string
 	ID      ChunkID
 	SrcID   ChunkID // CopyChunk
+	// DeleteChunk: further chunks deleted after ID in the same op.
+	MoreIDs []ChunkID
 	Data    []byte
 	// PutPages: parallel slices of page offsets within the chunk and page
 	// payloads.

@@ -123,6 +123,7 @@ func (c *chunkConn) roundTripBinary(req *proto.ChunkReq) (proto.ChunkResp, error
 	f.ID, f.Aux = req.ID, 0
 	f.Trace, f.Parent, f.Var, f.Err = req.TraceID, req.ParentSpanID, req.VarName, ""
 	f.PageOffs, f.PageLens = f.PageOffs[:0], f.PageLens[:0]
+	f.MoreIDs = req.MoreIDs
 	c.wbufs = c.wbufs[:0]
 	c.wbufs = append(c.wbufs, nil) // header+meta placeholder
 	payloadLen := 0
@@ -145,6 +146,8 @@ func (c *chunkConn) roundTripBinary(req *proto.ChunkReq) (proto.ChunkResp, error
 			}
 		}
 		f.Aux = uint64(len(req.PageData))
+	case proto.OpDeleteChunk:
+		f.Aux = uint64(len(req.MoreIDs))
 	case proto.OpCopyChunk:
 		f.Aux = uint64(req.SrcID)
 	}
