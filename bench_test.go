@@ -2,7 +2,7 @@
 // evaluation section at Quick scale, reporting the headline metric of each
 // artifact. Full-scale reports come from `go run ./cmd/nvmbench` (whose
 // output is recorded in EXPERIMENTS.md).
-package nvmalloc
+package nvmalloc_test
 
 import (
 	"testing"

@@ -46,7 +46,7 @@
 // Data-path flags:
 //
 //	-pool N      connections per benefactor (default 4)
-//	-parallel N  chunk transfers in flight per command (default 8)
+//	-parallel N  chunk transfers in flight per uncached command, -cache 0 (default 8)
 //	-cache BYTES client chunk cache; 0 disables (default 64 MB for get/put)
 //	-cache-dir D persistent file-backed second cache tier (warm restarts)
 //	-stats       print data-path and cache counters after the command
@@ -65,6 +65,7 @@ import (
 	"time"
 
 	"nvmalloc"
+	"nvmalloc/internal/filecache"
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/proto"
 	"nvmalloc/internal/rpc"
@@ -97,26 +98,26 @@ func main() {
 
 	// The data commands run behind the client chunk cache when enabled, so
 	// a partial overwrite ships only dirty pages (paper Table VII).
-	var cache *rpc.CachedStore
+	var c *nvmalloc.Client
 	if *cacheBytes > 0 {
-		cache, err = rpc.NewCachedStore(st, rpc.CacheConfig{CacheBytes: *cacheBytes, ReadAheadChunks: 2, CacheDir: *cacheDir})
+		c, err = nvmalloc.ConnectStore(st, nvmalloc.ConnectConfig{CacheBytes: *cacheBytes, CacheDir: *cacheDir})
 		if err != nil {
 			st.Close()
 			fatal(err)
 		}
 	}
-	// CachedStore.Close flushes, commits the file tier (-cache-dir), and
-	// closes st; with the cache disabled, close the store directly.
+	// Client.Close flushes, commits the file tier (-cache-dir), and closes
+	// st; with the cache disabled, close the store directly.
 	defer func() {
-		if cache != nil {
-			cache.Close()
+		if c != nil {
+			c.Close()
 		} else {
 			st.Close()
 		}
 	}()
 
 	// Data commands run under one command-rooted span covering the whole
-	// path — for put with the cache enabled that is Create + WriteAt + Flush,
+	// path — for put with the cache enabled that is Malloc + WriteAt + Sync,
 	// so the payload's actual trip to the benefactors lands in the same
 	// trace. The trace ID is printed so the waterfall is one
 	// `nvmctl trace <id>` away.
@@ -132,29 +133,40 @@ func main() {
 		}
 		return err
 	}
+	// An empty payload takes the uncached path: Malloc rejects size 0, and
+	// `link` needs an empty destination to exist.
 	put := func(name string, data []byte) error {
 		return traced(name, "client.put", func(ctx store.Ctx, sp *obs.ActiveSpan) error {
 			sp.AddBytes(int64(len(data)))
-			if cache != nil {
-				if err := cache.PutCtx(ctx, name, data); err != nil {
-					return err
-				}
-				return cache.FlushCtx(ctx, name)
+			if c == nil || len(data) == 0 {
+				return st.PutCtx(ctx, name, data)
 			}
-			return st.PutCtx(ctx, name, data)
+			r, err := c.Malloc(ctx, int64(len(data)), nvmalloc.WithName(name))
+			if err != nil {
+				return err
+			}
+			if err := r.WriteAt(ctx, 0, data); err != nil {
+				return err
+			}
+			return r.Sync(ctx)
 		})
 	}
 	get := func(name string) ([]byte, error) {
 		var data []byte
 		err := traced(name, "client.get", func(ctx store.Ctx, sp *obs.ActiveSpan) error {
-			var err error
-			if cache != nil {
-				data, err = cache.GetCtx(ctx, name)
-			} else {
+			if c == nil {
+				var err error
 				data, err = st.GetCtx(ctx, name)
+				sp.AddBytes(int64(len(data)))
+				return err
 			}
-			sp.AddBytes(int64(len(data)))
-			return err
+			r, err := c.Attach(ctx, name)
+			if err != nil {
+				return err
+			}
+			data = make([]byte, r.Size())
+			sp.AddBytes(r.Size())
+			return r.ReadAt(ctx, 0, data)
 		})
 		return data, err
 	}
@@ -303,11 +315,12 @@ func main() {
 			s.ChunkGets, s.ChunkPuts, s.PagePuts, s.SSDReadBytes, s.SSDWriteBytes, s.InFlightPeak, s.MetaRetries)
 		fmt.Printf("fault path: retries=%d failovers=%d degradedWrites=%d\n",
 			s.Retries, s.Failovers, s.DegradedWrites)
-		if cache != nil {
-			c := cache.Stats()
+		if c != nil {
+			cs := c.ChunkCache().Stats()
 			fmt.Printf("cache: hits=%d misses=%d evictions=%d dirtyEvictions=%d flushes=%d readAhead=%dB\n",
-				c.Hits, c.Misses, c.Evictions, c.DirtyEvictions, c.Flushes, c.PrefetchBytes)
-			if f, ok := cache.FileTierStats(); ok {
+				cs.Hits, cs.Misses, cs.Evictions, cs.DirtyEvictions, cs.Flushes, cs.PrefetchBytes)
+			if tier, ok := c.ChunkCache().Store().(*filecache.Tier); ok {
+				f := tier.Stats()
 				fmt.Printf("file tier: hits=%d misses=%d spills=%d evictions=%d commits=%d rebuilds=%d corrupt=%d live=%dB/%d\n",
 					f.Hits, f.Misses, f.Puts, f.Evictions, f.Commits, f.Rebuilds, f.CorruptPayloads, f.LiveBytes, f.LiveEntries)
 			}

@@ -34,10 +34,14 @@ type ConnectConfig struct {
 	// (Table VII baseline).
 	WriteFullChunks bool
 	// PoolSize is the connection-pool depth per benefactor (0 = rpc
-	// default).
+	// default). It configures only the store Connect opens; ConnectStore
+	// takes the store as it was opened.
 	PoolSize int
-	// Parallelism bounds in-flight chunk transfers per operation (0 = rpc
-	// default).
+	// Parallelism bounds in-flight chunk transfers per call of the store's
+	// uncached ReadAt/WriteAt/Get/Put (0 = rpc default). A Client never
+	// makes those calls: its in-flight bound is the chunk cache's
+	// fusecache.DefaultFuseConcurrency. Like PoolSize, it configures only
+	// the store Connect opens.
 	Parallelism int
 	// CacheDir, when non-empty, enables the persistent file-backed second
 	// cache tier (internal/filecache): clean chunks evicted from the RAM
@@ -76,6 +80,22 @@ func Connect(managerAddr string, cfg ConnectConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	c, err := ConnectStore(st, cfg)
+	if err != nil {
+		st.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// ConnectStore builds a Client over an already open store: the store
+// client, the optional file tier (CacheDir), the chunk cache and the page
+// cache, configured by cfg as Connect configures them. It is the one place
+// the TCP path assembles that stack. The Client takes st over: Close
+// flushes every dirty page, waits for read-ahead to settle, commits the
+// file tier and closes st. If ConnectStore returns an error, the caller
+// still owns st.
+func ConnectStore(st *rpc.Store, cfg ConnectConfig) (*Client, error) {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
 	}
@@ -94,21 +114,20 @@ func Connect(managerAddr string, cfg ConnectConfig) (*Client, error) {
 	case cfg.ReadAheadChunks < 0:
 		cfg.ReadAheadChunks = 0
 	}
-	if st.ChunkSize()%cfg.PageSize != 0 {
-		st.Close()
-		return nil, fmt.Errorf("nvmalloc: page size %d does not divide chunk size %d", cfg.PageSize, st.ChunkSize())
+	if cfg.PageSize < 0 || st.ChunkSize()%cfg.PageSize != 0 {
+		return nil, fmt.Errorf("nvmalloc: page size %d is not a positive divisor of chunk size %d", cfg.PageSize, st.ChunkSize())
 	}
 	env := store.NewGoEnv()
 	var cl store.Client = rpc.NewStoreClient(st, 0)
 	var tier *filecache.Tier
 	if cfg.CacheDir != "" {
+		var err error
 		tier, err = filecache.NewTier(cl, filecache.Config{
 			Dir:      cfg.CacheDir,
 			MaxBytes: cfg.FileCacheBytes,
 			Obs:      st.Obs(),
 		})
 		if err != nil {
-			st.Close()
 			return nil, err
 		}
 		cl = tier

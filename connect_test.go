@@ -300,3 +300,20 @@ func TestConnectSharedChunkCache(t *testing.T) {
 		}
 	}
 }
+
+// TestConnectRejectsNegativePageSize: a negative page size passes a bare
+// divisibility check (262144 % -4096 == 0), and the first write through
+// the page cache then panics sizing a page. Connect must refuse it.
+func TestConnectRejectsNegativePageSize(t *testing.T) {
+	const chunk = 4096
+	cl := startCluster(t, 1, chunk, 1)
+	c, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{PageSize: -chunk})
+	if err == nil {
+		defer c.Close()
+		r, err := c.Malloc(nil, chunk, nvmalloc.WithName("neg"))
+		if err == nil {
+			err = r.WriteAt(nil, 0, []byte("x"))
+		}
+		t.Fatalf("Connect accepted page size %d (first write: %v)", -chunk, err)
+	}
+}

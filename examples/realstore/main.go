@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"nvmalloc"
 	"nvmalloc/internal/manager"
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/rpc"
@@ -78,24 +79,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cache, err := rpc.NewCachedStore(cst, rpc.CacheConfig{
-		CacheBytes:      64 << 20,
-		PageSize:        4096,
-		ReadAheadChunks: 2,
-	})
+	c, err := nvmalloc.ConnectStore(cst, nvmalloc.ConnectConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cache.Close()
-	for c := 0; c < len(fi.Chunks); c++ {
-		if err := cache.WriteAt("nvmvar", int64(c)*chunk, []byte("sparse-touch")); err != nil {
+	defer c.Close()
+	v, err := c.Attach(nil, "nvmvar")
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i := 0; i < len(fi.Chunks); i++ {
+		if err := v.WriteAt(nil, int64(i)*chunk, []byte("sparse-touch")); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := cache.Flush("nvmvar"); err != nil {
+	if err := v.Sync(nil); err != nil {
 		log.Fatal(err)
 	}
-	cs, dcs := cache.Stats(), cst.Stats()
+	cs, dcs := c.ChunkCache().Stats(), cst.Stats()
 	fmt.Printf("\ncached sparse update: hits=%d misses=%d readAhead=%dB\n", cs.Hits, cs.Misses, cs.PrefetchBytes)
 	fmt.Printf("dirty-page writeback shipped %d B to SSDs for %d B of whole chunks touched (%.1f%%)\n",
 		dcs.SSDWriteBytes, int64(len(fi.Chunks))*chunk,

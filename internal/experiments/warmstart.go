@@ -6,7 +6,9 @@ import (
 	"os"
 	"time"
 
+	"nvmalloc"
 	"nvmalloc/internal/benefactor"
+	"nvmalloc/internal/filecache"
 	"nvmalloc/internal/manager"
 	"nvmalloc/internal/rpc"
 )
@@ -115,27 +117,32 @@ func warmPopulate(addr, dir, file string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	cs, err := rpc.NewCachedStore(st, rpc.CacheConfig{CacheBytes: wireChunk, CacheDir: dir})
+	c, err := nvmalloc.ConnectStore(st, nvmalloc.ConnectConfig{CacheBytes: wireChunk, ReadAheadChunks: -1, CacheDir: dir})
 	if err != nil {
 		st.Close()
 		return err
 	}
-	if err := cs.Put(file, payload); err != nil {
-		cs.Close()
+	cc := c.ChunkCache()
+	if _, err := c.Malloc(nil, int64(len(payload)), nvmalloc.WithName(file)); err != nil {
+		c.Close()
 		return err
 	}
-	if err := cs.FlushAll(); err != nil {
-		cs.Close()
+	if err := cc.WriteRange(nil, file, 0, payload); err != nil {
+		c.Close()
+		return err
+	}
+	if err := cc.FlushAll(nil); err != nil {
+		c.Close()
 		return err
 	}
 	buf := make([]byte, wireChunk)
 	for off := int64(0); off < int64(len(payload)); off += wireChunk {
-		if err := cs.ReadAt(file, off, buf); err != nil {
-			cs.Close()
+		if err := cc.ReadRange(nil, file, off, buf); err != nil {
+			c.Close()
 			return err
 		}
 	}
-	return cs.Close()
+	return c.Close()
 }
 
 // warmMeasure opens a fresh client in the given tier state, reads the
@@ -146,18 +153,26 @@ func warmMeasure(addr, mode, dir, file string, payload []byte, ramBytes int64, p
 	if err != nil {
 		return WarmRow{}, err
 	}
-	cs, err := rpc.NewCachedStore(st, rpc.CacheConfig{CacheBytes: ramBytes, CacheDir: dir, ReadAheadChunks: 2})
+	c, err := nvmalloc.ConnectStore(st, nvmalloc.ConnectConfig{CacheBytes: ramBytes, CacheDir: dir})
 	if err != nil {
 		st.Close()
 		return WarmRow{}, err
 	}
-	defer cs.Close()
+	defer c.Close()
+	cc := c.ChunkCache()
+	// fileHits reads the file tier's hit count (0 without CacheDir).
+	fileHits := func() int64 {
+		if tier, ok := cc.Store().(*filecache.Tier); ok {
+			return tier.Stats().Hits
+		}
+		return 0
+	}
 
 	total := int64(len(payload))
 	buf := make([]byte, wireChunk)
 	readAll := func(verify bool) error {
 		for off := int64(0); off < total; off += wireChunk {
-			if err := cs.ReadAt(file, off, buf); err != nil {
+			if err := cc.ReadRange(nil, file, off, buf); err != nil {
 				return err
 			}
 			if verify && !bytes.Equal(buf, payload[off:off+wireChunk]) {
@@ -172,22 +187,16 @@ func warmMeasure(addr, mode, dir, file string, payload []byte, ramBytes int64, p
 		}
 	}
 	wireBefore := st.Stats().SSDReadBytes
-	var hitsBefore int64
-	if f, ok := cs.FileTierStats(); ok {
-		hitsBefore = f.Hits
-	}
+	hitsBefore := fileHits()
 	start := time.Now()
 	if err := readAll(true); err != nil {
 		return WarmRow{}, err
 	}
 	elapsed := time.Since(start)
-	row := WarmRow{
+	return WarmRow{
 		Mode:      mode,
 		ReadMBps:  float64(total) / 1e6 / elapsed.Seconds(),
 		WireBytes: st.Stats().SSDReadBytes - wireBefore,
-	}
-	if f, ok := cs.FileTierStats(); ok {
-		row.FileHits = f.Hits - hitsBefore
-	}
-	return row, nil
+		FileHits:  fileHits() - hitsBefore,
+	}, nil
 }

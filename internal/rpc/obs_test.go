@@ -290,42 +290,6 @@ func TestMonitorHealthzDegradesOnBenefactorLoss(t *testing.T) {
 	}
 }
 
-// TestDisabledObsIsInert: a store opened with obs.Disabled() must run the
-// full data path without panicking and report empty stats — the zero-cost
-// opt-out the benchmark relies on.
-func TestDisabledObsIsInert(t *testing.T) {
-	r := newRig(t, 2)
-	st, err := OpenWith(r.mgr.Addr(), Options{Obs: obs.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	payload := pattern(9, 3*testChunk)
-	if err := st.Put("quiet", payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Get("quiet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("round trip mismatch with disabled obs")
-	}
-	if s := st.Stats(); s.ChunkGets != 0 || s.ChunkPuts != 0 {
-		t.Fatalf("disabled obs still counted: %+v", s)
-	}
-	cache, err := NewCachedStore(st, CacheConfig{CacheBytes: 8 * testChunk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.Get("quiet"); err != nil {
-		t.Fatal(err)
-	}
-	if cs := cache.Stats(); cs.Misses != 0 {
-		t.Fatalf("disabled obs still counted cache stats: %+v", cs)
-	}
-}
-
 // findSpan returns the first span with the given name, or false.
 func findSpan(spans []obs.Span, name string) (obs.Span, bool) {
 	for _, sp := range spans {
@@ -436,54 +400,5 @@ func TestSpanTreeAcrossWire(t *testing.T) {
 	}
 	if mput.Node != "client" {
 		t.Fatalf("ingested span node %q, want the exporting client's", mput.Node)
-	}
-}
-
-// TestReadAheadSpansNestUnderCaller: read-ahead runs on tasks the substrate
-// hands a fresh context, so the cache carries the caller's span across the
-// spawn — on a traced sweep every cache.get_chunk span, demand or
-// speculative, belongs to the caller's trace and none floats as a root.
-func TestReadAheadSpansNestUnderCaller(t *testing.T) {
-	const chunks = 12
-	r := newRig(t, 3)
-	st, err := Open(r.mgr.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := NewCachedStore(st, CacheConfig{CacheBytes: 2 * chunks * testChunk, PageSize: 256, ReadAheadChunks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cache.Close()
-	if err := cache.Put("traced", make([]byte, chunks*testChunk)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cache.Flush("traced"); err != nil {
-		t.Fatal(err)
-	}
-	cache.Drop("traced")
-
-	root := st.Obs().StartSpan("", "", "client.sweep")
-	ctx := store.WithSpan(nil, store.SpanInfo{Trace: root.Trace(), Parent: root.ID(), Var: "traced"})
-	buf := make([]byte, testChunk)
-	for c := 0; c < chunks; c++ {
-		if err := cache.ReadAtCtx(ctx, "traced", int64(c)*testChunk, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	root.End()
-	cache.env.Quiesce()
-
-	if got := cache.Stats().PrefetchBytes; got != (chunks-2)*testChunk {
-		t.Fatalf("read ahead %d B, want all but the two confirming chunks", got)
-	}
-	gets := st.Obs().Spans.Filter(func(s obs.Span) bool { return s.Name == "cache.get_chunk" })
-	if len(gets) != chunks {
-		t.Fatalf("%d cache.get_chunk spans for %d chunks", len(gets), chunks)
-	}
-	for _, s := range gets {
-		if s.Trace != root.Trace() || s.Parent != root.ID() {
-			t.Fatalf("cache.get_chunk span outside the caller's trace: %+v", s)
-		}
 	}
 }

@@ -24,7 +24,9 @@ type Options struct {
 	PoolSize int
 	// Parallelism bounds how many chunk transfers a single
 	// ReadAt/WriteAt/Get/Put keeps in flight. 0 means DefaultParallelism;
-	// 1 reproduces the old strictly serial path.
+	// 1 reproduces the old strictly serial path. Only those uncached calls
+	// read it: a chunk cache over the store (nvmalloc.Connect) never makes
+	// them, and bounds its own requests by fusecache.DefaultFuseConcurrency.
 	Parallelism int
 	// CallTimeout bounds one chunk RPC round trip (socket deadline), so a
 	// wedged benefactor costs a timeout instead of hanging the client.
