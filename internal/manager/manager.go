@@ -6,8 +6,11 @@
 // copying them and what makes post-checkpoint writes copy-on-write
 // (paper §III-E).
 //
-// The Manager is pure, transport-agnostic logic: the simulated transport
-// (internal/simstore) and the TCP transport (internal/rpc) both wrap it.
+// The Manager is pure, transport-agnostic logic that does no I/O. Both
+// transports — the simulated one (internal/simstore) and the TCP one
+// (internal/rpc) — drive it through Apply: they run the returned Effects
+// (payload copies, chunk deletes) with their lock released and report the
+// copies' outcome back through Commit.
 package manager
 
 import (
@@ -82,6 +85,10 @@ type chunkMeta struct {
 	// replicas are additional copies on other benefactors (fault-
 	// tolerance extension; the primary is ref).
 	replicas []proto.ChunkRef
+	// reserved are repair destinations whose payload copy is in flight:
+	// their space is counted, but no reader sees them until commitRepair
+	// publishes them as replicas.
+	reserved []proto.ChunkRef
 }
 
 // foreignMeta tracks a chunk owned by another shard but referenced by
@@ -117,7 +124,7 @@ type Manager struct {
 	shardCount int
 	// epoch is the shard's membership epoch: it starts at 1 and bumps on
 	// every benefactor registration, death, or fenced rejoin. Requests
-	// stamped with an older epoch are fenced by the transport layer.
+	// stamped with an older epoch are fenced by Apply.
 	epoch int64
 
 	nextChunk proto.ChunkID
@@ -204,8 +211,8 @@ func (m *Manager) allocID() proto.ChunkID {
 
 // Register adds (or re-registers) a benefactor and bumps the membership
 // epoch. It reports whether the benefactor was previously known and dead —
-// the rejoin case the transport layer must fence (FenceRejoin) before the
-// rejoiner serves reads. Re-registration preserves the manager-side
+// the rejoin case Apply fences (FenceRejoin) before the rejoiner serves
+// reads. Re-registration preserves the manager-side
 // accounting (Used, and WriteVolume unless the caller reports a fresher
 // value): the benefactor does not know what the manager reserved on it.
 func (m *Manager) Register(info proto.BenefactorInfo, addr string, now time.Duration) (wasDead bool) {
@@ -282,8 +289,8 @@ func (m *Manager) MarkDead(benID int) {
 // are kept (replication=1 stores would otherwise lose data that was merely
 // partitioned, not diverged). When a dropped copy was the primary, a live
 // survivor is promoted and every file entry referencing the old primary is
-// rewritten. Returns the dropped refs, sorted, so the transport layer can
-// order the rejoiner to delete those payloads before it serves reads.
+// rewritten. Returns the dropped refs, sorted: the rejoiner deletes those
+// payloads before it serves reads.
 func (m *Manager) FenceRejoin(benID int) []proto.ChunkRef {
 	var dropped []proto.ChunkRef
 	rewrite := make(map[proto.ChunkRef]proto.ChunkRef)
@@ -305,29 +312,15 @@ func (m *Manager) FenceRejoin(benID int) []proto.ChunkRef {
 		}
 		if cm.ref.Benefactor == benID {
 			// Promote the first live survivor to primary.
-			next := liveOthers[0]
-			reps := cm.replicas[:0]
-			for _, r := range cm.replicas {
-				if r != next && r.Benefactor != benID {
-					reps = append(reps, r)
-				}
-			}
-			rewrite[cm.ref] = next
-			cm.ref = next
-			cm.replicas = reps
-		} else {
-			reps := cm.replicas[:0]
-			for _, r := range cm.replicas {
-				if r.Benefactor != benID {
-					reps = append(reps, r)
-				}
-			}
-			cm.replicas = reps
+			rewrite[cm.ref] = liveOthers[0]
+			cm.ref = liveOthers[0]
 		}
-		if b, ok := m.bens[benID]; ok {
-			b.info.Used -= m.chunkSize
-		}
-		dropped = append(dropped, proto.ChunkRef{Benefactor: benID, ID: id})
+		cm.replicas = slices.DeleteFunc(cm.replicas, func(r proto.ChunkRef) bool {
+			return r == cm.ref || r.Benefactor == benID
+		})
+		stale := proto.ChunkRef{Benefactor: benID, ID: id}
+		m.unreserve(stale)
+		dropped = append(dropped, stale)
 	}
 	if len(rewrite) > 0 {
 		for _, f := range m.files {
@@ -433,12 +426,7 @@ func (m *Manager) allocChunk() (proto.ChunkRef, error) {
 	if err != nil {
 		return proto.ChunkRef{}, err
 	}
-	ref := proto.ChunkRef{Benefactor: b.info.ID, ID: m.allocID()}
-	b.info.Used += m.chunkSize
-	cm := &chunkMeta{ref: ref, refs: 1}
-	m.chunks[ref.ID] = cm
-	m.replicate(cm)
-	return ref, nil
+	return m.allocOn(b), nil
 }
 
 // allocChunkAt allocates a chunk preferring a specific benefactor (so a
@@ -446,14 +434,19 @@ func (m *Manager) allocChunk() (proto.ChunkRef, error) {
 // placement when it is full or dead.
 func (m *Manager) allocChunkAt(prefer int) (proto.ChunkRef, error) {
 	if b := m.bens[prefer]; b != nil && b.info.Alive && b.info.Used+m.chunkSize <= b.info.Capacity {
-		ref := proto.ChunkRef{Benefactor: b.info.ID, ID: m.allocID()}
-		b.info.Used += m.chunkSize
-		cm := &chunkMeta{ref: ref, refs: 1}
-		m.chunks[ref.ID] = cm
-		m.replicate(cm)
-		return ref, nil
+		return m.allocOn(b), nil
 	}
 	return m.allocChunk()
+}
+
+// allocOn reserves a new chunk with b as its primary, plus its replicas.
+func (m *Manager) allocOn(b *benefactor) proto.ChunkRef {
+	ref := proto.ChunkRef{Benefactor: b.info.ID, ID: m.allocID()}
+	b.info.Used += m.chunkSize
+	cm := &chunkMeta{ref: ref, refs: 1}
+	m.chunks[ref.ID] = cm
+	m.replicate(cm)
+	return ref
 }
 
 // replicate tops a chunk up to the configured copy count, best effort
@@ -487,12 +480,19 @@ func (m *Manager) releaseChunk(id proto.ChunkID) ([]proto.ChunkRef, bool) {
 	}
 	delete(m.chunks, id)
 	freed := append([]proto.ChunkRef{cm.ref}, cm.replicas...)
-	for _, ref := range freed {
-		if b, ok := m.bens[ref.Benefactor]; ok {
-			b.info.Used -= m.chunkSize
-		}
+	// A reserved repair destination gives its space back here too; its
+	// copy is still in flight, so commitRepair frees it once it lands.
+	for _, ref := range append(freed, cm.reserved...) {
+		m.unreserve(ref)
 	}
 	return freed, true
+}
+
+// unreserve gives one chunk copy's space back to its benefactor.
+func (m *Manager) unreserve(ref proto.ChunkRef) {
+	if b, ok := m.bens[ref.Benefactor]; ok {
+		b.info.Used -= m.chunkSize
+	}
 }
 
 // Replicas returns every copy of a chunk (primary first). For a chunk
@@ -580,17 +580,14 @@ func (m *Manager) CapacitySummary() (used, capacity int64) {
 	return used, capacity
 }
 
-// RepairOp instructs the caller to copy a chunk payload from Src to Dst to
-// restore redundancy.
-type RepairOp struct {
-	Src, Dst proto.ChunkRef
-}
-
-// Repair restores the configured replica count after benefactor deaths:
-// for every chunk short of live copies it allocates replacements on live
-// benefactors and returns the copy operations to execute. Chunks with no
-// live copy are returned in lost.
-func (m *Manager) Repair() (ops []RepairOp, lost []proto.ChunkID) {
+// repair plans the restoration of the configured replica count after
+// benefactor deaths: for every chunk short of live copies it reserves
+// replacements on live benefactors and returns one copy per chunk, from a
+// live copy onto its reservations. A reservation counts against its
+// benefactor's space but stays invisible to Replicas, Lookup and LiveRef
+// until commitRepair publishes it. Chunks with no live copy are returned
+// in lost.
+func (m *Manager) repair() (copies []Copy, lost []proto.ChunkID) {
 	ids := make([]proto.ChunkID, 0, len(m.chunks))
 	for id := range m.chunks {
 		ids = append(ids, id)
@@ -601,10 +598,9 @@ func (m *Manager) Repair() (ops []RepairOp, lost []proto.ChunkID) {
 		if cm.refs == cm.pins {
 			continue // unpublished remap target: its payload is still being copied
 		}
-		all := append([]proto.ChunkRef{cm.ref}, cm.replicas...)
 		var live []proto.ChunkRef
 		exclude := make(map[int]bool)
-		for _, ref := range all {
+		for _, ref := range append([]proto.ChunkRef{cm.ref}, cm.replicas...) {
 			exclude[ref.Benefactor] = true
 			if m.Alive(ref.Benefactor) {
 				live = append(live, ref)
@@ -614,40 +610,58 @@ func (m *Manager) Repair() (ops []RepairOp, lost []proto.ChunkID) {
 			lost = append(lost, id)
 			continue
 		}
-		for len(live) < m.Replication {
+		for _, ref := range cm.reserved {
+			exclude[ref.Benefactor] = true // an earlier pass's copy is in flight
+		}
+		cp := Copy{Src: live[0]}
+		for n := len(live) + len(cm.reserved); n < m.Replication; n++ {
 			b, err := m.pick(exclude)
 			if err != nil {
 				break
 			}
 			b.info.Used += m.chunkSize
 			dst := proto.ChunkRef{Benefactor: b.info.ID, ID: id}
-			cm.replicas = append(cm.replicas, dst)
+			cm.reserved = append(cm.reserved, dst)
 			exclude[b.info.ID] = true
-			live = append(live, dst)
-			ops = append(ops, RepairOp{Src: live[0], Dst: dst})
+			cp.Dsts = append(cp.Dsts, dst)
+		}
+		if len(cp.Dsts) > 0 {
+			copies = append(copies, cp)
 		}
 	}
-	return ops, lost
+	return copies, lost
 }
 
-// DropReplica removes one (non-primary) copy of a chunk from the metadata
-// and releases its space reservation. The transport layer uses it to roll
-// back a Repair destination whose payload copy failed, so readers never
-// fail over onto a copy that was promised but not populated.
-func (m *Manager) DropReplica(id proto.ChunkID, ref proto.ChunkRef) {
-	cm, ok := m.chunks[id]
-	if !ok {
-		return
-	}
-	for i, r := range cm.replicas {
-		if r == ref {
-			cm.replicas = append(cm.replicas[:i], cm.replicas[i+1:]...)
-			if b, ok := m.bens[ref.Benefactor]; ok {
-				b.info.Used -= m.chunkSize
+// commitRepair settles repair's copies: errs holds one error per
+// destination (nil = copied). A copied destination becomes a replica; a
+// failed one gives its reservation back. A destination whose chunk was
+// freed mid-copy already gave its space back (releaseChunk); if its copy
+// landed, the payload is returned for deletion.
+func (m *Manager) commitRepair(resp *proto.ManagerResp, copies []Copy, errs [][]error) (freed []proto.ChunkRef) {
+	for i, cp := range copies {
+		for j, dst := range cp.Dsts {
+			copied := errs[i][j] == nil
+			if copied {
+				resp.Repaired++
+			} else {
+				resp.RepairFailed++
 			}
-			return
+			cm, ok := m.chunks[dst.ID]
+			if !ok {
+				if copied {
+					freed = append(freed, dst)
+				}
+				continue
+			}
+			cm.reserved = slices.DeleteFunc(cm.reserved, func(r proto.ChunkRef) bool { return r == dst })
+			if copied {
+				cm.replicas = append(cm.replicas, dst)
+			} else {
+				m.unreserve(dst)
+			}
 		}
 	}
+	return freed
 }
 
 // Create reserves a file of the given size: space is allocated (the
@@ -696,9 +710,6 @@ func (m *Manager) Lookup(name string) (proto.FileInfo, error) {
 	}
 	return m.info(f), nil
 }
-
-// Exists reports whether a file exists.
-func (m *Manager) Exists(name string) bool { _, ok := m.files[name]; return ok }
 
 // Delete removes a file and returns the chunks whose payloads should be
 // physically deleted (refcount reached zero). Chunks still referenced by
@@ -769,29 +780,19 @@ func (m *Manager) SetTTL(name string, expiresAt time.Duration) error {
 }
 
 // ExpireSweep deletes every file whose lifetime has passed, returning the
-// expired names and the physically freed chunks.
-func (m *Manager) ExpireSweep(now time.Duration) (expired []string, freed []proto.ChunkRef) {
-	expired, freed, _ = m.ExpireSweepFull(now)
-	return expired, freed
-}
-
-// ExpireSweepFull is ExpireSweep plus the foreign references the expired
-// files held (to be released at their owning shards).
-func (m *Manager) ExpireSweepFull(now time.Duration) (expired []string, freed, foreignFreed []proto.ChunkRef) {
-	var names []string
+// expired names, the physically freed chunks, and the foreign references
+// the expired files held (to be released at their owning shards).
+func (m *Manager) ExpireSweep(now time.Duration) (expired []string, freed, foreignFreed []proto.ChunkRef) {
 	for n, f := range m.files {
 		if f.expiresAt != 0 && now > f.expiresAt {
-			names = append(names, n)
+			expired = append(expired, n)
 		}
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		fr, ff, err := m.DeleteFull(n)
-		if err == nil {
-			expired = append(expired, n)
-			freed = append(freed, fr...)
-			foreignFreed = append(foreignFreed, ff...)
-		}
+	sort.Strings(expired)
+	for _, n := range expired {
+		fr, ff, _ := m.DeleteFull(n) // n is in the file table
+		freed = append(freed, fr...)
+		foreignFreed = append(foreignFreed, ff...)
 	}
 	return expired, freed, foreignFreed
 }
@@ -835,14 +836,9 @@ func (m *Manager) LinkFull(dst string, parts []string) (proto.FileInfo, []proto.
 // Derive creates a new file whose chunks are a sub-range of src's chunks
 // (shared, refcounted). Restoring an NVM variable from a checkpoint uses
 // this: the restored variable references the checkpoint's chunks without
-// copying them, and goes copy-on-write from there.
-func (m *Manager) Derive(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	fi, _, err := m.DeriveFull(name, src, fromChunk, nChunks, size)
-	return fi, err
-}
-
-// DeriveFull is Derive plus the cross-shard accounting (see LinkFull).
-func (m *Manager) DeriveFull(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, []proto.ChunkRef, error) {
+// copying them, and goes copy-on-write from there. Foreign refs it acquires
+// are returned as LinkFull's are.
+func (m *Manager) Derive(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, []proto.ChunkRef, error) {
 	if _, ok := m.files[name]; ok {
 		return proto.FileInfo{}, nil, proto.ErrFileExists
 	}
@@ -863,33 +859,6 @@ func (m *Manager) DeriveFull(name, src string, fromChunk, nChunks int, size int6
 	}
 	m.files[name] = f
 	return m.info(f), held, nil
-}
-
-// Remap implements copy-on-write: called before modifying chunk chunkIdx of
-// a file whose chunk is shared (refcount > 1), it allocates a fresh chunk
-// on the same benefactor (so the payload can be copied server-side),
-// installs it in the file, and returns both refs. If the chunk is
-// unshared, Remap reports shared=false and the caller writes in place.
-func (m *Manager) Remap(name string, chunkIdx int) (old, fresh proto.ChunkRef, shared bool, err error) {
-	old, fresh, shared, _, err = m.RemapFull(name, chunkIdx)
-	return old, fresh, shared, err
-}
-
-// RemapFull is Remap plus the cross-shard accounting (see RemapBegin): the
-// two phases run back to back, for callers that hold the manager for the
-// whole remap and copy the payload afterwards (the simulated transport).
-func (m *Manager) RemapFull(name string, chunkIdx int) (old, fresh proto.ChunkRef, shared bool, foreignFreed []proto.ChunkRef, err error) {
-	t, err := m.RemapBegin(name, chunkIdx)
-	if err != nil || !t.Shared() {
-		return t.Old, t.Old, false, nil, err
-	}
-	// Nothing ran between the phases, so the commit cannot lose a race and
-	// old — shared at begin — keeps a reference: nothing is freed.
-	refs, _, foreignFreed, err := m.RemapCommit(t, t.Fresh)
-	if err != nil {
-		return t.Old, proto.ChunkRef{}, false, nil, err
-	}
-	return t.Old, refs[0], true, foreignFreed, nil
 }
 
 // ErrRemapRaced reports that the file's chunk changed between RemapBegin
@@ -981,12 +950,14 @@ func (m *Manager) RemapCommit(t PendingRemap, copied []proto.ChunkRef) (fresh, f
 	if err != nil {
 		return nil, m.RemapAbort(t), nil, err
 	}
-	for _, r := range append([]proto.ChunkRef(nil), cm.replicas...) {
-		if !slices.Contains(copied, r) {
-			m.DropReplica(cm.ref.ID, r)
-			freed = append(freed, r)
+	cm.replicas = slices.DeleteFunc(cm.replicas, func(r proto.ChunkRef) bool {
+		if slices.Contains(copied, r) {
+			return false
 		}
-	}
+		m.unreserve(r)
+		freed = append(freed, r)
+		return true
+	})
 	f.chunks[t.ChunkIdx] = cm.ref
 	cm.pins-- // the remap's hold becomes the file's reference
 	if !m.Owns(t.Old.ID) {
@@ -1203,10 +1174,10 @@ func (m *Manager) TotalChunks() int { return len(m.chunks) }
 // CheckInvariants verifies internal consistency: every file chunk exists
 // with a positive refcount, refcounts equal the number of referencing file
 // entries plus remote holds plus in-flight remap pins, foreign-table counts
-// equal the file
-// references to other shards' chunks, chunk-ID ownership matches the
-// shard's stride, and per-benefactor usage equals chunkSize times its
-// (owned) chunk count. Tests call it after random operation sequences.
+// equal the file references to other shards' chunks, chunk-ID ownership
+// matches the shard's stride, and per-benefactor usage equals chunkSize
+// times its (owned) copy count, reserved repair destinations included.
+// Tests call it after random operation sequences.
 func (m *Manager) CheckInvariants() error {
 	refs := make(map[proto.ChunkID]int)
 	foreignRefs := make(map[proto.ChunkID]int)
@@ -1261,7 +1232,7 @@ func (m *Manager) CheckInvariants() error {
 	for _, cm := range m.chunks {
 		used[cm.ref.Benefactor] += m.chunkSize
 		seen := map[int]bool{cm.ref.Benefactor: true}
-		for _, rep := range cm.replicas {
+		for _, rep := range append(cm.replicas, cm.reserved...) {
 			if rep.ID != cm.ref.ID {
 				return fmt.Errorf("chunk %d replica carries ID %d", cm.ref.ID, rep.ID)
 			}

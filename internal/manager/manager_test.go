@@ -133,7 +133,7 @@ func TestRemapCopyOnWrite(t *testing.T) {
 	m.Create("ckpt", 0)
 	m.Link("ckpt", []string{"var"})
 
-	old, fresh, shared, err := m.Remap("var", 1)
+	old, fresh, shared, _, err := remapNow(m, "var", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestRemapCopyOnWrite(t *testing.T) {
 		t.Fatal("refcounts after remap wrong")
 	}
 	// A second write to the same chunk needs no remap.
-	_, _, shared, err = m.Remap("var", 1)
+	_, _, shared, _, err = remapNow(m, "var", 1)
 	if err != nil || shared {
 		t.Fatalf("second remap: shared=%v err=%v, want unshared", shared, err)
 	}
@@ -275,7 +275,7 @@ func TestManagerInvariantsProperty(t *testing.T) {
 				}
 			case 3:
 				if len(names) > 0 {
-					m.Remap(names[rng.Intn(len(names))], rng.Intn(8))
+					remapNow(m, names[rng.Intn(len(names))], rng.Intn(8))
 				}
 			}
 			if err := m.CheckInvariants(); err != nil {

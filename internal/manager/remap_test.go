@@ -22,6 +22,27 @@ func check(t *testing.T, ms ...*Manager) {
 	}
 }
 
+// copied is the outcome of fx's copies when every one lands.
+func copied(fx Effects) [][]error {
+	errs := make([][]error, len(fx.Copies))
+	for i, cp := range fx.Copies {
+		errs[i] = make([]error, len(cp.Dsts))
+	}
+	return errs
+}
+
+// remapNow drives an OpRemap through Apply and Commit the way a transport
+// does, with every payload copy landing, and reports the old and fresh
+// refs, whether the chunk was shared, and the foreign ref released.
+func remapNow(m *Manager, name string, idx int) (old, fresh proto.ChunkRef, shared bool, foreignFreed []proto.ChunkRef, err error) {
+	resp, fx := m.Apply(&proto.ManagerReq{Op: proto.OpRemap, Name: name, ChunkIdx: idx}, 0)
+	shared = len(fx.Copies) > 0
+	for len(fx.Copies) > 0 {
+		fx = m.Commit(&resp, fx, copied(fx))
+	}
+	return resp.OldRef, resp.NewRef, shared, resp.ForeignFreed, proto.WireErr(resp.Err)
+}
+
 // occupancy is everything an aborted remap must leave untouched.
 type occupancy struct {
 	used   map[int]int64
@@ -89,7 +110,7 @@ func TestRemapPendingIsUnpublished(t *testing.T) {
 	ex, _ := m.ExportRange("var", 0, 3)
 	m.Create("merge", 0)
 	ln, _ := m.Link("merge", []string{"var"})
-	dv, _ := m.Derive("view", "var", 0, 3, 3*cs)
+	dv, _, _ := m.Derive("view", "var", 0, 3, 3*cs)
 	for name, got := range map[string]proto.FileInfo{"lookup": fi, "export": ex, "link": ln, "derive": dv} {
 		if got.Chunks[1] != pr.Old {
 			t.Fatalf("%s shows %v mid-remap, want the old chunk %v", name, got.Chunks[1], pr.Old)
@@ -265,7 +286,7 @@ func TestRemapFreeAndRestoreBetweenPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, m)
-	if _, err := m.Derive("var", "ckpt", 0, 3, 3*cs); err != nil {
+	if _, _, err := m.Derive("var", "ckpt", 0, 3, 3*cs); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m)
@@ -377,11 +398,122 @@ func TestRepairSkipsUnpublishedChunk(t *testing.T) {
 	m, _ := cowRig(t, 2)
 	pr, _ := m.RemapBegin("var", 0)
 	m.MarkDead(pr.Fresh[1].Benefactor)
-	ops, _ := m.Repair()
-	for _, op := range ops {
-		if op.Dst.ID == pr.Fresh[0].ID {
-			t.Fatalf("repair scheduled a copy of the unpublished chunk: %+v", op)
+	backlog := m.UnderReplicatedCount()
+	resp, fx := m.Apply(&proto.ManagerReq{Op: proto.OpRepair}, 0)
+	if len(fx.Copies) == 0 {
+		t.Fatal("repair scheduled no copy for the chunks on the dead benefactor")
+	}
+	for _, cp := range fx.Copies {
+		if cp.Src.ID == pr.Fresh[0].ID {
+			t.Fatalf("repair scheduled a copy of the unpublished chunk: %+v", cp)
 		}
+	}
+	check(t, m)
+
+	// A repair destination is reserved, not published, until its copy
+	// commits: no reader lists it, fails over onto it, or counts it.
+	fi, _ := m.Lookup("var")
+	for _, cp := range fx.Copies {
+		for _, dst := range cp.Dsts {
+			if containsRef(m.Replicas(dst.ID), dst) != 0 {
+				t.Fatalf("replicas list the unpublished repair destination %v", dst)
+			}
+			for _, reps := range fi.Replicas {
+				if containsRef(reps, dst) != 0 {
+					t.Fatalf("lookup lists the unpublished repair destination %v", dst)
+				}
+			}
+			if live, _ := m.LiveRef(dst.ID); live == dst {
+				t.Fatalf("failover resolves to the unpublished repair destination %v", dst)
+			}
+		}
+	}
+	if got := m.UnderReplicatedCount(); got != backlog {
+		t.Fatalf("under-replicated = %d mid-repair, want %d", got, backlog)
+	}
+	m.Commit(&resp, fx, copied(fx))
+	for _, cp := range fx.Copies {
+		for _, dst := range cp.Dsts {
+			if containsRef(m.Replicas(dst.ID), dst) != 1 {
+				t.Fatalf("commit did not publish the repair destination %v", dst)
+			}
+		}
+	}
+	if resp.Repaired == 0 || resp.RepairFailed != 0 {
+		t.Fatalf("repair = %d copied, %d failed", resp.Repaired, resp.RepairFailed)
+	}
+	check(t, m)
+}
+
+// TestRepairCommitSettlesReservations: a repair copy that fails gives its
+// reservation back, and one whose chunk was freed while it ran is deleted
+// once it lands.
+func TestRepairCommitSettlesReservations(t *testing.T) {
+	m := newMgr(RoundRobin, 3)
+	m.Replication = 2
+	f0, _ := m.Create("f0", cs)
+	f1, _ := m.Create("f1", cs)
+	victim := -1
+	for _, a := range m.Replicas(f0.Chunks[0].ID) {
+		for _, b := range m.Replicas(f1.Chunks[0].ID) {
+			if a.Benefactor == b.Benefactor {
+				victim = a.Benefactor
+			}
+		}
+	}
+	if victim < 0 {
+		t.Fatal("f0 and f1 share no benefactor")
+	}
+	m.MarkDead(victim)
+	resp, fx := m.Apply(&proto.ManagerReq{Op: proto.OpRepair}, 0)
+	if len(fx.Copies) != 2 || fx.Copies[0].Src.ID != f0.Chunks[0].ID {
+		t.Fatalf("repair copies = %+v, want one per file, f0's first", fx.Copies)
+	}
+	check(t, m)
+	if _, err := m.Delete("f0"); err != nil { // f0's chunk is freed mid-copy
+		t.Fatal(err)
+	}
+	check(t, m)
+	lands, fails := fx.Copies[0].Dsts[0], fx.Copies[1].Dsts[0]
+	next := m.Commit(&resp, fx, [][]error{{nil}, {errors.New("copy failed")}})
+	if resp.Repaired != 1 || resp.RepairFailed != 1 {
+		t.Fatalf("repair = %d copied, %d failed, want 1 and 1", resp.Repaired, resp.RepairFailed)
+	}
+	want := []Batch{{Ben: lands.Benefactor, IDs: []proto.ChunkID{lands.ID}}}
+	if !reflect.DeepEqual(next.Deletes, want) || len(next.Copies) != 0 {
+		t.Fatalf("after commit: deletes %+v copies %+v, want the landed copy of the freed chunk deleted", next.Deletes, next.Copies)
+	}
+	if containsRef(m.Replicas(fails.ID), fails) != 0 {
+		t.Fatalf("failed repair destination %v published", fails)
+	}
+	if got := m.UnderReplicatedCount(); got != 1 {
+		t.Fatalf("under-replicated = %d after a failed repair copy, want 1", got)
+	}
+	check(t, m)
+}
+
+// TestApplyRemapRetriesLostRace: a remap whose commit loses the race begins
+// again inside Commit, finds the winner's chunk unshared and answers "write
+// in place", returning no further copy and its own fresh copy to delete.
+func TestApplyRemapRetriesLostRace(t *testing.T) {
+	m, v := cowRig(t, 1)
+	req := &proto.ManagerReq{Op: proto.OpRemap, Name: "var", ChunkIdx: 1}
+	ra, fa := m.Apply(req, 0)
+	rb, fb := m.Apply(req, 0)
+	if len(fa.Copies) != 1 || len(fb.Copies) != 1 {
+		t.Fatalf("copies = %+v and %+v, want one each", fa.Copies, fb.Copies)
+	}
+	check(t, m)
+	if next := m.Commit(&ra, fa, copied(fa)); len(next.Copies) != 0 || ra.Err != "" || ra.OldRef != v.Chunks[1] {
+		t.Fatalf("winner: resp %+v, next %+v", ra, next)
+	}
+	next := m.Commit(&rb, fb, copied(fb))
+	if len(next.Copies) != 0 || rb.Err != "" || rb.NewRef != ra.NewRef {
+		t.Fatalf("loser: resp %+v next %+v, want the winner's chunk %v in place", rb, next, ra.NewRef)
+	}
+	lost := fb.Copies[0].Dsts[0]
+	if want := []Batch{{Ben: lost.Benefactor, IDs: []proto.ChunkID{lost.ID}}}; !reflect.DeepEqual(next.Deletes, want) {
+		t.Fatalf("loser deletes %+v, want its rolled-back copy %+v", next.Deletes, want)
 	}
 	check(t, m)
 }

@@ -270,7 +270,7 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 
 	// Copy-on-write of a foreign chunk: always shared, copies onto a
 	// locally-owned chunk, and the foreign reference comes back to free.
-	old, fresh, shared, foreignFreed, err := dst.RemapFull("merge", 0)
+	old, fresh, shared, foreignFreed, err := remapNow(dst, "merge", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

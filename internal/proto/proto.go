@@ -4,7 +4,10 @@
 // (internal/rpc, cmd/nvmstore).
 package proto
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // ChunkID is a store-wide unique chunk handle assigned by the manager.
 type ChunkID uint64
@@ -67,6 +70,37 @@ var (
 	// ShardPeers) so the client installs it and retries once.
 	ErrStaleShardMap = fmt.Errorf("nvm store: stale shard map")
 )
+
+// ErrString is err's wire form: responses carry errors as strings, "" for
+// none.
+func ErrString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// WireErr maps a response error string back to a sentinel where possible.
+func WireErr(s string) error {
+	if s == "" {
+		return nil
+	}
+	for _, sentinel := range []error{
+		ErrNoSuchFile, ErrFileExists, ErrNoSpace,
+		ErrNoSuchChunk, ErrBenefactorDead, ErrNoBenefactors,
+		ErrChunkOutOfRange, ErrStaleShardMap,
+	} {
+		if s == sentinel.Error() {
+			return sentinel
+		}
+		// Servers wrap sentinels with context ("%w: detail"); keep the
+		// detail but restore the sentinel for errors.Is across the wire.
+		if rest, ok := strings.CutPrefix(s, sentinel.Error()+":"); ok {
+			return fmt.Errorf("%w:%s", sentinel, rest)
+		}
+	}
+	return fmt.Errorf("%s", s)
+}
 
 // Request/response messages for the TCP transport. Every request carries an
 // Op discriminant; responses carry Err as a string because error values do

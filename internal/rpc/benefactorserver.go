@@ -416,7 +416,7 @@ func (s *BenefactorServer) dispatch(req *proto.ChunkReq) proto.ChunkResp {
 		ssd.SetErr(err)
 		ssd.AddBytes(int64(len(d)))
 		ssd.End()
-		resp.Data, resp.Err = d, errStr(err)
+		resp.Data, resp.Err = d, proto.ErrString(err)
 		sp.AddBytes(int64(len(d)))
 		s.bm.readBytes.Add(int64(len(d)))
 	case proto.OpPutChunk:
@@ -425,7 +425,7 @@ func (s *BenefactorServer) dispatch(req *proto.ChunkReq) proto.ChunkResp {
 		ssd.SetErr(err)
 		ssd.AddBytes(int64(len(req.Data)))
 		ssd.End()
-		resp.Err = errStr(err)
+		resp.Err = proto.ErrString(err)
 		sp.AddBytes(int64(len(req.Data)))
 		s.bm.writeBytes.Add(int64(len(req.Data)))
 	case proto.OpPutPages:
@@ -438,7 +438,7 @@ func (s *BenefactorServer) dispatch(req *proto.ChunkReq) proto.ChunkResp {
 		ssd.SetErr(err)
 		ssd.AddBytes(n)
 		ssd.End()
-		resp.Err = errStr(err)
+		resp.Err = proto.ErrString(err)
 		sp.AddBytes(n)
 		s.bm.writeBytes.Add(n)
 	case proto.OpDeleteChunk:
@@ -451,18 +451,18 @@ func (s *BenefactorServer) dispatch(req *proto.ChunkReq) proto.ChunkResp {
 				err = derr
 			}
 		}
-		resp.Err = errStr(err)
+		resp.Err = proto.ErrString(err)
 	case proto.OpCopyChunk:
 		ssd := s.spanUnder(sp, "ssd.copy")
 		err := s.st.CopyChunk(req.ID, req.SrcID)
 		ssd.SetErr(err)
 		ssd.End()
-		resp.Err = errStr(err)
+		resp.Err = proto.ErrString(err)
 	default:
 		resp.Err = fmt.Sprintf("benefactor: unknown op %q", req.Op)
 	}
 	s.bm.opLat[req.Op].Observe(time.Since(opStart))
-	sp.SetErr(wireErr(resp.Err))
+	sp.SetErr(proto.WireErr(resp.Err))
 	sp.End()
 	return resp
 }

@@ -105,7 +105,7 @@ func (c *chunkConn) call(req proto.ChunkReq) (proto.ChunkResp, error) {
 	if c.timeout > 0 {
 		_ = c.conn.SetDeadline(time.Time{})
 	}
-	return resp, wireErr(resp.Err)
+	return resp, proto.WireErr(resp.Err)
 }
 
 // roundTripBinary ships one chunk op as an NVM1 frame. The payload goes out

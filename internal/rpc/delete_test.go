@@ -1,6 +1,9 @@
 package rpc
 
 import (
+	"bytes"
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,21 +85,40 @@ func TestDeleteOneFramePerBenefactor(t *testing.T) {
 	}
 }
 
-// gateBackend blocks every Delete until release is closed, announcing on
-// entered (buffered) that one has arrived.
+// gateBackend blocks every Delete — or, with puts set, every Put — until
+// release is closed, announcing on entered (buffered) that one has arrived.
+// A released Put fails with putErr when it is set.
 type gateBackend struct {
 	benefactor.Backend
+	puts    bool
+	putErr  error
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (g *gateBackend) Delete(id proto.ChunkID) error {
+func (g *gateBackend) wait() {
 	select {
 	case g.entered <- struct{}{}:
 	default:
 	}
 	<-g.release
+}
+
+func (g *gateBackend) Delete(id proto.ChunkID) error {
+	if !g.puts {
+		g.wait()
+	}
 	return g.Backend.Delete(id)
+}
+
+func (g *gateBackend) Put(id proto.ChunkID, data []byte) error {
+	if g.puts {
+		g.wait()
+		if g.putErr != nil {
+			return g.putErr
+		}
+	}
+	return g.Backend.Put(id, data)
 }
 
 // TestDeleteDoesNotHoldManagerLock: while a Delete waits on a slow
@@ -157,6 +179,150 @@ func TestDeleteDoesNotHoldManagerLock(t *testing.T) {
 	}
 	if used, _ := usedBytes(r); used != 0 {
 		t.Errorf("benefactors still hold %d bytes after Delete returned", used)
+	}
+}
+
+// repairRig stores one chunk at replication 2 on benefactors 0 and 1,
+// declares benefactor 0 dead, and starts a repair whose copy onto
+// benefactor 2 — the only candidate — blocks in gate's Put. It returns the
+// client and the channel the repair's outcome arrives on.
+func repairRig(t *testing.T, gate *gateBackend) (*rig, *Store, <-chan repairDone) {
+	t.Helper()
+	r := newDeleteRig(t, nil, nil, gate)
+	st, err := Open(r.mgr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if err := st.Put("f", pattern(3, testChunk)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Manager().MarkDead(0); err != nil {
+		t.Fatal(err)
+	}
+	repaired := make(chan repairDone, 1)
+	go func() {
+		res, err := st.Manager().Repair()
+		repaired <- repairDone{res, err}
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("repair never reached the gated destination")
+	}
+	return r, st, repaired
+}
+
+type repairDone struct {
+	RepairResult
+	err error
+}
+
+// lookupBens returns the benefactors a fresh lookup lists for chunk 0 of
+// name.
+func lookupBens(t *testing.T, r *rig, name string) []int {
+	t.Helper()
+	mc, err := DialManager(r.mgr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	fi, err := mc.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bens []int
+	for _, ref := range fi.Replicas[0] {
+		bens = append(bens, ref.Benefactor)
+	}
+	return bens
+}
+
+// TestRepairDoesNotHoldManagerLock: while a repair copy waits on a slow
+// destination, other metadata ops on the same manager still complete, and
+// no lookup lists the destination until its copy has landed.
+func TestRepairDoesNotHoldManagerLock(t *testing.T) {
+	gate := &gateBackend{Backend: benefactor.NewMem(), puts: true, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	r, st, repaired := repairRig(t, gate)
+	defer func() {
+		select {
+		case <-gate.release:
+		default:
+			close(gate.release)
+		}
+	}()
+
+	others := make(chan error, 1)
+	go func() {
+		if err := st.Create("g", testChunk); err != nil {
+			others <- err
+			return
+		}
+		_, err := st.Stat("g")
+		others <- err
+	}()
+	select {
+	case err := <-others:
+		if err != nil {
+			t.Fatalf("Create/Stat during a blocked repair copy: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Create+Stat waited over 1s behind a repair copy blocked on a benefactor")
+	}
+	if bens := lookupBens(t, r, "f"); slices.Contains(bens, 2) {
+		t.Fatalf("lookup lists the unpublished repair destination: %v", bens)
+	}
+
+	close(gate.release)
+	select {
+	case res := <-repaired:
+		if res.err != nil || res.Repaired != 1 || res.Failed != 0 || res.UnderReplicated != 0 {
+			t.Fatalf("repair: %+v", res)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("repair did not return after the destination was released")
+	}
+	if bens := lookupBens(t, r, "f"); !slices.Contains(bens, 2) {
+		t.Fatalf("lookup after repair lists %v, want the destination 2 among them", bens)
+	}
+	got, err := st.Get("f")
+	if err != nil || !bytes.Equal(got, pattern(3, testChunk)) {
+		t.Fatalf("read after repair: err=%v", err)
+	}
+}
+
+// TestRepairCopyFailureLeavesNoReplica: a repair copy that fails releases
+// its reservation — no lookup lists the destination, the destination's
+// space is given back, and the chunk still counts as under-replicated.
+func TestRepairCopyFailureLeavesNoReplica(t *testing.T) {
+	gate := &gateBackend{Backend: benefactor.NewMem(), puts: true, putErr: errors.New("injected put failure"),
+		entered: make(chan struct{}, 1), release: make(chan struct{})}
+	r, _, repaired := repairRig(t, gate)
+	close(gate.release)
+	var res repairDone
+	select {
+	case res = <-repaired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("repair did not return after the destination was released")
+	}
+	if res.err != nil || res.Repaired != 0 || res.Failed != 1 || res.UnderReplicated != 1 {
+		t.Fatalf("repair: %+v, want one failed copy and the chunk still under-replicated", res)
+	}
+	if bens := lookupBens(t, r, "f"); slices.Contains(bens, 2) {
+		t.Fatalf("a failed repair copy left its destination listed: %v", bens)
+	}
+	r.mgr.mu.Lock()
+	defer r.mgr.mu.Unlock()
+	if err := r.mgr.mgr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.mgr.mgr.UnderReplicatedCount(); n != 1 {
+		t.Fatalf("under-replicated = %d, want 1", n)
+	}
+	for _, b := range r.mgr.mgr.Status() {
+		if b.ID == 2 && b.Used != 0 {
+			t.Fatalf("failed repair destination still has %d bytes reserved", b.Used)
+		}
 	}
 }
 

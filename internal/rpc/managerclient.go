@@ -174,7 +174,7 @@ func (c *ManagerClient) call(req proto.ManagerReq) (proto.ManagerResp, error) {
 		if c.timeout > 0 {
 			_ = ln.conn.SetDeadline(time.Time{})
 		}
-		return resp, wireErr(resp.Err)
+		return resp, proto.WireErr(resp.Err)
 	}
 	return resp, last
 }

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"nvmalloc/internal/manager"
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/proto"
-	"nvmalloc/internal/shardmap"
 )
 
 // ManagerConfig tunes a ManagerServer beyond the chunk geometry.
@@ -102,7 +100,7 @@ type ManagerServer struct {
 	l   net.Listener
 	// benConns caches client connections to benefactors for server-driven
 	// operations (chunk deletion, COW copies, repair), dialed on first use.
-	// It sits under connMu, not mu: the remap path copies payloads with mu
+	// It sits under connMu, not mu: copies and deletes run with mu
 	// released.
 	connMu    sync.Mutex
 	benConns  map[int]*chunkConn
@@ -330,12 +328,18 @@ func (s *ManagerServer) benConn(id int, addr string) (*chunkConn, error) {
 	return c, nil
 }
 
-// addrsOf snapshots the transport addresses of refs' benefactors, for
-// dialing them with s.mu released. Called with s.mu held.
-func (s *ManagerServer) addrsOf(refs ...proto.ChunkRef) func(int) string {
-	addrs := make(map[int]string, len(refs))
-	for _, r := range refs {
-		addrs[r.Benefactor] = s.mgr.Addr(r.Benefactor)
+// addrsOf snapshots the transport addresses of the benefactors fx names,
+// for dialing them with s.mu released. Called with s.mu held.
+func (s *ManagerServer) addrsOf(fx manager.Effects) func(int) string {
+	addrs := make(map[int]string)
+	for _, cp := range fx.Copies {
+		addrs[cp.Src.Benefactor] = s.mgr.Addr(cp.Src.Benefactor)
+		for _, dst := range cp.Dsts {
+			addrs[dst.Benefactor] = s.mgr.Addr(dst.Benefactor)
+		}
+	}
+	for _, b := range fx.Deletes {
+		addrs[b.Ben] = s.mgr.Addr(b.Ben)
 	}
 	return func(id int) string { return addrs[id] }
 }
@@ -363,40 +367,6 @@ func (s *ManagerServer) benCall(id int, c *chunkConn, req proto.ChunkReq) (proto
 	return resp, err
 }
 
-// routedByName reports whether an op's Name field is routed by
-// shardmap.ShardFor — i.e. landing on the wrong shard means the client's
-// shard map is stale (or it mis-hashed), and the request must be fenced
-// rather than answered with a misleading ErrNoSuchFile.
-func routedByName(op proto.Op) bool {
-	switch op {
-	case proto.OpCreate, proto.OpLookup, proto.OpDelete, proto.OpLink,
-		proto.OpDerive, proto.OpSetTTL, proto.OpRemap,
-		proto.OpExportRange, proto.OpLinkRefs:
-		return true
-	}
-	return false
-}
-
-// fenceLocked rejects a request whose view of this shard is stale: a
-// mismatched membership epoch (MapEpoch 0 is unstamped — first contact,
-// benefactor and admin traffic — and is never fenced), or a name-routed op
-// whose name this shard does not own. The fresh map rides back on the
-// response either way, so the client installs it and retries once without
-// an extra round trip.
-func (s *ManagerServer) fenceLocked(req *proto.ManagerReq, resp *proto.ManagerResp) bool {
-	if req.MapEpoch != 0 && req.MapEpoch != s.mgr.Epoch() {
-		resp.Err = errStr(proto.ErrStaleShardMap)
-		return true
-	}
-	if _, n := s.mgr.Shard(); n > 1 && routedByName(req.Op) {
-		if idx, _ := s.mgr.Shard(); shardmap.ShardFor(req.Name, n) != idx {
-			resp.Err = errStr(proto.ErrStaleShardMap)
-			return true
-		}
-	}
-	return false
-}
-
 // stampShardLocked piggybacks the shard map on every response (§16):
 // membership epoch, this shard's index, the shard count, and the peer
 // address list. Pre-shard clients ignore the fields (gob drops unknowns).
@@ -406,6 +376,12 @@ func (s *ManagerServer) stampShardLocked(resp *proto.ManagerResp) {
 	resp.ShardPeers = s.peers
 }
 
+// handle serves one manager request as DESIGN.md §9 drives manager.Apply:
+// Apply under s.mu; while it leaves payload copies, run them with s.mu
+// released and Commit their outcome under it again; then release s.mu and
+// delete the freed chunks. No benefactor round trip runs under s.mu. The
+// reply follows the deletes: a client that sees Delete return finds the
+// space reclaimed on the benefactors too.
 func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 	var req proto.ManagerReq
 	if err := dec.Decode(&req); err != nil {
@@ -413,22 +389,60 @@ func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 	}
 	opStart := time.Now()
 	s.mu.Lock()
-	var resp proto.ManagerResp
-	// freed collects the chunks this transition releases; their payloads
-	// are deleted after s.mu is released (see deleteChunks).
-	var freed []proto.ChunkRef
-	if s.fenceLocked(&req, &resp) {
-		s.stampShardLocked(&resp)
-		s.mu.Unlock()
-		s.mm.opLat[req.Op].Observe(time.Since(opStart))
-		return enc.Encode(&resp)
+	if req.Op == proto.OpStatus || req.Op == proto.OpRepair {
+		s.sweepLocked() // expire stale heartbeats before reporting or repairing
 	}
+	resp, fx := s.mgr.Apply(&req, s.now())
+	if resp.Err == "" {
+		s.noteLocked(&req, &resp)
+	}
+	for len(fx.Copies) > 0 {
+		addrOf := s.addrsOf(fx)
+		s.mu.Unlock()
+		errs := make([][]error, len(fx.Copies))
+		for i, cp := range fx.Copies {
+			errs[i] = s.copyChunk(cp.Src, cp.Dsts, addrOf)
+		}
+		s.noteCopies(&req, fx.Copies, errs)
+		s.mu.Lock()
+		fx = s.mgr.Commit(&resp, fx, errs)
+	}
+	if req.Op == proto.OpRepair {
+		if len(resp.Lost) > 0 {
+			s.obs.Event("manager", "data-loss", req.TraceID, fmt.Sprintf("%d chunks with no live copy", len(resp.Lost)))
+		}
+		s.mm.repaired.Add(int64(resp.Repaired))
+		s.mm.repairFail.Add(int64(resp.RepairFailed))
+		s.mm.underRepl.Set(int64(s.mgr.UnderReplicatedCount()))
+	}
+	var addrOf func(int) string
+	if len(fx.Deletes) > 0 {
+		addrOf = s.addrsOf(fx)
+	}
+	s.stampShardLocked(&resp)
+	s.mu.Unlock()
+	if len(fx.Deletes) > 0 {
+		s.deleteChunks(fx.Deletes, addrOf)
+	}
+	s.mm.opLat[req.Op].Observe(time.Since(opStart))
+	// A span-traced request (it names a parent span) gets a manager-side
+	// child span under the client's parent; untraced ones (heartbeats,
+	// status polls, convenience ops, older clients) record nothing.
+	if req.ParentSpanID != "" && req.Op != proto.OpReportSpans {
+		sp := s.obs.StartSpanAt(req.TraceID, req.ParentSpanID, "manager."+string(req.Op), opStart.UnixNano())
+		sp.SetVar(req.Name)
+		sp.SetErr(proto.WireErr(resp.Err))
+		sp.End()
+	}
+	return enc.Encode(&resp)
+}
+
+// noteLocked does the transport's share of a request Apply accepted:
+// connection bookkeeping, client spans, the debug address, metrics and
+// events. Called with s.mu held.
+func (s *ManagerServer) noteLocked(req *proto.ManagerReq, resp *proto.ManagerResp) {
 	switch req.Op {
 	case proto.OpRegister:
-		wasDead := s.mgr.Register(proto.BenefactorInfo{
-			ID: req.BenID, Node: req.BenNode, Capacity: req.Capacity,
-			DebugAddr: req.BenDebugAddr,
-		}, req.BenAddr, s.now())
 		// Re-registration may change the address: close the old connection.
 		s.connMu.Lock()
 		old := s.benConns[req.BenID]
@@ -436,65 +450,17 @@ func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 		if old != nil {
 			s.dropBenConn(req.BenID, old)
 		}
-		if wasDead {
-			// A rejoin after a declared death: drop every replica claim
-			// that has a live survivor (the survivors may have taken
-			// writes the rejoiner missed) and ship the dropped refs back —
-			// the benefactor deletes those payloads before serving reads.
-			resp.FenceChunks = s.mgr.FenceRejoin(req.BenID)
-			if len(resp.FenceChunks) > 0 {
-				s.obs.Event("manager", "fence-rejoin", req.TraceID,
-					fmt.Sprintf("benefactor %d: %d stale copies fenced", req.BenID, len(resp.FenceChunks)))
-			}
+		if len(resp.FenceChunks) > 0 {
+			s.obs.Event("manager", "fence-rejoin", req.TraceID,
+				fmt.Sprintf("benefactor %d: %d stale copies fenced", req.BenID, len(resp.FenceChunks)))
 		}
 		s.obs.Event("manager", "register", req.TraceID,
 			fmt.Sprintf("benefactor %d node=%d addr=%s capacity=%d", req.BenID, req.BenNode, req.BenAddr, req.Capacity))
-	case proto.OpBeat:
-		resp.Err = errStr(s.mgr.Heartbeat(req.BenID, req.WriteVolume, s.now()))
-	case proto.OpCreate:
-		fi, err := s.mgr.Create(req.Name, req.Size)
-		resp.File, resp.Err = fi, errStr(err)
-	case proto.OpLookup:
-		fi, err := s.mgr.Lookup(req.Name)
-		resp.File, resp.Err = fi, errStr(err)
-	case proto.OpDelete:
-		var err error
-		freed, resp.ForeignFreed, err = s.mgr.DeleteFull(req.Name)
-		resp.Err = errStr(err)
-	case proto.OpLink:
-		fi, held, err := s.mgr.LinkFull(req.Name, req.Parts)
-		resp.File, resp.ForeignHeld, resp.Err = fi, held, errStr(err)
-	case proto.OpDerive:
-		fi, held, err := s.mgr.DeriveFull(req.Name, req.Src, req.FromChunk, req.NChunks, req.Size)
-		resp.File, resp.ForeignHeld, resp.Err = fi, held, errStr(err)
-	case proto.OpSetTTL:
-		deadline := time.Duration(req.ExpiresAtNanos)
-		if req.TTLNanos > 0 {
-			deadline = s.now() + time.Duration(req.TTLNanos)
-		}
-		resp.Err = errStr(s.mgr.SetTTL(req.Name, deadline))
-	case proto.OpExpire:
-		resp.Expired, freed, resp.ForeignFreed = s.mgr.ExpireSweepFull(s.now())
-	case proto.OpRemap:
-		freed = s.remapLocked(&req, &resp)
-	case proto.OpStatus:
-		s.sweepLocked()
-		resp.Bens = s.mgr.Status()
-		now := s.now()
-		for i := range resp.Bens {
-			if age, ok := s.mgr.BeatAge(resp.Bens[i].ID, now); ok {
-				resp.Bens[i].BeatAgeNanos = int64(age)
-			}
-		}
-		resp.ChunkSize = s.mgr.ChunkSize()
-		resp.UnderReplicated = s.mgr.UnderReplicatedCount()
-		resp.DebugAddr = s.dbg.Addr()
 	case proto.OpMarkDead:
-		s.mgr.MarkDead(req.BenID)
 		s.mm.deaths.Inc()
 		s.obs.Event("manager", "markdead", req.TraceID, fmt.Sprintf("benefactor %d declared dead", req.BenID))
-	case proto.OpRepair:
-		resp.Repaired, resp.RepairFailed, resp.Lost = s.repair(req.TraceID)
+	case proto.OpStatus:
+		resp.DebugAddr = s.dbg.Addr()
 	case proto.OpReportSpans:
 		// Client-exported spans are ingested (never re-exported — the
 		// sink must not fire, or an in-process client sharing this Obs
@@ -504,41 +470,25 @@ func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 		for _, ps := range req.Spans {
 			s.obs.IngestSpan(obs.Span(ps))
 		}
-	case proto.OpExportRange:
-		fi, err := s.mgr.ExportRange(req.Name, req.FromChunk, req.NChunks)
-		resp.File, resp.Err = fi, errStr(err)
-	case proto.OpRetainRefs:
-		resp.Err = errStr(s.mgr.RetainRefs(req.IDs))
-	case proto.OpLinkRefs:
-		fi, err := s.mgr.LinkRefs(req.Name, req.Refs, req.RefReplicas, req.Size, req.CreateDst)
-		resp.File, resp.Err = fi, errStr(err)
-	case proto.OpReleaseRefs:
-		freed = s.mgr.ReleaseRefs(req.IDs)
-	default:
-		resp.Err = fmt.Sprintf("manager: unknown op %q", req.Op)
 	}
-	var addrOf func(int) string
-	if len(freed) > 0 {
-		addrOf = s.addrsOf(freed...)
+}
+
+// noteCopies records each failed server-driven copy, and each repair
+// copy that landed, as an event.
+func (s *ManagerServer) noteCopies(req *proto.ManagerReq, copies []manager.Copy, errs [][]error) {
+	kind := "remap-copy"
+	if req.Op == proto.OpRepair {
+		kind = "repair"
 	}
-	s.stampShardLocked(&resp)
-	s.mu.Unlock()
-	// The reply still follows the physical deletes: a client that sees
-	// Delete return finds the space reclaimed on the benefactors too.
-	if len(freed) > 0 {
-		s.deleteChunks(freed, addrOf)
+	for i, cp := range copies {
+		for j, dst := range cp.Dsts {
+			if err := errs[i][j]; err != nil {
+				s.obs.Event("manager", kind+"-failed", req.TraceID, fmt.Sprintf("copy %v -> %v: %v", cp.Src, dst, err))
+			} else if req.Op == proto.OpRepair {
+				s.obs.Event("manager", kind, req.TraceID, fmt.Sprintf("copied %v -> %v", cp.Src, dst))
+			}
+		}
 	}
-	s.mm.opLat[req.Op].Observe(time.Since(opStart))
-	// A span-traced request (it names a parent span) gets a manager-side
-	// child span under the client's parent; untraced ones (heartbeats,
-	// status polls, convenience ops, older clients) record nothing.
-	if req.ParentSpanID != "" && req.Op != proto.OpReportSpans {
-		sp := s.obs.StartSpanAt(req.TraceID, req.ParentSpanID, "manager."+string(req.Op), opStart.UnixNano())
-		sp.SetVar(req.Name)
-		sp.SetErr(wireErr(resp.Err))
-		sp.End()
-	}
-	return enc.Encode(&resp)
 }
 
 // deleteChunks physically removes freed chunks on their benefactors: one
@@ -549,128 +499,31 @@ func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 // meet a stale client map (ErrNoSuchChunk), never a chunk the manager
 // still hands out. addrOf is the addrsOf snapshot taken under s.mu.
 // Failures are not reported: a dead benefactor has nothing to clean.
-func (s *ManagerServer) deleteChunks(freed []proto.ChunkRef, addrOf func(int) string) {
-	var bens []int
-	ids := make(map[int][]proto.ChunkID)
-	for _, ref := range freed {
-		if _, ok := ids[ref.Benefactor]; !ok {
-			bens = append(bens, ref.Benefactor)
-		}
-		ids[ref.Benefactor] = append(ids[ref.Benefactor], ref.ID)
-	}
-	del := func(ben int) {
-		c, err := s.benConn(ben, addrOf(ben))
+func (s *ManagerServer) deleteChunks(batches []manager.Batch, addrOf func(int) string) {
+	del := func(b manager.Batch) {
+		c, err := s.benConn(b.Ben, addrOf(b.Ben))
 		if err != nil {
 			return
 		}
-		batch := ids[ben]
-		_, _ = s.benCall(ben, c, proto.ChunkReq{Op: proto.OpDeleteChunk, ID: batch[0], MoreIDs: batch[1:]})
+		_, _ = s.benCall(b.Ben, c, proto.ChunkReq{Op: proto.OpDeleteChunk, ID: b.IDs[0], MoreIDs: b.IDs[1:]})
 	}
 	var wg sync.WaitGroup
-	for _, ben := range bens[1:] {
+	for _, b := range batches[1:] {
 		wg.Add(1)
-		go func(ben int) {
+		go func(b manager.Batch) {
 			defer wg.Done()
-			del(ben)
-		}(ben)
+			del(b)
+		}(b)
 	}
-	del(bens[0])
+	del(batches[0])
 	wg.Wait()
-}
-
-// repair re-replicates under-replicated chunks onto live benefactors.
-// Called with s.mu held. The manager picks destinations and the server
-// moves the payloads; a copy that fails is rolled back in the metadata so
-// readers never fail over onto a promised-but-empty replica.
-func (s *ManagerServer) repair(tid string) (done, failed int, lost []proto.ChunkID) {
-	s.sweepLocked()
-	ops, lost := s.mgr.Repair()
-	for _, op := range ops {
-		if err := s.copyChunk(op.Src, []proto.ChunkRef{op.Dst}, s.mgr.Addr)[0]; err != nil {
-			s.mgr.DropReplica(op.Dst.ID, op.Dst)
-			s.mm.repairFail.Inc()
-			s.obs.Event("manager", "repair-failed", tid,
-				fmt.Sprintf("copy %v -> %v: %v", op.Src, op.Dst, err))
-			failed++
-			continue
-		}
-		s.mm.repaired.Inc()
-		s.obs.Event("manager", "repair", tid, fmt.Sprintf("copied %v -> %v", op.Src, op.Dst))
-		done++
-	}
-	if len(lost) > 0 {
-		s.obs.Event("manager", "data-loss", tid, fmt.Sprintf("%d chunks with no live copy", len(lost)))
-	}
-	s.mm.underRepl.Set(int64(s.mgr.UnderReplicatedCount()))
-	return done, failed, lost
-}
-
-// remapLocked serves OpRemap as the two-phase protocol of DESIGN.md §9.
-// Called with s.mu held; the lock is RELEASED around the payload copy —
-// begin left the fresh chunk unpublished and the old one pinned, so other
-// metadata ops (and other remaps' copies) proceed meanwhile and no
-// benefactor round trip runs under s.mu. It returns the chunks freed across
-// all rounds (rolled-back fresh copies, a superseded old chunk) for the
-// caller to delete once s.mu is released.
-func (s *ManagerServer) remapLocked(req *proto.ManagerReq, resp *proto.ManagerResp) (freed []proto.ChunkRef) {
-	// Losing the commit race means another writer changed the file's chunk
-	// mid-copy; begin again on the new state (typically: now unshared, write
-	// in place). Each lost race is someone else's progress, so a few rounds
-	// bound a pathological tie without starving anyone.
-	const rounds = 3
-	var err error
-	for i := 0; i < rounds; i++ {
-		var t manager.PendingRemap
-		if t, err = s.mgr.RemapBegin(req.Name, req.ChunkIdx); err != nil {
-			break
-		}
-		resp.OldRef = t.Old
-		if !t.Shared() {
-			resp.NewRefs = s.mgr.Replicas(t.Old.ID)
-			break
-		}
-		addrOf := s.addrsOf(append([]proto.ChunkRef{t.Old}, t.Fresh...)...)
-		s.mu.Unlock()
-		errs := s.copyChunk(t.Old, t.Fresh, addrOf)
-		s.mu.Lock()
-		var copied []proto.ChunkRef
-		for j, dst := range t.Fresh {
-			if errs[j] == nil {
-				copied = append(copied, dst)
-				continue
-			}
-			s.obs.Event("manager", "remap-copy-failed", req.TraceID,
-				fmt.Sprintf("copy %v -> %v: %v", t.Old, dst, errs[j]))
-		}
-		// The primary copy decides the remap (commit rolls back without
-		// it); a failed replica copy only drops that replica, and repair
-		// restores redundancy later. Commit checks for a lost race first,
-		// and that outranks a copy error: a foreign old chunk cannot be
-		// pinned, so the copy may have failed because a racing remap's
-		// commit let the owning shard free it.
-		var dropped []proto.ChunkRef
-		resp.NewRefs, dropped, resp.ForeignFreed, err = s.mgr.RemapCommit(t, copied)
-		freed = append(freed, dropped...)
-		if errs[0] != nil && !errors.Is(err, manager.ErrRemapRaced) {
-			err = errs[0]
-		}
-		if !errors.Is(err, manager.ErrRemapRaced) {
-			break
-		}
-	}
-	if err == nil {
-		resp.NewRef = resp.NewRefs[0]
-	}
-	resp.Err = errStr(err)
-	return freed
 }
 
 // copyChunk copies src's payload onto every dst — the server-side COW and
 // repair copy — and reports one error per dst. A lone destination on src's
 // own benefactor is copied there without crossing the network; otherwise
 // the payload is fetched once and written to all destinations at once. Runs
-// without s.mu on the remap path, so addrOf (a benefactor's transport
-// address) must not need the lock there.
+// without s.mu, so addrOf is the addrsOf snapshot taken under it.
 func (s *ManagerServer) copyChunk(src proto.ChunkRef, dsts []proto.ChunkRef, addrOf func(int) string) []error {
 	errs := make([]error, len(dsts))
 	fail := func(err error) []error {

@@ -257,7 +257,7 @@ func TestPoolBoundsConnections(t *testing.T) {
 }
 
 func TestWireErrChunkSentinel(t *testing.T) {
-	if wireErr(proto.ErrNoSuchChunk.Error()) != proto.ErrNoSuchChunk {
+	if proto.WireErr(proto.ErrNoSuchChunk.Error()) != proto.ErrNoSuchChunk {
 		t.Fatal("ErrNoSuchChunk not restored across the wire")
 	}
 }

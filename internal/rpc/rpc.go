@@ -13,13 +13,9 @@ package rpc
 
 import (
 	"encoding/gob"
-	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
-
-	"nvmalloc/internal/proto"
 )
 
 // connSet tracks a server's accepted connections so Close can sever them.
@@ -88,35 +84,6 @@ func serveGob(conn net.Conn, handle func(dec *gob.Decoder, enc *gob.Encoder) err
 			return
 		}
 	}
-}
-
-func errStr(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
-// wireErr maps a response error string back to a sentinel where possible.
-func wireErr(s string) error {
-	if s == "" {
-		return nil
-	}
-	for _, sentinel := range []error{
-		proto.ErrNoSuchFile, proto.ErrFileExists, proto.ErrNoSpace,
-		proto.ErrNoSuchChunk, proto.ErrBenefactorDead, proto.ErrNoBenefactors,
-		proto.ErrChunkOutOfRange, proto.ErrStaleShardMap,
-	} {
-		if s == sentinel.Error() {
-			return sentinel
-		}
-		// Servers wrap sentinels with context ("%w: detail"); keep the
-		// detail but restore the sentinel for errors.Is across the wire.
-		if rest, ok := strings.CutPrefix(s, sentinel.Error()+":"); ok {
-			return fmt.Errorf("%w:%s", sentinel, rest)
-		}
-	}
-	return fmt.Errorf("%s", s)
 }
 
 // Timeouts for server-initiated benefactor calls (chunk deletion, COW

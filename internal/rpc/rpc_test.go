@@ -215,13 +215,13 @@ func TestHeartbeatKeepsBenefactorAlive(t *testing.T) {
 }
 
 func TestWireErrSentinels(t *testing.T) {
-	if wireErr(proto.ErrNoSuchFile.Error()) != proto.ErrNoSuchFile {
+	if proto.WireErr(proto.ErrNoSuchFile.Error()) != proto.ErrNoSuchFile {
 		t.Fatal("sentinel not restored")
 	}
-	if wireErr("") != nil {
+	if proto.WireErr("") != nil {
 		t.Fatal("empty error should be nil")
 	}
-	if wireErr("boom") == nil {
+	if proto.WireErr("boom") == nil {
 		t.Fatal("unknown error lost")
 	}
 }

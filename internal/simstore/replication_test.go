@@ -192,3 +192,54 @@ func TestDeleteFreesReplicasToo(t *testing.T) {
 		t.Fatalf("chunk metadata survived delete: %v", err)
 	}
 }
+
+// TestReviveFencesStaleReplica: a benefactor revived after missing a write
+// must not serve its stale copy. Revive re-registers it, the manager fences
+// the copy the survivor wrote around, and the revived benefactor deletes
+// that payload, so the next lookup and read land on the fresh data.
+func TestReviveFencesStaleReplica(t *testing.T) {
+	e := simtime.NewEngine()
+	s := replicatedStore(e, 2)
+	cs := s.Mgr.ChunkSize()
+	var got []byte
+	var primary int
+	e.Go("c", func(p *simtime.Proc) {
+		c := s.Client(0)
+		fi, err := c.Create(p, "v", cs)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.PutChunk(p, fi.Chunks[:1], bytes.Repeat([]byte{1}, int(cs))); err != nil {
+			t.Error(err)
+			return
+		}
+		primary = fi.Chunks[0].Benefactor
+		s.Kill(primary)
+		if err := c.PutChunk(p, fi.Chunks[:1], bytes.Repeat([]byte{2}, int(cs))); err != nil {
+			t.Error(err)
+			return
+		}
+		s.Revive(primary)
+		if fi, err = c.Lookup(p, "v"); err != nil {
+			t.Error(err)
+			return
+		}
+		if got, err = c.GetChunk(p, fi.Replicas[0]); err != nil {
+			t.Error(err)
+		}
+	})
+	e.Run()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if got[0] != 2 {
+		t.Fatalf("read after revive: got %d, want 2", got[0])
+	}
+	if u := s.Benefactor(primary).Used(); u != 0 {
+		t.Errorf("revived benefactor still holds %d bytes of fenced copies", u)
+	}
+	if err := s.Mgr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

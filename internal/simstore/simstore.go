@@ -4,7 +4,9 @@
 // benefactor's SSD, and a fixed software (RPC/FUSE crossing) overhead.
 // The metadata and chunk logic is the transport-agnostic code in
 // internal/manager and internal/benefactor — the same code the real TCP
-// transport uses.
+// transport uses — and metadata requests are driven the way the TCP
+// manager server drives them: manager.Apply, then the payload copies and
+// chunk deletes it returns, here charged in virtual time.
 //
 // Client implements store.Client, the transport-neutral interface the
 // library layers (core, fusecache) are written against; the *simtime.Proc
@@ -12,6 +14,7 @@
 package simstore
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -58,10 +61,10 @@ func New(cl *cluster.Cluster, managerNode int, benNodes []int, capacity int64, p
 		bens:        make(map[int]*ben),
 	}
 	for i, node := range benNodes {
-		bst := benefactor.New(i, node, capacity, cl.Prof.ChunkSize, benefactor.NewMem())
-		s.bens[i] = &ben{st: bst, node: node, alive: true}
+		b := &ben{st: benefactor.New(i, node, capacity, cl.Prof.ChunkSize, benefactor.NewMem()), node: node, alive: true}
+		s.bens[i] = b
 		s.benOrder = append(s.benOrder, i)
-		s.Mgr.Register(bst.Info(), "", 0)
+		s.register(b)
 	}
 	return s
 }
@@ -78,43 +81,116 @@ func (s *Store) Benefactors() []int { return append([]int(nil), s.benOrder...) }
 func (s *Store) Kill(benID int) {
 	if b, ok := s.bens[benID]; ok {
 		b.alive = false
-		s.Mgr.MarkDead(benID)
+		s.Mgr.Apply(&proto.ManagerReq{Op: proto.OpMarkDead, BenID: benID}, time.Duration(s.Cl.Eng.Now()))
 	}
 }
 
-// Revive brings a killed benefactor back (its chunks intact).
+// Revive brings a killed benefactor back with its chunks intact. It
+// re-registers like a restarted benefactor daemon, so copies the survivors
+// may have taken writes for while it was dead are fenced and deleted
+// before it serves again.
 func (s *Store) Revive(benID int) {
 	if b, ok := s.bens[benID]; ok {
 		b.alive = true
-		s.Mgr.Register(b.st.Info(), "", time.Duration(s.Cl.Eng.Now()))
+		s.register(b)
 	}
 }
 
-// Repair restores the configured replica count after failures, executing
-// the manager's copy plan (read from a live copy, write to the
-// replacement) and charging all device and network time. It returns how
-// many chunks were re-replicated and how many are unrecoverable.
+// register (re-)registers a benefactor with the manager and deletes the
+// copies the manager fenced, as rpc.BenefactorServer does on startup.
+func (s *Store) register(b *ben) {
+	info := b.st.Info()
+	resp, _ := s.Mgr.Apply(&proto.ManagerReq{Op: proto.OpRegister, BenID: info.ID, BenNode: info.Node,
+		Capacity: info.Capacity, WriteVolume: info.WriteVolume}, time.Duration(s.Cl.Eng.Now()))
+	for _, ref := range resp.FenceChunks {
+		b.st.DeleteChunk(ref.ID) // Mem deletes never fail
+	}
+}
+
+// Repair restores the configured replica count after failures: the
+// manager reserves replacement copies, the payloads are copied from a live
+// copy with all device and network time charged, and the copies that
+// landed are published. It returns how many copies were restored and how
+// many chunks are unrecoverable.
 func (s *Store) Repair(p *simtime.Proc) (repaired int, lost int, err error) {
-	ops, lostIDs := s.Mgr.Repair()
-	c := s.Client(s.ManagerNode)
-	for _, op := range ops {
-		data, gerr := c.GetChunk(p, []proto.ChunkRef{op.Src})
-		if gerr != nil {
-			return repaired, len(lostIDs), gerr
+	resp, err := s.apply(p, proto.ManagerReq{Op: proto.OpRepair}, nil)
+	if err == nil && resp.RepairFailed > 0 {
+		err = fmt.Errorf("simstore: %d repair copies failed", resp.RepairFailed)
+	}
+	return resp.Repaired, len(resp.Lost), err
+}
+
+// ExpireSweep reclaims expired variables (and their benefactor space).
+func (s *Store) ExpireSweep(p *simtime.Proc) ([]string, error) {
+	resp, err := s.apply(p, proto.ManagerReq{Op: proto.OpExpire}, nil)
+	return resp.Expired, err
+}
+
+// apply drives one metadata request the way rpc.ManagerServer does:
+// manager.Apply, then the payload copies it leaves with each round's
+// outcome committed, then the deletes, one request per benefactor in
+// registration order. charge, when non-nil, charges the client's round
+// trip to the manager once Apply has sized the reply, before the copies.
+func (s *Store) apply(p *simtime.Proc, req proto.ManagerReq, charge func(*proto.ManagerResp)) (proto.ManagerResp, error) {
+	resp, fx := s.Mgr.Apply(&req, time.Duration(p.Now()))
+	if charge != nil {
+		charge(&resp)
+	}
+	for len(fx.Copies) > 0 {
+		errs := make([][]error, len(fx.Copies))
+		for i, cp := range fx.Copies {
+			errs[i] = s.copyChunk(p, cp)
 		}
-		dst, derr := c.liveBen(op.Dst)
-		if derr != nil {
-			return repaired, len(lostIDs), derr
+		fx = s.Mgr.Commit(&resp, fx, errs)
+	}
+	for _, d := range fx.Deletes {
+		b := s.bens[d.Ben]
+		if !b.alive {
+			continue // dead benefactor: its space is already lost
 		}
 		s.overhead(p)
-		s.Cl.Net.Transfer(p, s.ManagerNode, dst.node, reqHeaderBytes+int64(len(data)))
-		s.Cl.Nodes[dst.node].SSD.Write(p, int64(len(data)))
-		if perr := dst.st.PutChunk(op.Dst.ID, data); perr != nil {
-			return repaired, len(lostIDs), perr
+		s.Cl.Net.Request(p, s.ManagerNode, b.node, reqHeaderBytes+int64(len(d.IDs))*8, respHeaderBytes, nil)
+		for _, id := range d.IDs {
+			if err := b.st.DeleteChunk(id); err != nil {
+				return resp, err
+			}
 		}
-		repaired++
 	}
-	return repaired, len(lostIDs), nil
+	return resp, proto.WireErr(resp.Err)
+}
+
+// copyChunk runs one manager-driven payload copy as rpc.ManagerServer does
+// and reports one error per destination. A lone destination on the
+// source's benefactor is copied there: one request, a device read and a
+// device write, nothing crosses the network. Otherwise the manager fetches
+// the payload once and writes it to each destination in turn.
+func (s *Store) copyChunk(p *simtime.Proc, cp manager.Copy) []error {
+	errs := make([]error, len(cp.Dsts))
+	src, err := s.live(cp.Src)
+	if err == nil && len(cp.Dsts) == 1 && cp.Dsts[0].Benefactor == cp.Src.Benefactor {
+		s.overhead(p)
+		s.Cl.Net.Request(p, s.ManagerNode, src.node, reqHeaderBytes, respHeaderBytes, func(sp *simtime.Proc) {
+			s.Cl.Nodes[src.node].SSD.Read(sp, s.Cl.Prof.ChunkSize)
+			s.Cl.Nodes[src.node].SSD.Write(sp, s.Cl.Prof.ChunkSize)
+		})
+		errs[0] = src.st.CopyChunk(cp.Dsts[0].ID, cp.Src.ID)
+		return errs
+	}
+	var data []byte
+	if err == nil {
+		data, err = s.Client(s.ManagerNode).GetChunk(p, []proto.ChunkRef{cp.Src})
+	}
+	for i, dst := range cp.Dsts {
+		b, derr := s.live(dst)
+		if errs[i] = cmp.Or(err, derr); errs[i] != nil {
+			continue
+		}
+		s.overhead(p)
+		s.Cl.Net.Transfer(p, s.ManagerNode, b.node, reqHeaderBytes+int64(len(data)))
+		s.Cl.Nodes[b.node].SSD.Write(p, int64(len(data)))
+		errs[i] = b.st.PutChunk(dst.ID, data)
+	}
+	return errs
 }
 
 // overhead charges the fixed software cost of one RPC.
@@ -124,6 +200,18 @@ func (s *Store) overhead(p *simtime.Proc) { p.Sleep(s.Cl.Prof.RPCOverhead) }
 func (s *Store) mgrRPC(p *simtime.Proc, clientNode int, reqExtra, respExtra int64) {
 	s.overhead(p)
 	s.Cl.Net.Request(p, clientNode, s.ManagerNode, reqHeaderBytes+reqExtra, respHeaderBytes+respExtra, nil)
+}
+
+// live resolves a chunk ref to a live benefactor.
+func (s *Store) live(ref proto.ChunkRef) (*ben, error) {
+	b, ok := s.bens[ref.Benefactor]
+	if !ok {
+		return nil, fmt.Errorf("%w: benefactor %d", proto.ErrBenefactorDead, ref.Benefactor)
+	}
+	if !b.alive {
+		return nil, proto.ErrBenefactorDead
+	}
+	return b, nil
 }
 
 // Client returns a node-bound handle used by the cache layer on that node.
@@ -145,195 +233,81 @@ func (c *Client) Node() int { return c.node }
 // ChunkSize returns the store's striping unit.
 func (c *Client) ChunkSize() int64 { return c.s.Mgr.ChunkSize() }
 
+// call sends one metadata request from this client's node: reqExtra and
+// respExtra size the round trip's request and reply beyond their headers.
+func (c *Client) call(ctx store.Ctx, req proto.ManagerReq, reqExtra int64, respExtra func(*proto.ManagerResp) int64) (proto.ManagerResp, error) {
+	p := cluster.ProcOf(ctx)
+	return c.s.apply(p, req, func(resp *proto.ManagerResp) { c.s.mgrRPC(p, c.node, reqExtra, respExtra(resp)) })
+}
+
+// fileReply sizes a reply carrying a chunk map; ackReply one carrying a
+// status word.
+func fileReply(resp *proto.ManagerResp) int64 { return int64(len(resp.File.Chunks)) * chunkRefBytes }
+func ackReply(*proto.ManagerResp) int64       { return 8 }
+
 // Create reserves a file of the given size (posix_fallocate analog).
 func (c *Client) Create(ctx store.Ctx, name string, size int64) (proto.FileInfo, error) {
-	p := cluster.ProcOf(ctx)
-	fi, err := c.s.Mgr.Create(name, size)
-	c.s.mgrRPC(p, c.node, int64(len(name)), int64(len(fi.Chunks))*chunkRefBytes)
-	return fi, err
+	resp, err := c.call(ctx, proto.ManagerReq{Op: proto.OpCreate, Name: name, Size: size}, int64(len(name)), fileReply)
+	return resp.File, err
 }
 
 // Lookup fetches a file's chunk map from the manager.
 func (c *Client) Lookup(ctx store.Ctx, name string) (proto.FileInfo, error) {
-	p := cluster.ProcOf(ctx)
-	fi, err := c.s.Mgr.Lookup(name)
-	c.s.mgrRPC(p, c.node, int64(len(name)), int64(len(fi.Chunks))*chunkRefBytes)
-	return fi, err
-}
-
-// Exists asks the manager whether a file exists. (Not part of
-// store.Client; sim-side convenience.)
-func (c *Client) Exists(ctx store.Ctx, name string) bool {
-	p := cluster.ProcOf(ctx)
-	ok := c.s.Mgr.Exists(name)
-	c.s.mgrRPC(p, c.node, int64(len(name)), 8)
-	return ok
+	resp, err := c.call(ctx, proto.ManagerReq{Op: proto.OpLookup, Name: name}, int64(len(name)), fileReply)
+	return resp.File, err
 }
 
 // Delete removes a file; chunks whose refcount reaches zero are physically
 // deleted on their benefactors.
 func (c *Client) Delete(ctx store.Ctx, name string) error {
-	p := cluster.ProcOf(ctx)
-	freed, err := c.s.Mgr.Delete(name)
-	c.s.mgrRPC(p, c.node, int64(len(name)), 8)
-	if err != nil {
-		return err
-	}
-	// The manager issues deletions to benefactors; charge one small RPC per
-	// affected benefactor (batched per benefactor, as a real manager would).
-	byBen := make(map[int][]proto.ChunkID)
-	for _, ref := range freed {
-		byBen[ref.Benefactor] = append(byBen[ref.Benefactor], ref.ID)
-	}
-	for _, id := range c.s.benOrder {
-		ids, ok := byBen[id]
-		if !ok {
-			continue
-		}
-		b := c.s.bens[id]
-		if !b.alive {
-			continue // dead benefactor: its space is already lost
-		}
-		c.s.overhead(p)
-		c.s.Cl.Net.Request(p, c.s.ManagerNode, b.node, reqHeaderBytes+int64(len(ids))*8, respHeaderBytes, nil)
-		for _, cid := range ids {
-			if err := b.st.DeleteChunk(cid); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	_, err := c.call(ctx, proto.ManagerReq{Op: proto.OpDelete, Name: name}, int64(len(name)), ackReply)
+	return err
 }
 
 // Link appends the chunks of the part files to dst (zero-copy checkpoint
 // merge).
 func (c *Client) Link(ctx store.Ctx, dst string, parts []string) (proto.FileInfo, error) {
-	p := cluster.ProcOf(ctx)
-	var extra int64
+	extra := int64(len(dst))
 	for _, pn := range parts {
 		extra += int64(len(pn))
 	}
-	fi, err := c.s.Mgr.Link(dst, parts)
-	c.s.mgrRPC(p, c.node, int64(len(dst))+extra, int64(len(fi.Chunks))*chunkRefBytes)
-	return fi, err
+	resp, err := c.call(ctx, proto.ManagerReq{Op: proto.OpLink, Name: dst, Parts: parts}, extra, fileReply)
+	return resp.File, err
 }
 
 // SetTTL gives the file a lifetime of ttl from the caller's current
 // virtual time.
 func (c *Client) SetTTL(ctx store.Ctx, name string, ttl time.Duration) error {
-	p := cluster.ProcOf(ctx)
-	err := c.s.Mgr.SetTTL(name, time.Duration(p.Now())+ttl)
-	c.s.mgrRPC(p, c.node, int64(len(name))+8, 8)
+	deadline := time.Duration(cluster.ProcOf(ctx).Now()) + ttl
+	_, err := c.call(ctx, proto.ManagerReq{Op: proto.OpSetTTL, Name: name, ExpiresAtNanos: int64(deadline)}, int64(len(name))+8, ackReply)
 	return err
-}
-
-// ExpireSweep reclaims expired variables (and their benefactor space).
-func (s *Store) ExpireSweep(p *simtime.Proc) ([]string, error) {
-	expired, freed := s.Mgr.ExpireSweep(time.Duration(s.Cl.Eng.Now()))
-	byBen := make(map[int][]proto.ChunkID)
-	for _, ref := range freed {
-		byBen[ref.Benefactor] = append(byBen[ref.Benefactor], ref.ID)
-	}
-	for _, id := range s.benOrder {
-		ids, ok := byBen[id]
-		if !ok {
-			continue
-		}
-		b := s.bens[id]
-		if !b.alive {
-			continue
-		}
-		s.overhead(p)
-		s.Cl.Net.Request(p, s.ManagerNode, b.node, reqHeaderBytes+int64(len(ids))*8, respHeaderBytes, nil)
-		for _, cid := range ids {
-			if err := b.st.DeleteChunk(cid); err != nil {
-				return expired, err
-			}
-		}
-	}
-	return expired, nil
 }
 
 // Derive creates a file sharing a chunk sub-range of src (checkpoint
 // restore without data movement).
 func (c *Client) Derive(ctx store.Ctx, name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	p := cluster.ProcOf(ctx)
-	fi, err := c.s.Mgr.Derive(name, src, fromChunk, nChunks, size)
-	c.s.mgrRPC(p, c.node, int64(len(name)+len(src))+24, int64(len(fi.Chunks))*chunkRefBytes)
-	return fi, err
+	req := proto.ManagerReq{Op: proto.OpDerive, Name: name, Src: src, FromChunk: fromChunk, NChunks: nChunks, Size: size}
+	resp, err := c.call(ctx, req, int64(len(name)+len(src))+24, fileReply)
+	return resp.File, err
 }
 
 // Remap performs the copy-on-write remapping of one chunk, including the
 // payload copy to the fresh chunk and all of its replicas when the chunk
 // was shared. It returns the fresh chunk's full copy set, primary first.
 func (c *Client) Remap(ctx store.Ctx, name string, chunkIdx int) ([]proto.ChunkRef, error) {
-	p := cluster.ProcOf(ctx)
-	old, fresh, shared, err := c.s.Mgr.Remap(name, chunkIdx)
-	refs := c.copies(fresh)
-	c.s.mgrRPC(p, c.node, int64(len(name))+8, int64(1+len(refs))*chunkRefBytes)
+	resp, err := c.call(ctx, proto.ManagerReq{Op: proto.OpRemap, Name: name, ChunkIdx: chunkIdx}, int64(len(name))+8,
+		func(resp *proto.ManagerResp) int64 { return int64(1+max(len(resp.NewRefs), 1)) * chunkRefBytes })
 	if err != nil {
 		return nil, err
 	}
-	if shared {
-		var data []byte // old chunk's payload, fetched lazily for cross-benefactor copies
-		for _, dst := range refs {
-			if dst.Benefactor == old.Benefactor {
-				// Server-side copy: manager instructs the benefactor directly.
-				b := c.s.bens[dst.Benefactor]
-				if !b.alive {
-					return nil, proto.ErrBenefactorDead
-				}
-				c.s.overhead(p)
-				c.s.Cl.Net.Request(p, c.s.ManagerNode, b.node, reqHeaderBytes, respHeaderBytes, func(sp *simtime.Proc) {
-					cs := c.s.Mgr.ChunkSize()
-					c.s.Cl.Nodes[b.node].SSD.Read(sp, cs)
-					c.s.Cl.Nodes[b.node].SSD.Write(sp, cs)
-				})
-				if err := b.st.CopyChunk(dst.ID, old.ID); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			// Cross-benefactor copy: pull once, push to this destination.
-			if data == nil {
-				if data, err = c.GetChunk(ctx, []proto.ChunkRef{old}); err != nil {
-					return nil, err
-				}
-			}
-			b, berr := c.liveBen(dst)
-			if berr != nil {
-				return nil, berr
-			}
-			c.s.overhead(p)
-			c.s.Cl.Net.Transfer(p, c.node, b.node, reqHeaderBytes+int64(len(data)))
-			c.s.Cl.Nodes[b.node].SSD.Write(p, int64(len(data)))
-			c.s.Cl.Net.Transfer(p, b.node, c.node, respHeaderBytes)
-			if err := b.st.PutChunk(dst.ID, data); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return refs, nil
+	return resp.NewRefs, nil
 }
 
 // Status fetches the benefactor table.
 func (c *Client) Status(ctx store.Ctx) ([]proto.BenefactorInfo, error) {
-	p := cluster.ProcOf(ctx)
-	st := c.s.Mgr.Status()
-	c.s.mgrRPC(p, c.node, 0, int64(len(st))*48)
-	return st, nil
-}
-
-// liveBen resolves a chunk ref to a live benefactor.
-func (c *Client) liveBen(ref proto.ChunkRef) (*ben, error) {
-	b, ok := c.s.bens[ref.Benefactor]
-	if !ok {
-		return nil, fmt.Errorf("%w: benefactor %d", proto.ErrBenefactorDead, ref.Benefactor)
-	}
-	if !b.alive {
-		return nil, proto.ErrBenefactorDead
-	}
-	return b, nil
+	resp, err := c.call(ctx, proto.ManagerReq{Op: proto.OpStatus}, 0,
+		func(resp *proto.ManagerResp) int64 { return int64(len(resp.Bens)) * 48 })
+	return resp.Bens, err
 }
 
 // GetChunk fetches one chunk payload directly from its benefactor: small
@@ -350,7 +324,7 @@ func (c *Client) liveBen(ref proto.ChunkRef) (*ben, error) {
 func (c *Client) GetChunk(ctx store.Ctx, refs []proto.ChunkRef) ([]byte, error) {
 	p := cluster.ProcOf(ctx)
 	ref := refs[0]
-	b, err := c.liveBen(ref)
+	b, err := c.s.live(ref)
 	if err == proto.ErrBenefactorDead {
 		// Failover: ask the manager for a live copy.
 		live, lerr := c.s.Mgr.LiveRef(ref.ID)
@@ -358,7 +332,7 @@ func (c *Client) GetChunk(ctx store.Ctx, refs []proto.ChunkRef) ([]byte, error) 
 		if lerr != nil {
 			return nil, err
 		}
-		if b, err = c.liveBen(live); err != nil {
+		if b, err = c.s.live(live); err != nil {
 			return nil, err
 		}
 		ref = live
@@ -390,7 +364,7 @@ func (c *Client) PutChunk(ctx store.Ctx, refs []proto.ChunkRef, data []byte) err
 	var firstErr error
 	stored := 0
 	for _, dst := range c.copies(refs[0]) {
-		b, err := c.liveBen(dst)
+		b, err := c.s.live(dst)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -426,7 +400,7 @@ func (c *Client) PutPages(ctx store.Ctx, refs []proto.ChunkRef, pageOffs []int64
 	var firstErr error
 	stored := 0
 	for _, dst := range c.copies(refs[0]) {
-		b, err := c.liveBen(dst)
+		b, err := c.s.live(dst)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
