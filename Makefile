@@ -83,11 +83,13 @@ delete-bench:
 
 # Allocation gate for the NVM1 binary data path: the frame codec and arena
 # must run allocation-free, and a cached TCP chunk get must allocate at most
-# two chunk sizes of heap (an absolute ceiling). Run without -race — the race
-# runtime's instrumentation would drown the budgets.
+# two chunk sizes of heap (an absolute ceiling). A page fault at capacity
+# must allocate nothing either: it refills the LRU victim's frame. Run
+# without -race — the race runtime's instrumentation would drown the budgets.
 alloc-bench:
 	$(GO) test -count 1 -run 'TestFrameCodecZeroAlloc|TestArenaZeroAlloc' ./internal/proto
 	$(GO) test -count 1 -run TestAllocBudgetCachedChunkGet ./internal/rpc
+	$(GO) test -count 1 -run TestPageFaultZeroAlloc ./internal/fusecache
 
 # Short coverage-guided smoke over the NVM1 frame decoder and the NVC1
 # shard-snapshot decoder: any accepted input must be internally consistent

@@ -19,11 +19,13 @@ type ConnectConfig struct {
 	Rank int
 	// CacheBytes sizes the FUSE-layer chunk cache. 0 means 64 MB (the
 	// paper's FUSE cache); rounded down to whole chunks, minimum one.
+	// Negative is an error.
 	CacheBytes int64
 	// PageSize is the dirty-tracking granularity. 0 means 4096. Must
 	// divide the store's chunk size.
 	PageSize int64
-	// PageCacheBytes sizes the rank-private page cache. 0 means 8 MB.
+	// PageCacheBytes sizes the rank-private page cache. 0 means 8 MB;
+	// negative is an error.
 	PageCacheBytes int64
 	// ReadAheadChunks is the starting depth of a confirmed sequential run's
 	// read-ahead window; the cache deepens it while the run continues, up
@@ -96,6 +98,9 @@ func Connect(managerAddr string, cfg ConnectConfig) (*Client, error) {
 // file tier and closes st. If ConnectStore returns an error, the caller
 // still owns st.
 func ConnectStore(st *rpc.Store, cfg ConnectConfig) (*Client, error) {
+	if cfg.CacheBytes < 0 || cfg.PageCacheBytes < 0 {
+		return nil, fmt.Errorf("nvmalloc: negative cache size (CacheBytes %d, PageCacheBytes %d)", cfg.CacheBytes, cfg.PageCacheBytes)
+	}
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
 	}

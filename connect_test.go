@@ -317,3 +317,28 @@ func TestConnectRejectsNegativePageSize(t *testing.T) {
 		t.Fatalf("Connect accepted page size %d (first write: %v)", -chunk, err)
 	}
 }
+
+// TestConnectRejectsNegativeCacheSizes: a negative chunk or page cache size
+// is an error, not a silent one-chunk or one-page cache. A positive chunk
+// cache below one chunk is still clamped up to one.
+func TestConnectRejectsNegativeCacheSizes(t *testing.T) {
+	const chunk = 4096
+	cl := startCluster(t, 1, chunk, 1)
+	for _, cfg := range []nvmalloc.ConnectConfig{
+		{CacheBytes: -chunk, PageSize: 512},
+		{PageCacheBytes: -1, PageSize: 512},
+	} {
+		if c, err := nvmalloc.Connect(cl.mgr.Addr(), cfg); err == nil {
+			c.Close()
+			t.Errorf("Connect accepted %+v", cfg)
+		}
+	}
+	c, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{CacheBytes: chunk / 2, PageSize: 512})
+	if err != nil {
+		t.Fatalf("Connect with half a chunk of cache: %v", err)
+	}
+	if got := c.ChunkCache().Config().CacheBytes; got != chunk {
+		t.Errorf("chunk cache of %d bytes, want one chunk (%d)", got, chunk)
+	}
+	c.Close()
+}

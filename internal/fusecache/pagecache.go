@@ -1,10 +1,6 @@
 package fusecache
 
-import (
-	"container/list"
-
-	"nvmalloc/internal/store"
-)
+import "nvmalloc/internal/store"
 
 // PageCache is the per-process page-granularity layer standing in for the
 // kernel page cache above the FUSE mount: memory-mapped accesses hit here
@@ -17,16 +13,17 @@ import (
 // FUSE" column of Table IV and the "data written to FUSE" row of
 // Table VII.
 //
-// A PageCache belongs to a single rank and, like the per-process kernel
-// page cache it models, is not safe for concurrent use; cross-rank (and
-// cross-goroutine) safety lives one layer down, in the shared ChunkCache,
-// which serializes through its env lock.
+// A PageCache belongs to a single rank and takes no lock: the rank's procs
+// may share it only cooperatively, switching where the ChunkCache blocks.
+// Page frames are recycled, and none is reachable from two faults across a
+// blocking fill. Cross-rank safety lives in the shared ChunkCache.
 type PageCache struct {
 	cc  *ChunkCache
 	cap int // capacity in pages
 
 	entries map[pageKey]*page
-	lru     *list.List
+	lru     page  // sentinel: lru.next is the most recently used page, lru.prev the victim
+	free    *page // detached frames, linked through next
 
 	s PageStats
 }
@@ -37,9 +34,10 @@ type pageKey struct {
 }
 
 type page struct {
-	key  pageKey
-	data []byte
-	lru  *list.Element
+	key        pageKey
+	data       []byte
+	prev, next *page
+	busy       int // writebacks reading data; a busy frame is not recycled
 }
 
 // PageStats counts the traffic of one PageCache.
@@ -59,12 +57,9 @@ func NewPageCache(cc *ChunkCache, capBytes int64) *PageCache {
 	if n < 1 {
 		n = 1
 	}
-	return &PageCache{
-		cc:      cc,
-		cap:     n,
-		entries: make(map[pageKey]*page),
-		lru:     list.New(),
-	}
+	pc := &PageCache{cc: cc, cap: n, entries: make(map[pageKey]*page)}
+	pc.lru.prev, pc.lru.next = &pc.lru, &pc.lru
+	return pc
 }
 
 // Stats returns a snapshot of the counters.
@@ -83,39 +78,73 @@ func (pc *PageCache) pageSize() int64 { return pc.cc.cfg.PageSize }
 // page's current content is fetched — a write that covers the whole page
 // can skip the read (the kernel does the same for full-page overwrites).
 func (pc *PageCache) fault(ctx store.Ctx, key pageKey, fill bool) (*page, error) {
-	pc.ensureRoom()
-	pg := &page{key: key, data: make([]byte, pc.pageSize())}
+	// Evict before the blocking fill, then fill a detached frame: a free one
+	// (normally the victim's), or a new one until the cache is full.
+	for len(pc.entries) >= pc.cap {
+		pc.evict(pc.lru.prev)
+	}
+	pg := pc.free
+	if pg == nil {
+		pg = &page{data: make([]byte, pc.pageSize())}
+	} else {
+		pc.free = pg.next
+	}
+	pg.key = key
 	if fill {
 		pc.s.Faults++
 		pc.s.FaultBytes += pc.pageSize()
 		if err := pc.cc.ReadRange(ctx, key.file, key.idx*pc.pageSize(), pg.data); err != nil {
+			pc.recycle(pg)
 			return nil, err
 		}
 	}
 	// Re-check after the blocking read; keep the map authoritative.
 	if cur, ok := pc.entries[key]; ok {
+		pc.recycle(pg)
 		return cur, nil
 	}
 	pc.entries[key] = pg
-	pg.lru = pc.lru.PushFront(pg)
+	pc.pushFront(pg)
 	return pg, nil
 }
 
-// ensureRoom evicts LRU pages until one more fits. Pages are never dirty
-// (writes are pushed through immediately), so eviction is a plain drop.
-func (pc *PageCache) ensureRoom() {
-	for len(pc.entries) >= pc.cap {
-		pg := pc.lru.Back().Value.(*page)
-		delete(pc.entries, pg.key)
-		pc.lru.Remove(pg.lru)
+// evict drops pg from the map and the LRU and recycles its frame. Pages
+// are never dirty (writes are pushed through immediately).
+func (pc *PageCache) evict(pg *page) {
+	delete(pc.entries, pg.key)
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pc.recycle(pg)
+}
+
+// recycle frees a detached frame, unless a writeback still reads its data.
+func (pc *PageCache) recycle(pg *page) {
+	if pg.busy == 0 {
+		pg.next = pc.free
+		pc.free = pg
 	}
 }
 
-// writeback pushes one whole page to the FUSE layer.
+// pushFront links a detached page in as the most recently used.
+func (pc *PageCache) pushFront(pg *page) {
+	pg.prev, pg.next = &pc.lru, pc.lru.next
+	pg.prev.next, pg.next.prev = pg, pg
+}
+
+// touch moves a resident page to the front of the LRU.
+func (pc *PageCache) touch(pg *page) {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pc.pushFront(pg)
+}
+
+// writeback pushes one whole page to the FUSE layer. WriteRange may block
+// before it copies pg.data, so the frame stays busy until it returns.
 func (pc *PageCache) writeback(ctx store.Ctx, pg *page) error {
 	pc.s.Writebacks++
 	pc.s.WritebackBytes += pc.pageSize()
-	return pc.cc.WriteRange(ctx, pg.key.file, pg.key.idx*pc.pageSize(), pg.data)
+	pg.busy++
+	err := pc.cc.WriteRange(ctx, pg.key.file, pg.key.idx*pc.pageSize(), pg.data)
+	pg.busy--
+	return err
 }
 
 // Read copies [off, off+len(buf)) of file into buf through the page cache.
@@ -127,7 +156,7 @@ func (pc *PageCache) Read(ctx store.Ctx, file string, off int64, buf []byte) err
 		pg, ok := pc.entries[key]
 		if ok {
 			pc.s.Hits++
-			pc.lru.MoveToFront(pg.lru)
+			pc.touch(pg)
 		} else {
 			var err error
 			pg, err = pc.fault(ctx, key, true)
@@ -157,7 +186,7 @@ func (pc *PageCache) Write(ctx store.Ctx, file string, off int64, data []byte) e
 		pg, ok := pc.entries[key]
 		if ok {
 			pc.s.Hits++
-			pc.lru.MoveToFront(pg.lru)
+			pc.touch(pg)
 		} else {
 			// Full-page overwrites skip the read-fill.
 			fill := !(poff == 0 && int64(n) == ps)
@@ -179,15 +208,10 @@ func (pc *PageCache) Write(ctx store.Ctx, file string, off int64, data []byte) e
 
 // Drop discards all pages of file.
 func (pc *PageCache) Drop(file string) {
-	var victims []*page
 	for k, pg := range pc.entries {
 		if k.file == file {
-			victims = append(victims, pg)
+			pc.evict(pg)
 		}
-	}
-	for _, pg := range victims {
-		delete(pc.entries, pg.key)
-		pc.lru.Remove(pg.lru)
 	}
 }
 
