@@ -46,8 +46,7 @@
 // Data-path flags:
 //
 //	-pool N      connections per benefactor (default 4)
-//	-parallel N  chunk transfers in flight per uncached command, -cache 0 (default 8)
-//	-cache BYTES client chunk cache; 0 disables (default 64 MB for get/put)
+//	-cache BYTES client chunk cache, must be positive (default 64 MB)
 //	-cache-dir D persistent file-backed second cache tier (warm restarts)
 //	-stats       print data-path and cache counters after the command
 //	-n N         events/spans per node for trace and slow (default 50)
@@ -80,47 +79,39 @@ func fatal(err error) {
 func main() {
 	mgr := flag.String("manager", "localhost:7070", "manager address(es); on a sharded plane list every shard, comma-separated")
 	pool := flag.Int("pool", rpc.DefaultPoolSize, "connections per benefactor")
-	parallel := flag.Int("parallel", rpc.DefaultParallelism, "chunk transfers in flight")
-	cacheBytes := flag.Int64("cache", 64<<20, "client chunk cache bytes (0 disables)")
+	cacheBytes := flag.Int64("cache", 64<<20, "client chunk cache bytes")
 	cacheDir := flag.String("cache-dir", "", "persistent file-backed cache tier directory (empty disables)")
 	showStats := flag.Bool("stats", false, "print data-path counters after the command")
 	traceN := flag.Int("n", 50, "events per node for the trace command")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: nvmctl [-manager addr] [-pool n] [-parallel n] [-cache bytes] [-cache-dir dir] [-stats] status|put|get|stat|rm|link|repair|kill|ckpt-demo|metrics|top|trace|slow|watch|capture|incidents|bundle ...")
+		fmt.Fprintln(os.Stderr, "usage: nvmctl [-manager addr] [-pool n] [-cache bytes] [-cache-dir dir] [-stats] status|put|get|stat|rm|link|repair|kill|ckpt-demo|metrics|top|trace|slow|watch|capture|incidents|bundle ...")
 		os.Exit(2)
 	}
-	st, err := rpc.OpenWith(*mgr, rpc.Options{PoolSize: *pool, Parallelism: *parallel})
+	if *cacheBytes <= 0 {
+		fatal(fmt.Errorf("-cache %d: the client chunk cache is the data path; give it a positive size", *cacheBytes))
+	}
+	st, err := rpc.OpenWith(*mgr, rpc.Options{PoolSize: *pool})
 	if err != nil {
 		fatal(err)
 	}
 
-	// The data commands run behind the client chunk cache when enabled, so
-	// a partial overwrite ships only dirty pages (paper Table VII).
-	var c *nvmalloc.Client
-	if *cacheBytes > 0 {
-		c, err = nvmalloc.ConnectStore(st, nvmalloc.ConnectConfig{CacheBytes: *cacheBytes, CacheDir: *cacheDir})
-		if err != nil {
-			st.Close()
-			fatal(err)
-		}
+	// The data commands run behind the client chunk cache, so a partial
+	// overwrite ships only dirty pages (paper Table VII).
+	c, err := nvmalloc.ConnectStore(st, nvmalloc.ConnectConfig{CacheBytes: *cacheBytes, CacheDir: *cacheDir})
+	if err != nil {
+		st.Close()
+		fatal(err)
 	}
 	// Client.Close flushes, commits the file tier (-cache-dir), and closes
-	// st; with the cache disabled, close the store directly.
-	defer func() {
-		if c != nil {
-			c.Close()
-		} else {
-			st.Close()
-		}
-	}()
+	// st.
+	defer c.Close()
 
 	// Data commands run under one command-rooted span covering the whole
-	// path — for put with the cache enabled that is Malloc + WriteAt + Sync,
-	// so the payload's actual trip to the benefactors lands in the same
-	// trace. The trace ID is printed so the waterfall is one
-	// `nvmctl trace <id>` away.
+	// path — for put that is Malloc + WriteAt + Sync, so the payload's
+	// actual trip to the benefactors lands in the same trace. The trace ID
+	// is printed so the waterfall is one `nvmctl trace <id>` away.
 	traced := func(name, op string, fn func(ctx store.Ctx, sp *obs.ActiveSpan) error) error {
 		sp := st.Obs().StartSpan("", "", op)
 		sp.SetVar(name)
@@ -133,13 +124,14 @@ func main() {
 		}
 		return err
 	}
-	// An empty payload takes the uncached path: Malloc rejects size 0, and
-	// `link` needs an empty destination to exist.
+	// An empty payload is a metadata create alone: Malloc rejects size 0,
+	// and `link` needs an empty destination to exist.
 	put := func(name string, data []byte) error {
 		return traced(name, "client.put", func(ctx store.Ctx, sp *obs.ActiveSpan) error {
 			sp.AddBytes(int64(len(data)))
-			if c == nil || len(data) == 0 {
-				return st.PutCtx(ctx, name, data)
+			if len(data) == 0 {
+				_, err := c.ChunkCache().Store().Create(ctx, name, 0)
+				return err
 			}
 			r, err := c.Malloc(ctx, int64(len(data)), nvmalloc.WithName(name))
 			if err != nil {
@@ -154,12 +146,6 @@ func main() {
 	get := func(name string) ([]byte, error) {
 		var data []byte
 		err := traced(name, "client.get", func(ctx store.Ctx, sp *obs.ActiveSpan) error {
-			if c == nil {
-				var err error
-				data, err = st.GetCtx(ctx, name)
-				sp.AddBytes(int64(len(data)))
-				return err
-			}
 			r, err := c.Attach(ctx, name)
 			if err != nil {
 				return err
@@ -311,19 +297,17 @@ func main() {
 
 	if *showStats {
 		s := st.Stats()
-		fmt.Printf("data path: gets=%d puts=%d pagePuts=%d ssdRead=%dB ssdWrite=%dB inflightPeak=%d metaRetries=%d\n",
-			s.ChunkGets, s.ChunkPuts, s.PagePuts, s.SSDReadBytes, s.SSDWriteBytes, s.InFlightPeak, s.MetaRetries)
+		fmt.Printf("data path: gets=%d puts=%d pagePuts=%d ssdRead=%dB ssdWrite=%dB inflightPeak=%d\n",
+			s.ChunkGets, s.ChunkPuts, s.PagePuts, s.SSDReadBytes, s.SSDWriteBytes, s.InFlightPeak)
 		fmt.Printf("fault path: retries=%d failovers=%d degradedWrites=%d\n",
 			s.Retries, s.Failovers, s.DegradedWrites)
-		if c != nil {
-			cs := c.ChunkCache().Stats()
-			fmt.Printf("cache: hits=%d misses=%d evictions=%d dirtyEvictions=%d flushes=%d readAhead=%dB\n",
-				cs.Hits, cs.Misses, cs.Evictions, cs.DirtyEvictions, cs.Flushes, cs.PrefetchBytes)
-			if tier, ok := c.ChunkCache().Store().(*filecache.Tier); ok {
-				f := tier.Stats()
-				fmt.Printf("file tier: hits=%d misses=%d spills=%d evictions=%d commits=%d rebuilds=%d corrupt=%d live=%dB/%d\n",
-					f.Hits, f.Misses, f.Puts, f.Evictions, f.Commits, f.Rebuilds, f.CorruptPayloads, f.LiveBytes, f.LiveEntries)
-			}
+		cs := c.ChunkCache().Stats()
+		fmt.Printf("cache: hits=%d misses=%d evictions=%d dirtyEvictions=%d flushes=%d readAhead=%dB metaRetries=%d\n",
+			cs.Hits, cs.Misses, cs.Evictions, cs.DirtyEvictions, cs.Flushes, cs.PrefetchBytes, cs.MetaRetries)
+		if tier, ok := c.ChunkCache().Store().(*filecache.Tier); ok {
+			f := tier.Stats()
+			fmt.Printf("file tier: hits=%d misses=%d spills=%d evictions=%d commits=%d rebuilds=%d corrupt=%d live=%dB/%d\n",
+				f.Hits, f.Misses, f.Puts, f.Evictions, f.Commits, f.Rebuilds, f.CorruptPayloads, f.LiveBytes, f.LiveEntries)
 		}
 	}
 }

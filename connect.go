@@ -39,11 +39,8 @@ type ConnectConfig struct {
 	// default). It configures only the store Connect opens; ConnectStore
 	// takes the store as it was opened.
 	PoolSize int
-	// Parallelism bounds in-flight chunk transfers per call of the store's
-	// uncached ReadAt/WriteAt/Get/Put (0 = rpc default). A Client never
-	// makes those calls: its in-flight bound is the chunk cache's
-	// fusecache.DefaultFuseConcurrency. Like PoolSize, it configures only
-	// the store Connect opens.
+	// Deprecated: has no effect. A Client's in-flight chunk transfers are
+	// bounded by its chunk cache (fusecache.DefaultFuseConcurrency).
 	Parallelism int
 	// CacheDir, when non-empty, enables the persistent file-backed second
 	// cache tier (internal/filecache): clean chunks evicted from the RAM
@@ -75,10 +72,7 @@ type ConnectConfig struct {
 // Close flushes every dirty page back to the benefactors and tears down
 // the connections.
 func Connect(managerAddr string, cfg ConnectConfig) (*Client, error) {
-	st, err := rpc.OpenWith(managerAddr, rpc.Options{
-		PoolSize:    cfg.PoolSize,
-		Parallelism: cfg.Parallelism,
-	})
+	st, err := rpc.OpenWith(managerAddr, rpc.Options{PoolSize: cfg.PoolSize})
 	if err != nil {
 		return nil, err
 	}

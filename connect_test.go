@@ -281,15 +281,16 @@ func TestConnectSharedChunkCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// What reached the store is each worker's last pattern.
-	reader, err := rpc.Open(cl.mgr.Addr())
+	// What reached the store is each worker's last pattern: a second
+	// client's cold cache reads it from the benefactors.
+	reader, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{ReadAheadChunks: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reader.Close()
 	got := make([]byte, size)
 	for w, r := range regions {
-		if err := reader.ReadAt(r.Name(), 0, got); err != nil {
+		if err := reader.ChunkCache().ReadRange(nil, r.Name(), 0, got); err != nil {
 			t.Fatal(err)
 		}
 		if want := bytes.Repeat([]byte{byte('a' + w + 4)}, size); !bytes.Equal(got, want) {

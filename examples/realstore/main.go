@@ -1,9 +1,9 @@
 // Real TCP store demo: spins up a manager and three benefactors on
 // loopback (the same daemons cmd/nvmstore runs across machines), stores a
-// striped file through the parallel pooled data path, reruns a sparse
-// update through the client chunk cache to show dirty-page-only writeback
-// (paper Table VII), takes a zero-copy linked checkpoint, and shows the
-// copy-on-write isolation — all with real sockets and real chunk files.
+// striped variable through the client chunk cache and pooled connections,
+// reruns a sparse update to show dirty-page-only writeback (paper Table
+// VII), takes a zero-copy linked checkpoint, and shows the copy-on-write
+// isolation — all with real sockets and real chunk files.
 // A final act runs a replicated store, kills a benefactor mid-life, reads
 // through replica failover, and repairs back to full replica count.
 package main
@@ -52,17 +52,30 @@ func main() {
 		fmt.Printf("benefactor %d serving %s on %s\n", i, filepath.Join(tmp, fmt.Sprintf("ben%d", i)), bs.Addr())
 	}
 
-	// The client fans chunk transfers out over a small connection pool per
-	// benefactor, so the three SSDs above are kept busy simultaneously.
-	st, err := rpc.OpenWith(mgr.Addr(), rpc.Options{PoolSize: 4, Parallelism: 8})
+	// The client's chunk cache keeps several chunk transfers in flight over
+	// a small connection pool per benefactor, so the three SSDs above are
+	// kept busy simultaneously.
+	st, err := rpc.OpenWith(mgr.Addr(), rpc.Options{PoolSize: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer st.Close()
+	c, err := nvmalloc.ConnectStore(st, nvmalloc.ConnectConfig{})
+	if err != nil {
+		st.Close()
+		log.Fatal(err)
+	}
+	defer c.Close()
 
 	// Store a striped variable.
 	payload := bytes.Repeat([]byte("out-of-core "), 40000) // ~480 KB
-	if err := st.Put("nvmvar", payload); err != nil {
+	v, err := c.Malloc(nil, int64(len(payload)), nvmalloc.WithName("nvmvar"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := v.WriteAt(nil, 0, payload); err != nil {
+		log.Fatal(err)
+	}
+	if err := v.Sync(nil); err != nil {
 		log.Fatal(err)
 	}
 	fi, _ := st.Stat("nvmvar")
@@ -71,23 +84,8 @@ func main() {
 	fmt.Printf("data path: %d chunk puts, %d B to SSDs, %d transfers in flight at peak\n",
 		ds.ChunkPuts, ds.SSDWriteBytes, ds.InFlightPeak)
 
-	// Sparse update through the client chunk cache: dirty 4 KB pages are
-	// tracked per chunk and only they travel on flush — the paper's write
-	// optimization (Table VII). A second, uncached client would ship whole
-	// chunks for the same update.
-	cst, err := rpc.OpenWith(mgr.Addr(), rpc.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	c, err := nvmalloc.ConnectStore(cst, nvmalloc.ConnectConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer c.Close()
-	v, err := c.Attach(nil, "nvmvar")
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Sparse update: dirty 4 KB pages are tracked per chunk and only they
+	// travel on sync — the paper's write optimization (Table VII).
 	for i := 0; i < len(fi.Chunks); i++ {
 		if err := v.WriteAt(nil, int64(i)*chunk, []byte("sparse-touch")); err != nil {
 			log.Fatal(err)
@@ -96,37 +94,38 @@ func main() {
 	if err := v.Sync(nil); err != nil {
 		log.Fatal(err)
 	}
-	cs, dcs := c.ChunkCache().Stats(), cst.Stats()
-	fmt.Printf("\ncached sparse update: hits=%d misses=%d readAhead=%dB\n", cs.Hits, cs.Misses, cs.PrefetchBytes)
+	cs, shipped := c.ChunkCache().Stats(), st.Stats().SSDWriteBytes-ds.SSDWriteBytes
+	fmt.Printf("\nsparse update: cache hits=%d misses=%d readAhead=%dB\n", cs.Hits, cs.Misses, cs.PrefetchBytes)
 	fmt.Printf("dirty-page writeback shipped %d B to SSDs for %d B of whole chunks touched (%.1f%%)\n",
-		dcs.SSDWriteBytes, int64(len(fi.Chunks))*chunk,
-		100*float64(dcs.SSDWriteBytes)/float64(int64(len(fi.Chunks))*chunk))
+		shipped, int64(len(fi.Chunks))*chunk, 100*float64(shipped)/float64(int64(len(fi.Chunks))*chunk))
 
 	// Zero-copy checkpoint: link the variable's chunks.
-	if err := st.Create("ckpt", 0); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := st.Manager().Link("ckpt", []string{"nvmvar"}); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\ncheckpoint links the variable's chunks — nothing copied")
-
-	// Copy-on-write: remap chunk 0 before modifying it.
-	if _, err := st.Manager().Remap("nvmvar", 0); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := st.Stat("nvmvar"); err != nil { // refresh the chunk map
-		log.Fatal(err)
-	}
-	if err := st.WriteAt("nvmvar", 0, []byte("MUTATED!")); err != nil {
-		log.Fatal(err)
-	}
-	ck, err := st.Get("ckpt")
+	info, err := c.Checkpoint(nil, "ckpt", nil, v)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nv, _ := st.Get("nvmvar")
-	fmt.Printf("after write: variable starts %q, checkpoint still starts %q\n", nv[:8], ck[:8])
+	fmt.Printf("\ncheckpoint links the variable's %d chunks — nothing copied\n", info.LinkedChunks)
+
+	// Copy-on-write: the write's chunk is remapped on writeback, so the
+	// checkpoint keeps the original bytes.
+	if err := v.WriteAt(nil, 0, []byte("MUTATED!")); err != nil {
+		log.Fatal(err)
+	}
+	if err := v.Sync(nil); err != nil {
+		log.Fatal(err)
+	}
+	ck, err := c.Attach(nil, "ckpt")
+	if err != nil {
+		log.Fatal(err)
+	}
+	nv, ckHead := make([]byte, 8), make([]byte, 8)
+	if err := v.ReadAt(nil, 0, nv); err != nil {
+		log.Fatal(err)
+	}
+	if err := ck.ReadAt(nil, int64(info.Regions[0].ChunkStart)*chunk, ckHead); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("after write: variable starts %q, checkpoint still starts %q\n", nv, ckHead)
 
 	time.Sleep(1200 * time.Millisecond) // let a heartbeat report write volumes
 	bens, _ := st.Manager().Status()
@@ -169,6 +168,24 @@ func failoverDemo(tmp string) {
 		bens = append(bens, bs)
 	}
 
+	w, err := nvmalloc.Connect(mgr.Addr(), nvmalloc.ConnectConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("replicated! "), 40000) // ~480 KB
+	v, err := w.Malloc(nil, int64(len(payload)), nvmalloc.WithName("nvmvar"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := v.WriteAt(nil, 0, payload); err != nil {
+		log.Fatal(err)
+	}
+	if err := w.Close(); err != nil { // flushes every dirty page
+		log.Fatal(err)
+	}
+	fmt.Println("stored nvmvar with every chunk on 2 of 3 benefactors")
+
+	// A second client, whose cache is cold, reads the variable back.
 	st, err := rpc.OpenWith(mgr.Addr(), rpc.Options{
 		CallTimeout: 2 * time.Second,
 		Retry:       rpc.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond},
@@ -176,21 +193,24 @@ func failoverDemo(tmp string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer st.Close()
-
-	payload := bytes.Repeat([]byte("replicated! "), 40000) // ~480 KB
-	if err := st.Put("nvmvar", payload); err != nil {
+	c, err := nvmalloc.ConnectStore(st, nvmalloc.ConnectConfig{})
+	if err != nil {
+		st.Close()
 		log.Fatal(err)
 	}
-	fmt.Println("stored nvmvar with every chunk on 2 of 3 benefactors")
+	defer c.Close()
 
 	// Benefactor 0 crashes: its listener and live connections die.
 	bens[0].Close()
 	if err := st.Manager().MarkDead(0); err != nil {
 		log.Fatal(err)
 	}
-	got, err := st.Get("nvmvar")
+	r, err := c.Attach(nil, "nvmvar")
 	if err != nil {
+		log.Fatal(err)
+	}
+	got := make([]byte, r.Size())
+	if err := r.ReadAt(nil, 0, got); err != nil {
 		log.Fatal(err)
 	}
 	s := st.Stats()
@@ -246,15 +266,27 @@ func observabilityDemo(tmp string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer st.Close()
-	// Root the write in a span the way `nvmctl put` does: the manager and
-	// benefactors record their halves under the same trace.
+	c, err := nvmalloc.ConnectStore(st, nvmalloc.ConnectConfig{})
+	if err != nil {
+		st.Close()
+		log.Fatal(err)
+	}
+	defer c.Close()
+	// Root the write in a span the way `nvmctl put` does: the cache, the
+	// manager and the benefactors record their halves under the same trace.
 	data := bytes.Repeat([]byte("observe "), 32768) // 256 KB
 	root := st.Obs().StartSpan("", "", "client.put")
 	root.SetVar("traced-var")
 	root.AddBytes(int64(len(data)))
 	ctx := store.WithSpan(nil, store.SpanInfo{Trace: root.Trace(), Parent: root.ID(), Var: "traced-var"})
-	if err := st.PutCtx(ctx, "traced-var", data); err != nil {
+	v, err := c.Malloc(ctx, int64(len(data)), nvmalloc.WithName("traced-var"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := v.WriteAt(ctx, 0, data); err != nil {
+		log.Fatal(err)
+	}
+	if err := v.Sync(ctx); err != nil {
 		log.Fatal(err)
 	}
 	root.End()
@@ -274,7 +306,7 @@ func observabilityDemo(tmp string) {
 		fmt.Println()
 	}
 
-	// Follow the Put's trace across the cluster like `nvmctl trace`: the
+	// Follow the put's trace across the cluster like `nvmctl trace`: the
 	// client's own spans, then each daemon's.
 	fmt.Printf("trace %s:\n", root.Trace())
 	spans := st.Obs().Spans.ByTrace(root.Trace())

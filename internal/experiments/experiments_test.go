@@ -326,8 +326,8 @@ func TestWireFramingShape(t *testing.T) {
 	}
 	// Under the race detector (nightly `make check`) throughput is noise, so
 	// the allocation bar — which is instrumentation-independent — is the one
-	// asserted: reads land in a reused buffer through pooled payload leases,
-	// so a chunk read must allocate well under one chunk of heap.
+	// asserted: every read hands its pooled payload lease back, so a chunk
+	// read must allocate well under one chunk of heap.
 	if row.AllocPerOp >= float64(wireChunk) {
 		t.Errorf("NVM1 allocates %.0f B per %d B chunk read — a pooled buffer fell out of reuse",
 			row.AllocPerOp, int64(wireChunk))

@@ -3,11 +3,14 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"nvmalloc/internal/benefactor"
+	"nvmalloc/internal/fusecache"
 	"nvmalloc/internal/manager"
 	"nvmalloc/internal/rpc"
+	"nvmalloc/internal/store"
 	"nvmalloc/internal/sysprof"
 )
 
@@ -19,7 +22,7 @@ const wireChunk = 64 * sysprof.KiB
 type WireRow struct {
 	WriteMBps  float64
 	ReadMBps   float64
-	AllocPerOp float64 // heap bytes allocated per cached one-chunk read, process-wide
+	AllocPerOp float64 // heap bytes allocated per one-chunk read, process-wide
 }
 
 // WireFraming benchmarks the TCP chunk data path end to end — real sockets
@@ -60,48 +63,67 @@ func WireFraming(o Opts) (WireRow, *Report, error) {
 	return row, rep, nil
 }
 
+// wireFanout is how many chunk requests the benchmark keeps in flight: the
+// width a TCP client's chunk cache fans out to.
+const wireFanout = fusecache.DefaultFuseConcurrency
+
 // wireFramingRun is the measurement: a streaming write of total bytes,
-// repeated cached whole-file reads, then an allocation census over
-// chunk-granular reads.
+// repeated whole-file reads, then an allocation census over single-chunk
+// reads. It drives the store client's chunk ops directly, wireFanout at a
+// time, so the row times the transport and no cache above it.
 func wireFramingRun(addr string, total int64) (WireRow, error) {
 	st, err := rpc.Open(addr)
 	if err != nil {
 		return WireRow{}, err
 	}
 	defer st.Close()
+	cl := rpc.NewStoreClient(st, 0)
 
 	const file = "wire-nvm1"
+	fi, err := cl.Create(nil, file, total)
+	if err != nil {
+		return WireRow{}, err
+	}
 	payload := make([]byte, total)
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
+	nChunks := len(fi.Chunks)
 
 	start := time.Now()
-	if err := st.Put(file, payload); err != nil {
+	if err := fanOut(nChunks, func(c int) error {
+		return cl.PutChunk(nil, store.ReplicaRefs(fi, c), payload[int64(c)*wireChunk:int64(c+1)*wireChunk])
+	}); err != nil {
 		return WireRow{}, err
 	}
 	writeMBps := float64(total) / 1e6 / time.Since(start).Seconds()
 
-	if _, err := st.Get(file); err != nil { // warm every connection
+	getChunk := func(c int) error {
+		data, err := cl.GetChunk(nil, store.ReplicaRefs(fi, c))
+		if err != nil {
+			return err
+		}
+		cl.ReleaseChunk(data)
+		return nil
+	}
+	if err := fanOut(nChunks, getChunk); err != nil { // warm every connection
 		return WireRow{}, err
 	}
 	const readPasses = 4
 	start = time.Now()
 	for i := 0; i < readPasses; i++ {
-		if _, err := st.Get(file); err != nil {
+		if err := fanOut(nChunks, getChunk); err != nil {
 			return WireRow{}, err
 		}
 	}
 	readMBps := float64(total) * readPasses / 1e6 / time.Since(start).Seconds()
 
-	// Allocation census: chunk-granular reads into a reused buffer, so the
-	// per-op number reflects the transport (client and in-process servers),
-	// not the caller's result slice.
-	buf := make([]byte, wireChunk)
-	nChunks := int(total / wireChunk)
+	// Allocation census: one chunk read at a time, each payload handed
+	// back to the pool, so the per-op number reflects the transport (client
+	// and in-process servers).
 	readAll := func() error {
 		for c := 0; c < nChunks; c++ {
-			if err := st.ReadAt(file, int64(c)*wireChunk, buf); err != nil {
+			if err := getChunk(c); err != nil {
 				return err
 			}
 		}
@@ -123,4 +145,30 @@ func wireFramingRun(addr string, total int64) (WireRow, error) {
 		return WireRow{}, err
 	}
 	return WireRow{WriteMBps: writeMBps, ReadMBps: readMBps, AllocPerOp: allocPerOp}, nil
+}
+
+// fanOut runs do(0..n-1) on wireFanout workers and returns the first error.
+func fanOut(n int, do func(int) error) error {
+	next := make(chan int, n)
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	errs := make(chan error, wireFanout)
+	var wg sync.WaitGroup
+	for w := 0; w < wireFanout; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if err := do(i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
 }

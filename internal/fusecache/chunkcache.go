@@ -67,8 +67,8 @@ type Config struct {
 // DefaultFuseConcurrency is the store-request concurrency of a cache whose
 // Config leaves FuseConcurrency zero: enough requests in flight to cover
 // device latency across a handful of benefactors with pooled connections.
-// rpc.DefaultParallelism is defined as this value, so cached and uncached
-// TCP clients fan out equally wide.
+// The cache is the only byte path of a TCP client, so this is also how
+// wide a TCP client fans chunk transfers out.
 const DefaultFuseConcurrency = 8
 
 // Chunks returns the cache capacity in chunks (at least 1).
@@ -99,6 +99,7 @@ type Stats struct {
 	Spills         int64 // clean evicted chunks handed to the file tier
 	Remaps         int64 // copy-on-write remappings performed
 	Flushes        int64
+	MetaRetries    int64 // reads and writebacks retried after a stale chunk map
 }
 
 // counters are the cache's registry handles. They are atomic, so Stats()
@@ -112,6 +113,7 @@ type counters struct {
 	evictions, dirtyEvictions   *obs.Counter
 	spills                      *obs.Counter
 	remaps, flushes             *obs.Counter
+	metaRetries                 *obs.Counter
 }
 
 func newCounters(o *obs.Obs) counters {
@@ -131,6 +133,7 @@ func newCounters(o *obs.Obs) counters {
 		spills:         r.Counter("fusecache.spills"),
 		remaps:         r.Counter("fusecache.remaps"),
 		flushes:        r.Counter("fusecache.flushes"),
+		metaRetries:    r.Counter("fusecache.meta_retries"),
 	}
 }
 
@@ -329,6 +332,7 @@ func (cc *ChunkCache) Stats() Stats {
 		Spills:         cc.s.spills.Load(),
 		Remaps:         cc.s.remaps.Load(),
 		Flushes:        cc.s.flushes.Load(),
+		MetaRetries:    cc.s.metaRetries.Load(),
 	}
 }
 
@@ -338,7 +342,7 @@ func (cc *ChunkCache) ResetStats() {
 		cc.s.fuseRead, cc.s.fuseWrite, cc.s.ssdRead, cc.s.ssdWrite,
 		cc.s.prefetch, cc.s.prefetchWasted, cc.s.hits, cc.s.misses, cc.s.waits,
 		cc.s.evictions, cc.s.dirtyEvictions, cc.s.spills,
-		cc.s.remaps, cc.s.flushes,
+		cc.s.remaps, cc.s.flushes, cc.s.metaRetries,
 	} {
 		c.Set(0)
 	}
@@ -403,6 +407,22 @@ func (cc *ChunkCache) RegisterMeta(ctx store.Ctx, fi proto.FileInfo) {
 	cc.env.Unlock(ctx)
 }
 
+// staleMeta reports whether err says the cached chunk map of file is
+// stale: ErrNoSuchChunk, because another client remapped, rewrote or
+// deleted the file while the map aged. It then drops the map, so that the
+// next fileMeta looks the file up afresh, and counts and logs the retry
+// the caller makes. Lock held.
+func (cc *ChunkCache) staleMeta(ctx store.Ctx, err error, file string) bool {
+	if !errors.Is(err, proto.ErrNoSuchChunk) {
+		return false
+	}
+	delete(cc.meta, file)
+	cc.s.metaRetries.Inc()
+	cc.cfg.Obs.Event("fusecache", "meta-retry", store.SpanOf(ctx).Trace,
+		fmt.Sprintf("stale chunk map for %q, re-fetching", file))
+	return true
+}
+
 // InvalidateMeta drops the cached chunk map of a file.
 func (cc *ChunkCache) InvalidateMeta(ctx store.Ctx, file string) {
 	cc.env.Lock(ctx)
@@ -436,6 +456,7 @@ func (cc *ChunkCache) pagesPerChunk() int { return int(cc.cfg.ChunkSize / cc.cfg
 // write that covers whole pages only. Lock held.
 func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int, off, n int64, write bool) (*entry, error) {
 	key := chunkKey{file, idx}
+	retried := false
 	for {
 		if e, ok := cc.entries[key]; ok {
 			if e.fut != nil {
@@ -498,6 +519,10 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int, off, n int64,
 		cc.advance(ctx, file, idx, false)
 		e, err := cc.fetch(ctx, key, refsCopy(*fi, idx), nil)
 		if err != nil {
+			if !retried && cc.staleMeta(ctx, err, file) {
+				retried = true // once, against a fresh map
+				continue
+			}
 			return nil, err
 		}
 		if e == nil {
@@ -639,19 +664,25 @@ func (cc *ChunkCache) holds(e *entry, off, n int64, write bool) bool {
 }
 
 // complete fills a partly valid entry for an access that needs pages it
-// does not hold. Lock held; released around the fetch, with e.fut set so
-// that no other accessor, eviction or Drop touches the entry meanwhile.
+// does not hold, retrying once against a fresh chunk map if the cached one
+// is stale. Lock held; released around the fetch, with e.fut set so that
+// no other accessor, eviction or Drop touches the entry meanwhile.
 func (cc *ChunkCache) complete(ctx store.Ctx, e *entry) error {
 	e.fut = cc.env.NewFuture("fill " + e.key.file)
 	defer cc.settle(e)
-	fi, err := cc.fileMeta(ctx, e.key.file)
-	if err != nil {
-		return err
+	for retried := false; ; retried = true {
+		fi, err := cc.fileMeta(ctx, e.key.file)
+		if err != nil {
+			return err
+		}
+		if e.key.idx >= len(fi.Chunks) {
+			return fmt.Errorf("%w: fill of %q chunk %d", proto.ErrChunkOutOfRange, e.key.file, e.key.idx)
+		}
+		err = cc.fill(ctx, e, refsCopy(*fi, e.key.idx))
+		if retried || !cc.staleMeta(ctx, err, e.key.file) {
+			return err
+		}
 	}
-	if e.key.idx >= len(fi.Chunks) {
-		return fmt.Errorf("%w: fill of %q chunk %d", proto.ErrChunkOutOfRange, e.key.file, e.key.idx)
-	}
-	return cc.fill(ctx, e, refsCopy(*fi, e.key.idx))
 }
 
 // fill fetches a partly valid entry's chunk and copies it into the pages
@@ -800,11 +831,8 @@ func (cc *ChunkCache) writeback(ctx store.Ctx, e *entry) error {
 		}
 	}
 	err = cc.ship(ctx, e, refs)
-	if errors.Is(err, proto.ErrNoSuchChunk) {
-		// Stale chunk map: another client remapped, rewrote, or deleted
-		// the file while our copy of its metadata aged. Refresh and retry
-		// once against the fresh map.
-		delete(cc.meta, e.key.file)
+	if cc.staleMeta(ctx, err, e.key.file) {
+		// Retry once against the fresh map.
 		fi, lerr := cc.fileMeta(ctx, e.key.file)
 		switch {
 		case errors.Is(lerr, proto.ErrNoSuchFile):

@@ -10,26 +10,37 @@ import (
 	"testing"
 )
 
-// allocBytesPerGet measures process-wide heap bytes allocated per cached
-// one-chunk Get (client + in-process servers — the whole TCP chunk path).
+// allocBytesPerGet measures process-wide heap bytes allocated per cold
+// one-chunk read through a chunk cache (client + in-process servers — the
+// whole TCP chunk path): the caller's result buffer, a lookup, the fetch.
+// Drop empties the cache after each read, returning the chunk buffer to
+// the store's arena for the next fetch.
+// allocSink holds the latest result buffer, so that it lives on the heap
+// as a real caller's would.
+var allocSink []byte
+
 func allocBytesPerGet(t *testing.T, st *Store, name string, n int) float64 {
 	t.Helper()
 	payload := pattern(11, testChunk)
-	if err := st.Put(name, payload); err != nil {
+	if err := putFile(st, name, payload); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 32; i++ { // warm connections, pools, and arenas
-		if _, err := st.Get(name); err != nil {
+	cc := newFileCache(st)
+	get := func() {
+		allocSink = make([]byte, testChunk)
+		if err := cc.ReadRange(nil, name, 0, allocSink); err != nil {
 			t.Fatal(err)
 		}
+		cc.Drop(nil, name)
+	}
+	for i := 0; i < 32; i++ { // warm connections, pools, and arenas
+		get()
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		if _, err := st.Get(name); err != nil {
-			t.Fatal(err)
-		}
+		get()
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)

@@ -305,7 +305,7 @@ func TestCachedStoreReadAheadConcurrentStreams(t *testing.T) {
 func TestCachedStoreConcurrent(t *testing.T) {
 	const goroutines = 6
 	addr := cacheRig(t, 3)
-	st := openStore(t, addr, rpc.Options{PoolSize: 2, Parallelism: 4})
+	st := openStore(t, addr, rpc.Options{PoolSize: 2})
 	// Undersized cache so eviction writebacks happen mid-run.
 	cl, cache := connectCached(t, st, nvmalloc.ConnectConfig{CacheBytes: 4 * testChunk, PageSize: 256, ReadAheadChunks: -1})
 
@@ -345,10 +345,11 @@ func TestCachedStoreConcurrent(t *testing.T) {
 	if err := cache.Flush(nil, "v"); err != nil {
 		t.Fatal(err)
 	}
-	// Read back uncached to see exactly what the benefactors hold.
+	// Read back through a cold cache to see exactly what the benefactors
+	// hold.
 	st2 := openStore(t, addr, rpc.Options{})
 	defer st2.Close()
-	got, err := st2.Get("v")
+	got, err := rpc.GetFile(st2, "v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestCachedStorePartialPagesConcurrent(t *testing.T) {
 	region := int64(3) * testChunk
 	want := make([]byte, goroutines*region)
 	rand.New(rand.NewSource(1)).Read(want)
-	if err := st.Put("v", want); err != nil {
+	if err := rpc.PutFile(st, "v", want); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -434,7 +435,7 @@ func TestCachedStorePartialPagesConcurrent(t *testing.T) {
 	}
 	st2 := openStore(t, addr, rpc.Options{})
 	defer st2.Close()
-	got, err := st2.Get("v")
+	got, err := rpc.GetFile(st2, "v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,10 +454,10 @@ func TestDisabledObsIsInert(t *testing.T) {
 	for i := range payload {
 		payload[i] = 9 ^ byte(i%251)
 	}
-	if err := st.Put("quiet", payload); err != nil {
+	if err := rpc.PutFile(st, "quiet", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Get("quiet")
+	got, err := rpc.GetFile(st, "quiet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,9 +520,10 @@ func TestReadAheadSpansNestUnderCaller(t *testing.T) {
 	}
 }
 
-// cachedBenchChunks and cachedBenchLatency are bench_test.go's file size
-// and emulated device time, so the cached benches compare with the
-// uncached RPCStore ones.
+// cachedBenchChunks is the cached benches' file size. cachedBenchLatency is
+// the emulated device time per chunk access, in the ballpark of a 2012 SLC
+// SSD random access: loopback has essentially no latency, and without it
+// the benches would measure only codec CPU and hide what fan-out buys.
 const (
 	cachedBenchChunks  = 48
 	cachedBenchLatency = 150 * time.Microsecond
@@ -709,7 +711,7 @@ func BenchmarkRestoreReadBack(b *testing.B) {
 	// The file is written through a client of its own, so that the reading
 	// store's in-flight peak is the sweep's.
 	wst := openStore(b, ms.Addr(), rpc.Options{})
-	err = wst.Put("restart", payload)
+	err = rpc.PutFile(wst, "restart", payload)
 	wst.Close()
 	if err != nil {
 		b.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"nvmalloc/internal/store"
 )
 
 // TestRemapPatchesCachedMeta: a client's own Remap must leave its cached
@@ -20,7 +18,7 @@ func TestRemapPatchesCachedMeta(t *testing.T) {
 	defer st.Close()
 
 	payload := bytes.Repeat([]byte("v0"), testChunk/2)
-	if err := st.Put("f", payload); err != nil {
+	if err := putFile(st, "f", payload); err != nil {
 		t.Fatal(err)
 	}
 	old, err := st.Stat("f")
@@ -35,45 +33,54 @@ func TestRemapPatchesCachedMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh, err := st.Remap("f", 0)
+	// The client's cache holds f's pre-remap map and is armed for
+	// copy-on-write, as after a checkpoint: its writeback remaps the
+	// chunk.
+	oldRef := old.Chunks[0] // the cache patches the map it is given in place
+	cc := newFileCache(st)
+	cc.RegisterMeta(nil, old)
+	cc.ArmCOW(nil, "f")
+	if err := writeThrough(nil, cc, "f", 0, []byte("V1")); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := st.Stat("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh[0] == old.Chunks[0] {
-		t.Fatalf("remap of a shared chunk returned the old ref %v", fresh[0])
+	if cur.Chunks[0] == oldRef {
+		t.Fatalf("remap of a shared chunk returned the old ref %v", cur.Chunks[0])
 	}
-	cached, err := st.fileInfo(store.SpanInfo{}, "f")
-	if err != nil {
+	if n := cc.Stats().Remaps; n != 1 {
+		t.Fatalf("%d remaps, want 1", n)
+	}
+	// Disarmed, the next writeback ships through the cached map with no
+	// remap: it lands on the fresh chunk only if the map was patched.
+	cc.DisarmCOW(nil, "f")
+	if err := writeThrough(nil, cc, "f", 2, []byte("V2")); err != nil {
 		t.Fatal(err)
-	}
-	if cached.Chunks[0] != fresh[0] {
-		t.Fatalf("cached meta still points at %v, want fresh %v", cached.Chunks[0], fresh[0])
 	}
 
-	// A write through the patched map must hit the fresh chunk and leave
-	// the checkpoint's shared copy untouched.
-	if err := st.WriteAt("f", 0, []byte("V1")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Get("f")
+	// The writes must hit the fresh chunk and leave the checkpoint's
+	// shared copy untouched.
+	got, err := getFile(st, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got[:2]) != "V1" {
-		t.Fatalf("read %q through patched meta, want V1", got[:2])
+	if string(got[:4]) != "V1V2" {
+		t.Fatalf("read %q through patched meta, want V1V2", got[:4])
 	}
-	ck, err := st.Get("ckpt")
+	ck, err := getFile(st, "ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(ck[:2]) != "v0" {
-		t.Fatalf("checkpoint copy mutated to %q — write went to the old chunk", ck[:2])
+	if string(ck[:4]) != "v0v0" {
+		t.Fatalf("checkpoint copy mutated to %q — write went to the old chunk", ck[:4])
 	}
 }
 
-// TestLinkDeriveUpdateCachedMeta: Link and Derive return the new chunk map
-// and must install it in the cache, so immediate reads see the post-link
-// layout without a Stat.
+// TestLinkDeriveUpdateCachedMeta: Link and Derive return the new chunk map,
+// and a client installs it in its cache (core.Client.RestoreRegion does),
+// so immediate reads see the post-link layout without a lookup.
 func TestLinkDeriveUpdateCachedMeta(t *testing.T) {
 	r := newRig(t, 2)
 	st, err := Open(r.mgr.Addr())
@@ -83,31 +90,38 @@ func TestLinkDeriveUpdateCachedMeta(t *testing.T) {
 	defer st.Close()
 
 	payload := bytes.Repeat([]byte("x"), 2*testChunk)
-	if err := st.Put("part", payload); err != nil {
+	if err := putFile(st, "part", payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Create("ckpt", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Stat("ckpt"); err != nil { // cache the pre-link (empty) map
-		t.Fatal(err)
-	}
-	if _, err := st.Link("ckpt", []string{"part"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Get("ckpt") // must serve from the post-link cached map
+	pre, err := st.Stat("ckpt")
 	if err != nil {
+		t.Fatal(err)
+	}
+	cc := newFileCache(st)
+	cc.RegisterMeta(nil, pre) // cache the pre-link (empty) map
+	fi, err := st.Link("ckpt", []string{"part"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.RegisterMeta(nil, fi)
+	got := make([]byte, fi.Size)
+	if err := cc.ReadRange(nil, "ckpt", 0, got); err != nil { // must serve from the post-link map
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("post-link read through cached meta returned wrong data")
 	}
 
-	if _, err := st.Derive("slice", "ckpt", 1, 1, testChunk); err != nil {
+	fi, err = st.Derive("slice", "ckpt", 1, 1, testChunk)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sl, err := st.Get("slice")
-	if err != nil {
+	cc.RegisterMeta(nil, fi)
+	sl := make([]byte, fi.Size)
+	if err := cc.ReadRange(nil, "slice", 0, sl); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sl, payload[testChunk:]) {
@@ -133,13 +147,16 @@ func TestStaleMetaAfterRemapRetried(t *testing.T) {
 	defer b.Close()
 
 	v0 := bytes.Repeat([]byte("0"), testChunk)
-	if err := b.Put("f", v0); err != nil {
+	if err := putFile(b, "f", v0); err != nil {
 		t.Fatal(err)
 	}
-	// Client a caches f's chunk map.
-	if _, err := a.Get("f"); err != nil {
+	// Client a's cache holds f's chunk map, and none of its chunks.
+	stale, err := a.Stat("f")
+	if err != nil {
 		t.Fatal(err)
 	}
+	ca := newFileCache(a)
+	ca.RegisterMeta(nil, stale)
 
 	// Client b shares the chunk, remaps it copy-on-write, overwrites the
 	// variable, then deletes the checkpoint — dropping the OLD chunk's
@@ -154,7 +171,7 @@ func TestStaleMetaAfterRemapRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := bytes.Repeat([]byte("1"), testChunk)
-	if err := b.WriteAt("f", 0, v1); err != nil {
+	if err := writeFile(b, "f", 0, v1); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Delete("ckpt"); err != nil {
@@ -170,17 +187,16 @@ func TestStaleMetaAfterRemapRetried(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// a's cached map now dangles. ReadAt consults the cache (unlike Get,
-	// which Stats first): the read must retry with fresh metadata and
-	// serve b's new data.
+	// a's cached map now dangles: the read must retry with fresh metadata
+	// and serve b's new data.
 	got := make([]byte, testChunk)
-	if err := a.ReadAt("f", 0, got); err != nil {
+	if err := ca.ReadRange(nil, "f", 0, got); err != nil {
 		t.Fatalf("read with stale meta failed instead of retrying: %v", err)
 	}
 	if !bytes.Equal(got, v1) {
 		t.Fatalf("read served stale data (got %q...)", got[:1])
 	}
-	if a.Stats().MetaRetries == 0 {
+	if ca.Stats().MetaRetries == 0 {
 		t.Fatal("expected a metadata retry, got none (stale map silently served?)")
 	}
 }

@@ -66,7 +66,7 @@ func TestDeleteOneFramePerBenefactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("f", pattern(1, 3*testChunk)); err != nil {
+	if err := putFile(st, "f", pattern(1, 3*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	used, holders := usedBytes(r)
@@ -139,7 +139,7 @@ func TestDeleteDoesNotHoldManagerLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("f", pattern(2, 3*testChunk)); err != nil {
+	if err := putFile(st, "f", pattern(2, 3*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	deleted := make(chan error, 1)
@@ -194,7 +194,7 @@ func repairRig(t *testing.T, gate *gateBackend) (*rig, *Store, <-chan repairDone
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	if err := st.Put("f", pattern(3, testChunk)); err != nil {
+	if err := putFile(st, "f", pattern(3, testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Manager().MarkDead(0); err != nil {
@@ -285,7 +285,7 @@ func TestRepairDoesNotHoldManagerLock(t *testing.T) {
 	if bens := lookupBens(t, r, "f"); !slices.Contains(bens, 2) {
 		t.Fatalf("lookup after repair lists %v, want the destination 2 among them", bens)
 	}
-	got, err := st.Get("f")
+	got, err := getFile(st, "f")
 	if err != nil || !bytes.Equal(got, pattern(3, testChunk)) {
 		t.Fatalf("read after repair: err=%v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"nvmalloc/internal/benefactor"
 	"nvmalloc/internal/manager"
 	"nvmalloc/internal/proto"
+	"nvmalloc/internal/store"
 )
 
 // faultRig is a replicated manager plus n benefactors whose backends are
@@ -80,7 +81,7 @@ func TestReplicaFailoverMidWorkload(t *testing.T) {
 
 	const nFiles, fileSize = 6, 4 * testChunk
 	for i := 0; i < nFiles; i++ {
-		if err := st.Put(fmt.Sprintf("f%d", i), pattern(byte(i+1), fileSize)); err != nil {
+		if err := putFile(st, fmt.Sprintf("f%d", i), pattern(byte(i+1), fileSize)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +105,7 @@ func TestReplicaFailoverMidWorkload(t *testing.T) {
 				}
 				fi := (w + i) % nFiles
 				off := int64(i%4) * testChunk
-				if err := st.ReadAt(fmt.Sprintf("f%d", fi), off, buf); err != nil {
+				if err := readFile(st, fmt.Sprintf("f%d", fi), off, buf); err != nil {
 					errsMu.Lock()
 					workErrs = append(workErrs, fmt.Errorf("read f%d@%d: %w", fi, off, err))
 					errsMu.Unlock()
@@ -155,7 +156,7 @@ func TestReplicaFailoverMidWorkload(t *testing.T) {
 		t.Fatal("repair restored nothing; expected re-replication of benefactor 0's chunks")
 	}
 	for i := 0; i < nFiles; i++ {
-		got, err := st.Get(fmt.Sprintf("f%d", i))
+		got, err := getFile(st, fmt.Sprintf("f%d", i))
 		if err != nil {
 			t.Fatalf("post-repair read f%d: %v", i, err)
 		}
@@ -175,7 +176,7 @@ func TestRepairRestoresReplicaCount(t *testing.T) {
 	}
 	defer st.Close()
 	payload := pattern(9, 8*testChunk)
-	if err := st.Put("data", payload); err != nil {
+	if err := putFile(st, "data", payload); err != nil {
 		t.Fatal(err)
 	}
 
@@ -200,8 +201,7 @@ func TestRepairRestoresReplicaCount(t *testing.T) {
 	if err := st.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	st.invalidateMeta("data") // pick up the repaired replica table
-	got, err := st.Get("data")
+	got, err := getFile(st, "data") // looks up the repaired replica table
 	if err != nil {
 		t.Fatalf("read after second death: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestHeartbeatExpiryExcludesBenefactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("pre", pattern(3, 6*testChunk)); err != nil {
+	if err := putFile(st, "pre", pattern(3, 6*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,7 +261,7 @@ func TestHeartbeatExpiryExcludesBenefactor(t *testing.T) {
 	}
 
 	// New allocations steer clear of the dead benefactor.
-	if err := st.Put("post", pattern(4, 6*testChunk)); err != nil {
+	if err := putFile(st, "post", pattern(4, 6*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := st.Stat("post")
@@ -272,7 +272,7 @@ func TestHeartbeatExpiryExcludesBenefactor(t *testing.T) {
 		if ref.Benefactor == 0 {
 			t.Fatalf("chunk %d placed on dead benefactor 0", i)
 		}
-		for _, rep := range replicaRefs(fi, i) {
+		for _, rep := range store.ReplicaRefs(fi, i) {
 			if rep.Benefactor == 0 {
 				t.Fatalf("replica of chunk %d placed on dead benefactor 0", i)
 			}
@@ -293,14 +293,14 @@ func TestRetryRecoversFromReset(t *testing.T) {
 	}
 	defer st.Close()
 	payload := pattern(7, 2*testChunk)
-	if err := st.Put("x", payload); err != nil {
+	if err := putFile(st, "x", payload); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, mode := range []FaultMode{FaultReset, FaultPartialWrite} {
 		before := st.Stats().Retries
 		ctl.Set(mode, 0, 1)
-		got, err := st.Get("x")
+		got, err := getFile(st, "x")
 		ctl.Clear()
 		if err != nil {
 			t.Fatalf("mode %d: read failed despite retry budget: %v", mode, err)
@@ -328,13 +328,13 @@ func TestDeadlineBoundsBlackhole(t *testing.T) {
 	}
 	defer st.Close()
 	payload := pattern(5, testChunk)
-	if err := st.Put("x", payload); err != nil {
+	if err := putFile(st, "x", payload); err != nil {
 		t.Fatal(err)
 	}
 
 	ctl.Set(FaultBlackhole, 0, -1)
 	start := time.Now()
-	_, err = st.Get("x")
+	_, err = getFile(st, "x")
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("read succeeded through a black hole")
@@ -349,7 +349,7 @@ func TestDeadlineBoundsBlackhole(t *testing.T) {
 
 	// The link heals; the next read redials and succeeds.
 	ctl.Clear()
-	got, err := st.Get("x")
+	got, err := getFile(st, "x")
 	if err != nil {
 		t.Fatalf("read after fault cleared: %v", err)
 	}
@@ -368,13 +368,13 @@ func TestFlakyBackendFailover(t *testing.T) {
 	}
 	defer st.Close()
 	payload := pattern(6, 4*testChunk)
-	if err := st.Put("x", payload); err != nil {
+	if err := putFile(st, "x", payload); err != nil {
 		t.Fatal(err)
 	}
 
 	r.backends[0].FailGets(-1)
 	defer r.backends[0].FailGets(0)
-	got, err := st.Get("x")
+	got, err := getFile(st, "x")
 	if err != nil {
 		t.Fatalf("read with flaky backend: %v", err)
 	}
@@ -396,7 +396,7 @@ func TestDegradedWriteReported(t *testing.T) {
 	}
 	defer st.Close()
 	payload := pattern(8, 2*testChunk)
-	if err := st.Put("x", payload); err != nil {
+	if err := putFile(st, "x", payload); err != nil {
 		t.Fatal(err)
 	}
 
@@ -408,14 +408,14 @@ func TestDegradedWriteReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	update := pattern(11, testChunk)
-	if err := st.WriteAt("x", 0, update); err != nil {
+	if err := writeFile(st, "x", 0, update); err != nil {
 		t.Fatalf("degraded write failed outright: %v", err)
 	}
 	if st.Stats().DegradedWrites == 0 {
 		t.Fatal("write reached fewer than all replicas but was not counted degraded")
 	}
 	buf := make([]byte, testChunk)
-	if err := st.ReadAt("x", 0, buf); err != nil {
+	if err := readFile(st, "x", 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, update) {
@@ -432,14 +432,14 @@ func TestServerCloseSeversConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("x", pattern(2, testChunk)); err != nil {
+	if err := putFile(st, "x", pattern(2, testChunk)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Get("x"); err != nil { // warm the pool
+	if _, err := getFile(st, "x"); err != nil { // warm the pool
 		t.Fatal(err)
 	}
 	r.bens[0].Close()
-	if _, err := st.Get("x"); err == nil {
+	if _, err := getFile(st, "x"); err == nil {
 		t.Fatal("read succeeded against a closed benefactor")
 	}
 }
@@ -488,10 +488,10 @@ func TestReplicaRefsFallsBackToPrimary(t *testing.T) {
 		Chunks:   []proto.ChunkRef{{ID: 10, Benefactor: 0}, {ID: 11, Benefactor: 1}},
 		Replicas: [][]proto.ChunkRef{{{ID: 10, Benefactor: 0}, {ID: 10, Benefactor: 2}}},
 	}
-	if refs := replicaRefs(fi, 0); len(refs) != 2 {
+	if refs := store.ReplicaRefs(fi, 0); len(refs) != 2 {
 		t.Fatalf("replicated chunk returned %d refs", len(refs))
 	}
-	refs := replicaRefs(fi, 1)
+	refs := store.ReplicaRefs(fi, 1)
 	if len(refs) != 1 || refs[0].ID != 11 {
 		t.Fatalf("unreplicated chunk fallback = %v", refs)
 	}
@@ -538,7 +538,7 @@ func TestRemapCopyFailureLeavesFileIntact(t *testing.T) {
 			}
 			defer st.Close()
 			data := pattern(7, 2*testChunk)
-			if err := st.Put("var", data); err != nil {
+			if err := putFile(st, "var", data); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.Create("ckpt", 0); err != nil {
@@ -575,7 +575,7 @@ func TestRemapCopyFailureLeavesFileIntact(t *testing.T) {
 			if after.Chunks[0] != before.Chunks[0] {
 				t.Fatalf("failed remap moved the file to %v (was %v)", after.Chunks[0], before.Chunks[0])
 			}
-			if got, err := st.Get("var"); err != nil || !bytes.Equal(got, data) {
+			if got, err := getFile(st, "var"); err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("bytes after failed remap differ (err=%v)", err)
 			}
 			r.mgr.mu.Lock()
@@ -596,7 +596,7 @@ func TestRemapCopyFailureLeavesFileIntact(t *testing.T) {
 			if fresh[0] == before.Chunks[0] || len(fresh) != replication {
 				t.Fatalf("retry returned %v, want a fresh %d-copy set", fresh, replication)
 			}
-			if got, err := st.Get("var"); err != nil || !bytes.Equal(got, data) {
+			if got, err := getFile(st, "var"); err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("bytes after remap differ (err=%v)", err)
 			}
 		})

@@ -127,7 +127,7 @@ func TestActiveObservabilityEndToEnd(t *testing.T) {
 	// state for after the benefactor dies.
 	for shard, prefix := range []string{"alpha", "beta"} {
 		name := nameOn(t, prefix, shard, 2)
-		if err := st.Put(name, pattern(byte(shard), testChunk+17)); err != nil {
+		if err := putFile(st, name, pattern(byte(shard), testChunk+17)); err != nil {
 			t.Fatalf("put %q: %v", name, err)
 		}
 	}

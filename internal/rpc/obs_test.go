@@ -33,14 +33,14 @@ func TestFailoverEmitsMetricAndEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("x", pattern(3, 2*testChunk)); err != nil {
+	if err := putFile(st, "x", pattern(3, 2*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 
 	r.backends[0].FailGets(-1)
 	defer r.backends[0].FailGets(0)
 	ctx, root := tracedCtx(st, "get", "x")
-	if _, err := st.GetCtx(ctx, "x"); err != nil {
+	if _, err := getFileCtx(ctx, st, "x"); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -83,10 +83,10 @@ func TestLatencyHistogramsRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("h", make([]byte, 2*testChunk)); err != nil {
+	if err := putFile(st, "h", make([]byte, 2*testChunk)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Get("h"); err != nil {
+	if _, err := getFile(st, "h"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,7 +129,7 @@ func TestDebugEndpoints(t *testing.T) {
 	}
 	defer st.Close()
 	ctx, root := tracedCtx(st, "put", "d")
-	if err := st.PutCtx(ctx, "d", make([]byte, 2*testChunk)); err != nil {
+	if err := putFileCtx(ctx, st, "d", make([]byte, 2*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -158,7 +158,7 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("live_benefactors = %d, want 1", mSnap.Gauges["manager.live_benefactors"])
 	}
 	if h := mSnap.Histograms["manager.op.create.latency"]; h.Count == 0 {
-		t.Fatal("manager create latency histogram empty after Put")
+		t.Fatal("manager create latency histogram empty after the put")
 	}
 
 	bSnap, err := obs.FetchMetrics(bs.DebugAddr())
@@ -169,7 +169,7 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("benefactor.write_bytes = %d, want >= %d", bSnap.Counters["benefactor.write_bytes"], 2*testChunk)
 	}
 
-	// Trace scrape: the Put's trace must be queryable over HTTP from both
+	// Trace scrape: the put's trace must be queryable over HTTP from both
 	// daemons, and the manager's unfiltered ring must list the
 	// benefactor's registration event.
 	for _, c := range []struct {
@@ -242,7 +242,7 @@ func TestMonitorHealthzDegradesOnBenefactorLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("r", pattern(7, 2*testChunk)); err != nil {
+	if err := putFile(st, "r", pattern(7, 2*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -300,7 +300,7 @@ func findSpan(spans []obs.Span, name string) (obs.Span, bool) {
 	return obs.Span{}, false
 }
 
-// TestSpanTreeAcrossWire is the end-to-end span drill: a Put under an
+// TestSpanTreeAcrossWire is the end-to-end span drill: a put under an
 // explicit span context must leave a stitched tree — the client's rpc.*
 // children in its own ring, benefactor.*/ssd.* children in a benefactor's
 // ring, all under one trace with correct parent links — and Close must
@@ -316,7 +316,7 @@ func TestSpanTreeAcrossWire(t *testing.T) {
 	root := st.Obs().StartSpan("", "", "client.put")
 	root.SetVar("spanned")
 	ctx := store.WithSpan(nil, store.SpanInfo{Trace: root.Trace(), Parent: root.ID(), Var: "spanned"})
-	if err := st.PutCtx(ctx, "spanned", bytes.Repeat([]byte("s"), 2*testChunk)); err != nil {
+	if err := putFileCtx(ctx, st, "spanned", bytes.Repeat([]byte("s"), 2*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -354,7 +354,7 @@ func TestSpanTreeAcrossWire(t *testing.T) {
 		t.Fatalf("no benefactor ring has a benefactor.put span for %s", tid)
 	}
 
-	// A plain convenience Put is untraced: it must leave every daemon's span
+	// A plain put is untraced: it must leave every daemon's span
 	// ring unchanged and put no trace or parent span ID on the wire.
 	daemons := []*obs.Obs{r.mgr.Obs()}
 	for _, bs := range r.bens {
@@ -369,13 +369,13 @@ func TestSpanTreeAcrossWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plain.Put("plain", make([]byte, testChunk)); err != nil {
+	if err := putFile(plain, "plain", make([]byte, testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	plain.Close()
 	for i, o := range daemons {
 		if got := o.Spans.Len(); got != before[i] {
-			t.Fatalf("plain Put grew %s's span ring %d -> %d: %+v", o.Reg.Node(), before[i], got, o.Spans.Spans()[before[i]:])
+			t.Fatalf("plain put grew %s's span ring %d -> %d: %+v", o.Reg.Node(), before[i], got, o.Spans.Spans()[before[i]:])
 		}
 	}
 	frames := tap.requests(t)
@@ -384,7 +384,7 @@ func TestSpanTreeAcrossWire(t *testing.T) {
 	}
 	for _, f := range frames {
 		if f.Trace != "" || f.Parent != "" {
-			t.Fatalf("plain Put sent %s frame with trace %q parent %q", f.Op.Op(), f.Trace, f.Parent)
+			t.Fatalf("plain put sent %s frame with trace %q parent %q", f.Op.Op(), f.Trace, f.Parent)
 		}
 	}
 

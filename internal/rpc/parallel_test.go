@@ -7,15 +7,16 @@ import (
 	"sync"
 	"testing"
 
+	"nvmalloc/internal/fusecache"
 	"nvmalloc/internal/proto"
 )
 
 // TestTCPStoreConcurrentMixed hammers one Store from many goroutines doing
-// mixed aligned and unaligned ReadAt/WriteAt against several benefactors,
-// then verifies byte-exact contents. Each goroutine owns a disjoint
-// chunk-aligned region of the shared file, so the expected final image is
-// deterministic while the connection pools and fan-out workers are shared
-// (and contended) across all goroutines. Run with -race.
+// mixed aligned and unaligned reads and writes against several
+// benefactors, then verifies byte-exact contents. Each goroutine owns a
+// disjoint chunk-aligned region of the shared file, so the expected final
+// image is deterministic while the connection pools are shared (and
+// contended) across all goroutines. Run with -race.
 func TestTCPStoreConcurrentMixed(t *testing.T) {
 	const (
 		goroutines      = 8
@@ -23,7 +24,7 @@ func TestTCPStoreConcurrentMixed(t *testing.T) {
 		iters           = 15
 	)
 	r := newRig(t, 3)
-	st, err := OpenWith(r.mgr.Addr(), Options{PoolSize: 3, Parallelism: 6})
+	st, err := OpenWith(r.mgr.Addr(), Options{PoolSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestTCPStoreConcurrentMixed(t *testing.T) {
 				for i := range mine {
 					mine[i] = fill
 				}
-				if err := st.WriteAt("shared", base, mine); err != nil {
+				if err := writeFile(st, "shared", base, mine); err != nil {
 					errs <- err
 					return
 				}
@@ -62,7 +63,7 @@ func TestTCPStoreConcurrentMixed(t *testing.T) {
 					patch := make([]byte, n)
 					rng.Read(patch)
 					copy(mine[off:], patch)
-					if err := st.WriteAt("shared", base+off, patch); err != nil {
+					if err := writeFile(st, "shared", base+off, patch); err != nil {
 						errs <- err
 						return
 					}
@@ -71,7 +72,7 @@ func TestTCPStoreConcurrentMixed(t *testing.T) {
 				off := int64(rng.Intn(int(region) - 900))
 				n := 1 + rng.Intn(900)
 				got := make([]byte, n)
-				if err := st.ReadAt("shared", base+off, got); err != nil {
+				if err := readFile(st, "shared", base+off, got); err != nil {
 					errs <- err
 					return
 				}
@@ -88,7 +89,7 @@ func TestTCPStoreConcurrentMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := st.Get("shared")
+	got, err := getFile(st, "shared")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,47 +119,85 @@ func TestStaleMetaRetry(t *testing.T) {
 	defer b.Close()
 
 	v1 := bytes.Repeat([]byte{0x11}, 2*testChunk)
-	if err := a.Put("f", v1); err != nil {
+	if err := putFile(a, "f", v1); err != nil {
 		t.Fatal(err)
 	}
-	// a's meta cache is warm from Put. b deletes and recreates the file;
-	// the manager hands out fresh chunk IDs and the old ones are
-	// tombstoned on their benefactors.
+	// a's cache holds f's chunk map, as after the put, and none of its
+	// chunks. b deletes and recreates the file; the manager hands out
+	// fresh chunk IDs and the old ones are tombstoned on their
+	// benefactors.
+	stale, err := a.Stat("f")
+	if err != nil {
+		t.Fatal(err)
+	}
 	v2 := bytes.Repeat([]byte{0x22}, 2*testChunk)
 	if err := b.Delete("f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put("f", v2); err != nil {
+	if err := putFile(b, "f", v2); err != nil {
 		t.Fatal(err)
 	}
 
+	ca := newFileCache(a)
+	ca.RegisterMeta(nil, stale)
 	buf := make([]byte, len(v2))
-	if err := a.ReadAt("f", 0, buf); err != nil {
+	if err := ca.ReadRange(nil, "f", 0, buf); err != nil {
 		t.Fatalf("stale read not retried: %v", err)
 	}
 	if !bytes.Equal(buf, v2) {
 		t.Fatal("retry read returned stale or mixed data")
 	}
-	if a.Stats().MetaRetries == 0 {
+	if ca.Stats().MetaRetries == 0 {
 		t.Fatal("no meta retry recorded; test exercised nothing")
 	}
 
-	// Same transparency for writes.
+	// Same transparency for writes: an unaligned write reads the chunk
+	// through the stale map first.
+	if stale, err = a.Stat("f"); err != nil {
+		t.Fatal(err)
+	}
 	if err := b.Delete("f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put("f", v1); err != nil {
+	if err := putFile(b, "f", v1); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteAt("f", 5, []byte("fresh")); err != nil {
+	cw := newFileCache(a)
+	cw.RegisterMeta(nil, stale)
+	if err := writeThrough(nil, cw, "f", 5, []byte("fresh")); err != nil {
 		t.Fatalf("stale write not retried: %v", err)
 	}
-	got, err := b.Get("f")
+	got, err := getFile(b, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got[5:10]) != "fresh" {
 		t.Fatal("retried write lost")
+	}
+
+	// And for fills: a whole-page write installs a chunk without reading
+	// it, and a read of the rest then fills it through the stale map.
+	if stale, err = a.Stat("f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Delete("f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := putFile(b, "f", v2); err != nil {
+		t.Fatal(err)
+	}
+	cf := newFileCache(a)
+	cf.RegisterMeta(nil, stale)
+	page := bytes.Repeat([]byte{0x33}, 512)
+	if err := cf.WriteRange(nil, "f", 0, page); err != nil {
+		t.Fatal(err)
+	}
+	got = make([]byte, testChunk)
+	if err := cf.ReadRange(nil, "f", 0, got); err != nil {
+		t.Fatalf("stale fill not retried: %v", err)
+	}
+	if !bytes.Equal(got[:len(page)], page) || !bytes.Equal(got[len(page):], v2[len(page):testChunk]) {
+		t.Fatal("retried fill lost the written page or served stale data")
 	}
 }
 
@@ -217,16 +256,16 @@ func TestFileBackendAtomicPut(t *testing.T) {
 // size even under heavy fan-out.
 func TestPoolBoundsConnections(t *testing.T) {
 	r := newRig(t, 1)
-	st, err := OpenWith(r.mgr.Addr(), Options{PoolSize: 2, Parallelism: 8})
+	st, err := OpenWith(r.mgr.Addr(), Options{PoolSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("f", make([]byte, 16*testChunk)); err != nil {
+	if err := putFile(st, "f", make([]byte, 16*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 16*testChunk)
-	if err := st.ReadAt("f", 0, buf); err != nil {
+	if err := readFile(st, "f", 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	st.mu.Lock()
@@ -250,9 +289,9 @@ func TestPoolBoundsConnections(t *testing.T) {
 	if live == 0 || live > 2 {
 		t.Fatalf("%d live connections, want 1..2", live)
 	}
-	// Proto sanity: the fan-out math never exceeded the per-call bound.
-	if peak := st.Stats().InFlightPeak; peak > 8 {
-		t.Fatalf("in-flight peak %d exceeds parallelism 8", peak)
+	// Proto sanity: the fan-out never exceeded the cache's request gate.
+	if peak := st.Stats().InFlightPeak; peak > fusecache.DefaultFuseConcurrency {
+		t.Fatalf("in-flight peak %d exceeds the gate %d", peak, fusecache.DefaultFuseConcurrency)
 	}
 }
 

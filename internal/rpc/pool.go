@@ -9,8 +9,8 @@ import (
 
 // connPool is a fixed-size pool of NVM1 connections to one benefactor. A
 // single connection serializes request/response pairs, so a client that
-// fans chunk transfers out (Store.ReadAt/WriteAt) needs several streams per
-// benefactor for the transfers to actually pipeline — the paper's aggregate
+// fans chunk transfers out (the chunk cache's request gate) needs several
+// streams per benefactor for the transfers to actually pipeline — the paper's aggregate
 // bandwidth (§III-D, Tables III–IV) comes from keeping every contributor's
 // SSD and NIC busy at once.
 //

@@ -17,6 +17,7 @@ import (
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/proto"
 	"nvmalloc/internal/shardmap"
+	"nvmalloc/internal/store"
 )
 
 // DefaultProbeBens is how many benefactors each probe cycle samples
@@ -95,7 +96,7 @@ func (s *Store) probeName(shard, n int) string {
 }
 
 // probePayload is the canary variable body: small enough to be free,
-// big enough to exercise a real chunk write and readback.
+// big enough to tell a real readback from a zeroed chunk.
 func (s *Store) probePayload(shard int) []byte {
 	return []byte(fmt.Sprintf("nvm-probe %s shard=%d padpadpadpadpadpadpadpadpadpadpad", s.probeToken, shard))
 }
@@ -103,26 +104,39 @@ func (s *Store) probePayload(shard int) []byte {
 // probeShard runs one canary round trip through shard i's full serving
 // path: metadata create on the shard, a chunk write to a benefactor, a
 // readback with verification, and a delete. Any step failing fails the
-// probe; cleanup is best-effort (a leaked canary is overwritten by the
-// next cycle's create of the same name).
+// probe; a failed probe still deletes its canary (best effort), so the
+// next cycle's create of the same name finds it gone.
 func (s *Store) probeShard(i int) error {
 	name := s.probeName(i, s.nShards())
+	sc := store.SpanInfo{Var: name}
 	want := s.probePayload(i)
-	if err := s.Put(name, want); err != nil {
-		_ = s.Delete(name)
+	fi, err := s.create(sc, name, int64(len(want)))
+	if err == nil {
+		err = s.probeChunk(sc, store.ReplicaRefs(fi, 0), want)
+	} else {
+		err = fmt.Errorf("probe create: %w", err)
+	}
+	if derr := s.deleteFile(sc, name); err == nil && derr != nil {
+		err = fmt.Errorf("probe delete: %w", derr)
+	}
+	return err
+}
+
+// probeChunk writes want at the head of one whole chunk to refs and reads
+// the chunk back.
+func (s *Store) probeChunk(sc store.SpanInfo, refs []proto.ChunkRef, want []byte) error {
+	buf := make([]byte, s.chunkSize)
+	copy(buf, want)
+	if err := s.putChunk(sc, refs, buf); err != nil {
 		return fmt.Errorf("probe put: %w", err)
 	}
-	got, err := s.Get(name)
+	got, err := s.getChunk(sc, refs)
 	if err != nil {
-		_ = s.Delete(name)
 		return fmt.Errorf("probe get: %w", err)
 	}
-	if !bytes.Equal(got, want) {
-		_ = s.Delete(name)
-		return fmt.Errorf("probe readback mismatch: got %d bytes, want %d", len(got), len(want))
-	}
-	if err := s.Delete(name); err != nil {
-		return fmt.Errorf("probe delete: %w", err)
+	defer s.ReleaseChunk(got)
+	if !bytes.Equal(got, buf) {
+		return fmt.Errorf("probe readback mismatch: got %d bytes, want %d", len(got), len(buf))
 	}
 	return nil
 }

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"nvmalloc/internal/benefactor"
+	"nvmalloc/internal/fusecache"
 	"nvmalloc/internal/manager"
 	"nvmalloc/internal/proto"
+	"nvmalloc/internal/store"
 )
 
 const testChunk = 4096
@@ -37,6 +39,79 @@ func newRig(t testing.TB, n int) *rig {
 	return r
 }
 
+// newFileCache returns an empty chunk cache over st: the byte path every
+// TCP client runs (nvmalloc.Connect builds the same stack), with
+// read-ahead off so that a read fetches exactly the chunks it covers. Its
+// counters land on st's registry, where they add up across caches.
+func newFileCache(st *Store) *fusecache.ChunkCache {
+	return fusecache.NewChunkCache(store.NewGoEnv(), NewStoreClient(st, 0), fusecache.Config{
+		ChunkSize:  st.ChunkSize(),
+		PageSize:   512,
+		CacheBytes: 64 * st.ChunkSize(),
+		Obs:        st.Obs(),
+	})
+}
+
+// The file helpers run each call on a fresh cache from newFileCache, so
+// every read crosses the wire and every write has reached the benefactors
+// when the call returns.
+
+// PutFile and GetFile lend putFile and getFile to the rpc_test package.
+var (
+	PutFile = putFile
+	GetFile = getFile
+)
+
+// putFile stores data as a new file: Create, then a write of the whole
+// payload. The cache knows the created chunks are zero, so the write
+// fetches nothing.
+func putFile(st *Store, name string, data []byte) error {
+	return putFileCtx(nil, st, name, data)
+}
+
+func putFileCtx(ctx store.Ctx, st *Store, name string, data []byte) error {
+	cc := newFileCache(st)
+	fi, err := cc.Store().Create(ctx, name, int64(len(data)))
+	if err != nil {
+		return err
+	}
+	cc.MarkFresh(ctx, fi)
+	return writeThrough(ctx, cc, name, 0, data)
+}
+
+// writeFile writes data into an existing file at off.
+func writeFile(st *Store, name string, off int64, data []byte) error {
+	return writeThrough(nil, newFileCache(st), name, off, data)
+}
+
+func writeThrough(ctx store.Ctx, cc *fusecache.ChunkCache, name string, off int64, data []byte) error {
+	if err := cc.WriteRange(ctx, name, off, data); err != nil {
+		return err
+	}
+	return cc.FlushAll(ctx)
+}
+
+// getFile reads a whole file.
+func getFile(st *Store, name string) ([]byte, error) {
+	return getFileCtx(nil, st, name)
+}
+
+func getFileCtx(ctx store.Ctx, st *Store, name string) ([]byte, error) {
+	cc := newFileCache(st)
+	fi, err := cc.Store().Lookup(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	cc.RegisterMeta(ctx, fi)
+	buf := make([]byte, fi.Size)
+	return buf, cc.ReadRange(ctx, name, 0, buf)
+}
+
+// readFile fills buf from the file at off.
+func readFile(st *Store, name string, off int64, buf []byte) error {
+	return newFileCache(st).ReadRange(nil, name, off, buf)
+}
+
 func TestTCPStoreRoundTrip(t *testing.T) {
 	r := newRig(t, 3)
 	st, err := Open(r.mgr.Addr())
@@ -48,10 +123,10 @@ func TestTCPStoreRoundTrip(t *testing.T) {
 		t.Fatalf("chunk size %d", st.ChunkSize())
 	}
 	payload := bytes.Repeat([]byte("nvmalloc!"), 2000) // ~17.6 KB, crosses chunks
-	if err := st.Put("hello", payload); err != nil {
+	if err := putFile(st, "hello", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Get("hello")
+	got, err := getFile(st, "hello")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +134,11 @@ func TestTCPStoreRoundTrip(t *testing.T) {
 		t.Fatal("round trip mismatch")
 	}
 	// Unaligned in-place update.
-	if err := st.WriteAt("hello", 5000, []byte("PATCH")); err != nil {
+	if err := writeFile(st, "hello", 5000, []byte("PATCH")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 5)
-	if err := st.ReadAt("hello", 5000, buf); err != nil {
+	if err := readFile(st, "hello", 5000, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "PATCH" {
@@ -78,7 +153,7 @@ func TestTCPStoreStripesAcrossBenefactors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("wide", make([]byte, 8*testChunk)); err != nil {
+	if err := putFile(st, "wide", make([]byte, 8*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := st.Stat("wide")
@@ -101,7 +176,7 @@ func TestTCPDeleteFreesSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("f", make([]byte, 4*testChunk)); err != nil {
+	if err := putFile(st, "f", make([]byte, 4*testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Delete("f"); err != nil {
@@ -127,7 +202,7 @@ func TestTCPLinkAndCOW(t *testing.T) {
 	}
 	defer st.Close()
 	orig := bytes.Repeat([]byte{0xAB}, 2*testChunk)
-	if err := st.Put("var", orig); err != nil {
+	if err := putFile(st, "var", orig); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Create("ckpt", 0); err != nil {
@@ -140,21 +215,18 @@ func TestTCPLinkAndCOW(t *testing.T) {
 	if _, err := st.Manager().Remap("var", 0); err != nil {
 		t.Fatal(err)
 	}
-	st.mu.Lock()
-	delete(st.meta, "var") // pick up the remapped chunk ref
-	st.mu.Unlock()
-	if err := st.WriteAt("var", 0, []byte{0xCD}); err != nil {
+	if err := writeFile(st, "var", 0, []byte{0xCD}); err != nil { // looks up the remapped ref
 		t.Fatal(err)
 	}
 	// The checkpoint still holds the original bytes.
-	ck, err := st.Get("ckpt")
+	ck, err := getFile(st, "ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ck[0] != 0xAB {
 		t.Fatal("checkpoint corrupted by post-link write")
 	}
-	v, err := st.Get("var")
+	v, err := getFile(st, "var")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +257,10 @@ func TestTCPFileBackend(t *testing.T) {
 	}
 	defer st.Close()
 	payload := bytes.Repeat([]byte{7}, testChunk+100)
-	if err := st.Put("disk", payload); err != nil {
+	if err := putFile(st, "disk", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Get("disk")
+	got, err := getFile(st, "disk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +306,14 @@ func TestTCPDeriveSharesChunks(t *testing.T) {
 	}
 	defer st.Close()
 	payload := bytes.Repeat([]byte{0x5A}, 3*testChunk)
-	if err := st.Put("var", payload); err != nil {
+	if err := putFile(st, "var", payload); err != nil {
 		t.Fatal(err)
 	}
 	// A derived file references chunks 1..2 of var without copying.
 	if _, err := st.Manager().Derive("view", "var", 1, 2, 2*testChunk); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Get("view")
+	got, err := getFile(st, "view")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +324,7 @@ func TestTCPDeriveSharesChunks(t *testing.T) {
 	if err := st.Delete("var"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Get("view"); err != nil {
+	if _, err := getFile(st, "view"); err != nil {
 		t.Fatalf("view lost after source delete: %v", err)
 	}
 }
@@ -264,10 +336,10 @@ func TestTCPLifetimeExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Put("tmp", make([]byte, testChunk)); err != nil {
+	if err := putFile(st, "tmp", make([]byte, testChunk)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put("keep", make([]byte, testChunk)); err != nil {
+	if err := putFile(st, "keep", make([]byte, testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	// Expire "tmp" almost immediately (1ns after manager start).

@@ -98,12 +98,12 @@ func TestShardedPutGetBothShards(t *testing.T) {
 	for i, name := range names {
 		data := bytes.Repeat([]byte{byte('A' + i)}, 2*testChunk+777)
 		payloads[name] = data
-		if err := st.Put(name, data); err != nil {
+		if err := putFile(st, name, data); err != nil {
 			t.Fatalf("put %q: %v", name, err)
 		}
 	}
 	for _, name := range names {
-		got, err := st.Get(name)
+		got, err := getFile(st, name)
 		if err != nil {
 			t.Fatalf("get %q: %v", name, err)
 		}
@@ -171,10 +171,10 @@ func TestShardMapDiscoveryFromOneAddress(t *testing.T) {
 	}
 	name := nameOn(t, "remote", 1, 2)
 	data := bytes.Repeat([]byte("x"), testChunk+13)
-	if err := st.Put(name, data); err != nil {
+	if err := putFile(st, name, data); err != nil {
 		t.Fatalf("put to undialed shard: %v", err)
 	}
-	got, err := st.Get(name)
+	got, err := getFile(st, name)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("get from discovered shard: err=%v match=%v", err, bytes.Equal(got, data))
 	}
@@ -237,10 +237,10 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 	// Link concatenates chunk lists, so parts must be chunk-aligned.
 	d0 := bytes.Repeat([]byte{0xA0}, 3*testChunk)
 	d1 := bytes.Repeat([]byte{0xB1}, 2*testChunk)
-	if err := st.Put(v0, d0); err != nil {
+	if err := putFile(st, v0, d0); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(v1, d1); err != nil {
+	if err := putFile(st, v1, d1); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Create(ck, 0); err != nil {
@@ -256,7 +256,7 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 	if ckInfo.Size != int64(len(d0))+int64(len(d1)) {
 		t.Fatalf("checkpoint size %d, want %d", ckInfo.Size, len(d0)+len(d1))
 	}
-	got, err := st.Get(ck)
+	got, err := getFile(st, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 	if err := st.Delete(v1); err != nil {
 		t.Fatal(err)
 	}
-	got, err = st.Get(ck)
+	got, err = getFile(st, ck)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("checkpoint lost data after variable deletes: err=%v", err)
 	}
@@ -285,7 +285,7 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 	if _, err := st.Derive(restored, ck, 0, nChunks, ckInfo.Size); err != nil {
 		t.Fatalf("cross-shard derive: %v", err)
 	}
-	got, err = st.Get(restored)
+	got, err = getFile(st, restored)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("restored read mismatch: err=%v", err)
 	}
@@ -316,16 +316,16 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 	}
 	// The server-side copy preserved the payload, and the checkpoint still
 	// reads its own (unmodified) chunk.
-	got, err = st.Get(restored)
+	got, err = getFile(st, restored)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("restored read after remap: err=%v", err)
 	}
 	patch := []byte("PATCHED")
 	off := int64(foreignIdx) * testChunk
-	if err := st.WriteAt(restored, off, patch); err != nil {
+	if err := writeFile(st, restored, off, patch); err != nil {
 		t.Fatal(err)
 	}
-	got, err = st.Get(ck)
+	got, err = getFile(st, ck)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("checkpoint changed under a remapped write: err=%v", err)
 	}
@@ -363,10 +363,10 @@ func TestShardKillOneSurvivorServes(t *testing.T) {
 	doomed := nameOn(t, "doomed", 1, 2)
 	dataA := bytes.Repeat([]byte("A"), testChunk+9)
 	dataD := bytes.Repeat([]byte("D"), testChunk+9)
-	if err := st.Put(alive, dataA); err != nil {
+	if err := putFile(st, alive, dataA); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(doomed, dataD); err != nil {
+	if err := putFile(st, doomed, dataD); err != nil {
 		t.Fatal(err)
 	}
 
@@ -374,15 +374,15 @@ func TestShardKillOneSurvivorServes(t *testing.T) {
 
 	// The surviving shard's keyspace is fully live: reads, in-place
 	// writes, fresh creates, deletes.
-	got, err := st.Get(alive)
+	got, err := getFile(st, alive)
 	if err != nil || !bytes.Equal(got, dataA) {
 		t.Fatalf("read on surviving shard: err=%v", err)
 	}
-	if err := st.WriteAt(alive, 3, []byte("patch")); err != nil {
+	if err := writeFile(st, alive, 3, []byte("patch")); err != nil {
 		t.Fatalf("write on surviving shard: %v", err)
 	}
 	alive2 := nameOn(t, "alive-two", 0, 2)
-	if err := st.Put(alive2, dataA); err != nil {
+	if err := putFile(st, alive2, dataA); err != nil {
 		t.Fatalf("create on surviving shard: %v", err)
 	}
 	if err := st.Delete(alive2); err != nil {
@@ -433,7 +433,7 @@ func TestShardRejoinFenceBlocksStaleReads(t *testing.T) {
 
 	old := bytes.Repeat([]byte("STALE"), testChunk/5)
 	fresh := bytes.Repeat([]byte("FRESH"), testChunk/5)
-	if err := st.Put("v", old); err != nil {
+	if err := putFile(st, "v", old); err != nil {
 		t.Fatal(err)
 	}
 	// Partition benefactor 0 (operator fence) and write around it.
@@ -443,7 +443,7 @@ func TestShardRejoinFenceBlocksStaleReads(t *testing.T) {
 	if err := st.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteAt("v", 0, fresh); err != nil {
+	if err := writeFile(st, "v", 0, fresh); err != nil {
 		t.Fatal(err)
 	}
 	if st.Stats().DegradedWrites == 0 {
@@ -475,7 +475,7 @@ func TestShardRejoinFenceBlocksStaleReads(t *testing.T) {
 	// be benefactor 0. The read must fail over / re-lookup to the fresh
 	// payload — never return the stale bytes benefactor 0 held.
 	buf := make([]byte, len(fresh))
-	if err := st.ReadAt("v", 0, buf); err != nil {
+	if err := readFile(st, "v", 0, buf); err != nil {
 		t.Fatalf("read after rejoin: %v", err)
 	}
 	if bytes.Equal(buf, old) {
@@ -490,7 +490,7 @@ func TestShardRejoinFenceBlocksStaleReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	got, err := st2.Get("v")
+	got, err := getFile(st2, "v")
 	if err != nil || !bytes.Equal(got, fresh) {
 		t.Fatalf("cold client read: err=%v stale=%v", err, bytes.Equal(got, old))
 	}
@@ -519,7 +519,7 @@ func TestReleaseRefsReplayTolerated(t *testing.T) {
 	}
 	defer st.Close()
 	name := nameOn(t, "f", 0, 2)
-	if err := st.Put(name, bytes.Repeat([]byte("x"), testChunk)); err != nil {
+	if err := putFile(st, name, bytes.Repeat([]byte("x"), testChunk)); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := st.Stat(name)
@@ -530,7 +530,7 @@ func TestReleaseRefsReplayTolerated(t *testing.T) {
 	if _, err := st.callShard(0, proto.ManagerReq{Op: proto.OpReleaseRefs, IDs: ids}); err != nil {
 		t.Fatalf("blind release errored: %v", err)
 	}
-	got, err := st.Get(name)
+	got, err := getFile(st, name)
 	if err != nil || len(got) != testChunk {
 		t.Fatalf("file damaged by blind release: err=%v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nvmalloc/internal/fusecache"
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/proto"
 	"nvmalloc/internal/shardmap"
@@ -22,11 +21,8 @@ type Options struct {
 	// connection serializes its calls, so this is the per-SSD pipelining depth.
 	// 0 means DefaultPoolSize.
 	PoolSize int
-	// Parallelism bounds how many chunk transfers a single
-	// ReadAt/WriteAt/Get/Put keeps in flight. 0 means DefaultParallelism;
-	// 1 reproduces the old strictly serial path. Only those uncached calls
-	// read it: a chunk cache over the store (nvmalloc.Connect) never makes
-	// them, and bounds its own requests by fusecache.DefaultFuseConcurrency.
+	// Deprecated: has no effect. The store moves single chunks; the chunk
+	// cache over it bounds requests in flight (fusecache.DefaultFuseConcurrency).
 	Parallelism int
 	// CallTimeout bounds one chunk RPC round trip (socket deadline), so a
 	// wedged benefactor costs a timeout instead of hanging the client.
@@ -63,7 +59,6 @@ type Options struct {
 // Defaults for Options fields left zero.
 const (
 	DefaultPoolSize      = 4
-	DefaultParallelism   = fusecache.DefaultFuseConcurrency
 	DefaultCallTimeout   = 10 * time.Second
 	DefaultDialTimeout   = 5 * time.Second
 	DefaultSuspectWindow = 2 * time.Second
@@ -72,9 +67,6 @@ const (
 func (o Options) withDefaults() Options {
 	if o.PoolSize <= 0 {
 		o.PoolSize = DefaultPoolSize
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = DefaultParallelism
 	}
 	if o.CallTimeout == 0 {
 		o.CallTimeout = DefaultCallTimeout
@@ -97,12 +89,14 @@ func (o Options) withDefaults() Options {
 
 // Stats are a Store's cumulative data-path counters.
 type Stats struct {
-	ChunkGets      int64 // OpGetChunk calls issued
-	ChunkPuts      int64 // OpPutChunk calls issued
-	PagePuts       int64 // OpPutPages calls issued
-	SSDReadBytes   int64 // chunk payload bytes fetched from benefactors
-	SSDWriteBytes  int64 // payload bytes shipped to benefactors
-	MetaRetries    int64 // ops retried after a stale chunk map
+	ChunkGets     int64 // OpGetChunk calls issued
+	ChunkPuts     int64 // OpPutChunk calls issued
+	PagePuts      int64 // OpPutPages calls issued
+	SSDReadBytes  int64 // chunk payload bytes fetched from benefactors
+	SSDWriteBytes int64 // payload bytes shipped to benefactors
+	// Deprecated: has no effect, always 0. A chunk cache counts its
+	// stale-map retries (fusecache.Stats.MetaRetries).
+	MetaRetries    int64
 	MapRetries     int64 // ops retried after a stale shard map (epoch fence)
 	InFlightPeak   int64 // max simultaneous chunk RPCs observed
 	Retries        int64 // chunk RPC attempts beyond the first (transient failures)
@@ -116,7 +110,7 @@ type Stats struct {
 type storeMetrics struct {
 	chunkGets, chunkPuts, pagePuts     *obs.Counter
 	ssdReadBytes, ssdWriteBytes        *obs.Counter
-	metaRetries, mapRetries            *obs.Counter
+	mapRetries                         *obs.Counter
 	retries, failovers, degradedWrites *obs.Counter
 	spanExportErrs                     *obs.Counter
 	inFlight, inFlightPeak             *obs.Gauge
@@ -132,7 +126,6 @@ func newStoreMetrics(o *obs.Obs) storeMetrics {
 		pagePuts:       r.Counter("rpc.page_puts"),
 		ssdReadBytes:   r.Counter("rpc.ssd_read_bytes"),
 		ssdWriteBytes:  r.Counter("rpc.ssd_write_bytes"),
-		metaRetries:    r.Counter("rpc.meta_retries"),
 		mapRetries:     r.Counter("rpc.map_retries"),
 		retries:        r.Counter("rpc.retries"),
 		failovers:      r.Counter("rpc.failovers"),
@@ -164,15 +157,17 @@ func (m *storeMetrics) opLatency(op proto.Op) *obs.Histogram {
 	return nil
 }
 
-// Store is a data-path client for the TCP aggregate store: it resolves
-// files through the manager and moves chunk payloads directly between the
-// application and the benefactors, with read-modify-write at chunk
-// granularity for unaligned writes.
+// Store is the client of the TCP aggregate store: it routes metadata RPCs
+// to the owning manager shard and moves single chunks (get, put, put-pages)
+// directly between the application and the benefactors, failing over
+// across replicas. It has no file byte path of its own: the chunk cache
+// (fusecache.ChunkCache over NewStoreClient, as nvmalloc.Connect builds
+// it) splits file I/O into chunk requests and keeps several in flight.
 //
-// Chunk transfers within one call fan out across a bounded worker group
-// and across a small connection pool per benefactor, so a striped file's
-// bandwidth aggregates over its contributors (paper §III-D) instead of
-// serializing on a single socket. All methods are safe for concurrent use.
+// Chunk requests share a small connection pool per benefactor, so a
+// striped file's bandwidth aggregates over its contributors (paper §III-D)
+// instead of serializing on a single socket. All methods are safe for
+// concurrent use.
 type Store struct {
 	// shards holds one metadata client per manager shard, indexed by shard
 	// (file names route by shardmap.ShardFor over len(shards); chunk IDs by
@@ -194,11 +189,10 @@ type Store struct {
 	// burst, not one per chunk.
 	suspectUntil map[int]time.Time
 	pools        map[int]*connPool
-	meta         map[string]proto.FileInfo
 	// arena pools chunk payload buffers for the binary data path: response
 	// payloads are leased from it by the wire layer and returned through
-	// ReleaseChunk (directly by readAt/writeAt, via store.BufferLender by
-	// the chunk cache). Sized to the store's chunk geometry at Open.
+	// ReleaseChunk (by the chunk cache via store.BufferLender). Sized to
+	// the store's chunk geometry at Open.
 	arena *proto.Arena
 
 	obs *obs.Obs
@@ -251,7 +245,6 @@ func OpenWith(addr string, opts Options) (*Store, error) {
 		benAlive:     make(map[int]bool),
 		suspectUntil: make(map[int]time.Time),
 		pools:        make(map[int]*connPool),
-		meta:         make(map[string]proto.FileInfo),
 		obs:          opts.Obs,
 		m:            newStoreMetrics(opts.Obs),
 	}
@@ -657,10 +650,10 @@ func (s *Store) Close() error {
 // ChunkSize returns the striping unit.
 func (s *Store) ChunkSize() int64 { return s.chunkSize }
 
-// ReleaseChunk returns a chunk payload obtained from GetChunk (or the
-// chunk-granular read path) to the store's buffer arena. The buffer must
-// not be used afterwards. Buffers of foreign geometry are ignored safely, so
-// callers can release unconditionally.
+// ReleaseChunk returns a chunk payload obtained from GetChunk to the
+// store's buffer arena. The buffer must not be used afterwards. Buffers of
+// foreign geometry are ignored safely, so callers can release
+// unconditionally.
 func (s *Store) ReleaseChunk(buf []byte) { s.arena.Put(buf) }
 
 // Manager exposes the shard-0 metadata client — the whole cluster on an
@@ -714,7 +707,6 @@ func (s *Store) Stats() Stats {
 		PagePuts:       s.m.pagePuts.Load(),
 		SSDReadBytes:   s.m.ssdReadBytes.Load(),
 		SSDWriteBytes:  s.m.ssdWriteBytes.Load(),
-		MetaRetries:    s.m.metaRetries.Load(),
 		MapRetries:     s.m.mapRetries.Load(),
 		InFlightPeak:   s.m.inFlightPeak.Load(),
 		Retries:        s.m.retries.Load(),
@@ -836,43 +828,6 @@ func (s *Store) callChunk(ref proto.ChunkRef, req proto.ChunkReq) (proto.ChunkRe
 	return proto.ChunkResp{}, last
 }
 
-// replicaRefs returns every copy of chunk idx of a file, primary first.
-// Metadata from an unreplicated manager carries no replica table; the
-// primary ref alone is the degenerate copy set.
-func replicaRefs(fi proto.FileInfo, idx int) []proto.ChunkRef {
-	if idx < len(fi.Replicas) && len(fi.Replicas[idx]) > 0 {
-		return fi.Replicas[idx]
-	}
-	return fi.Chunks[idx : idx+1]
-}
-
-// fileInfo returns (caching) a file's chunk map.
-func (s *Store) fileInfo(sc store.SpanInfo, name string) (proto.FileInfo, error) {
-	s.mu.Lock()
-	fi, ok := s.meta[name]
-	s.mu.Unlock()
-	if ok {
-		return fi, nil
-	}
-	resp, err := s.callRouted(proto.ManagerReq{
-		Op: proto.OpLookup, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: name,
-	})
-	if err != nil {
-		return resp.File, err
-	}
-	s.mu.Lock()
-	s.meta[name] = resp.File
-	s.mu.Unlock()
-	return resp.File, nil
-}
-
-// invalidateMeta drops the cached chunk map of a file.
-func (s *Store) invalidateMeta(name string) {
-	s.mu.Lock()
-	delete(s.meta, name)
-	s.mu.Unlock()
-}
-
 // Create reserves a file of the given size.
 func (s *Store) Create(name string, size int64) error {
 	_, err := s.create(store.SpanInfo{Var: name}, name, size)
@@ -889,16 +844,11 @@ func (s *Store) create(sc store.SpanInfo, name string, size int64) (proto.FileIn
 	if err != nil {
 		return proto.FileInfo{}, err
 	}
-	s.mu.Lock()
-	s.meta[name] = resp.File
-	s.mu.Unlock()
 	return resp.File, nil
 }
 
 // Link appends the part files' chunks to dst (the zero-copy checkpoint
-// merge of §III-E). The cached chunk map of dst is replaced with the
-// manager's post-link view; the parts' maps are untouched (linking does
-// not move their chunks).
+// merge of §III-E) and returns dst's post-link chunk map.
 func (s *Store) Link(dst string, parts []string) (proto.FileInfo, error) {
 	return s.link(store.SpanInfo{Var: dst}, dst, parts)
 }
@@ -911,12 +861,8 @@ func (s *Store) link(sc store.SpanInfo, dst string, parts []string) (proto.FileI
 		Op: proto.OpLink, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: dst, Parts: parts,
 	})
 	if err != nil {
-		s.invalidateMeta(dst)
 		return proto.FileInfo{}, err
 	}
-	s.mu.Lock()
-	s.meta[dst] = resp.File
-	s.mu.Unlock()
 	return resp.File, nil
 }
 
@@ -949,7 +895,7 @@ func (s *Store) linkSharded(sc store.SpanInfo, dst string, parts []string) (prot
 		}
 		for i := range look.File.Chunks {
 			refs = append(refs, look.File.Chunks[i])
-			reps = append(reps, replicaRefs(look.File, i))
+			reps = append(reps, store.ReplicaRefs(look.File, i))
 		}
 		size += look.File.Size
 	}
@@ -963,12 +909,8 @@ func (s *Store) linkSharded(sc store.SpanInfo, dst string, parts []string) (prot
 	})
 	if err != nil {
 		s.releaseRemote(sc, held)
-		s.invalidateMeta(dst)
 		return proto.FileInfo{}, err
 	}
-	s.mu.Lock()
-	s.meta[dst] = resp.File
-	s.mu.Unlock()
 	return resp.File, nil
 }
 
@@ -1037,7 +979,7 @@ func (s *Store) releaseAt(sc store.SpanInfo, owner int, ids []proto.ChunkID) {
 }
 
 // Derive creates name sharing a chunk sub-range of src (checkpoint restore
-// without data movement) and caches the new file's chunk map.
+// without data movement) and returns the new file's chunk map.
 func (s *Store) Derive(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
 	return s.derive(store.SpanInfo{Var: name}, name, src, fromChunk, nChunks, size)
 }
@@ -1051,12 +993,8 @@ func (s *Store) derive(sc store.SpanInfo, name, src string, fromChunk, nChunks i
 		FromChunk: fromChunk, NChunks: nChunks, Size: size,
 	})
 	if err != nil {
-		s.invalidateMeta(name)
 		return proto.FileInfo{}, err
 	}
-	s.mu.Lock()
-	s.meta[name] = resp.File
-	s.mu.Unlock()
 	return resp.File, nil
 }
 
@@ -1080,7 +1018,7 @@ func (s *Store) deriveSharded(sc store.SpanInfo, name, src string, fromChunk, nC
 	refs := ex.File.Chunks
 	reps := make([][]proto.ChunkRef, len(refs))
 	for i := range refs {
-		reps[i] = replicaRefs(ex.File, i)
+		reps[i] = store.ReplicaRefs(ex.File, i)
 	}
 	held, err := s.retainRemote(sc, dstShard, refs)
 	if err != nil {
@@ -1092,20 +1030,15 @@ func (s *Store) deriveSharded(sc store.SpanInfo, name, src string, fromChunk, nC
 	})
 	if err != nil {
 		s.releaseRemote(sc, held)
-		s.invalidateMeta(name)
 		return proto.FileInfo{}, err
 	}
-	s.mu.Lock()
-	s.meta[name] = resp.File
-	s.mu.Unlock()
 	return resp.File, nil
 }
 
 // Remap allocates a fresh chunk for chunk idx of a file (server-side COW
 // copy when the chunk is shared) and returns the fresh replica set,
-// primary first. The cached chunk map is patched in place so subsequent
-// reads and writes through this Store target the fresh chunk instead of
-// failing on the stale one.
+// primary first. A caller holding the file's chunk map patches it with the
+// result (the chunk cache does, in writeback).
 func (s *Store) Remap(name string, chunkIdx int) ([]proto.ChunkRef, error) {
 	return s.remap(store.SpanInfo{Var: name}, name, chunkIdx)
 }
@@ -1115,7 +1048,6 @@ func (s *Store) remap(sc store.SpanInfo, name string, chunkIdx int) ([]proto.Chu
 		Op: proto.OpRemap, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: name, ChunkIdx: chunkIdx,
 	})
 	if err != nil {
-		s.invalidateMeta(name)
 		return nil, err
 	}
 	// A remap of a foreign-owned chunk copied onto a locally-owned one and
@@ -1125,19 +1057,6 @@ func (s *Store) remap(sc store.SpanInfo, name string, chunkIdx int) ([]proto.Chu
 	if len(fresh) == 0 {
 		fresh = []proto.ChunkRef{resp.NewRef}
 	}
-	s.mu.Lock()
-	if fi, ok := s.meta[name]; ok && chunkIdx < len(fi.Chunks) {
-		fi.Chunks = append([]proto.ChunkRef(nil), fi.Chunks...)
-		fi.Chunks[chunkIdx] = fresh[0]
-		if chunkIdx < len(fi.Replicas) {
-			fi.Replicas = append([][]proto.ChunkRef(nil), fi.Replicas...)
-			fi.Replicas[chunkIdx] = fresh
-		}
-		s.meta[name] = fi
-	} else {
-		delete(s.meta, name)
-	}
-	s.mu.Unlock()
 	return fresh, nil
 }
 
@@ -1154,7 +1073,6 @@ func (s *Store) Delete(name string) error {
 }
 
 func (s *Store) deleteFile(sc store.SpanInfo, name string) error {
-	s.invalidateMeta(name)
 	resp, err := s.callRouted(proto.ManagerReq{
 		Op: proto.OpDelete, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: name,
 	})
@@ -1166,16 +1084,16 @@ func (s *Store) deleteFile(sc store.SpanInfo, name string) error {
 	return err
 }
 
-// Stat returns a file's metadata.
+// Stat returns a file's metadata, as the manager holds it now.
 func (s *Store) Stat(name string) (proto.FileInfo, error) {
 	return s.stat(store.SpanInfo{}, name)
 }
 
 func (s *Store) stat(sc store.SpanInfo, name string) (proto.FileInfo, error) {
-	// Always consult the manager: another client may have remapped
-	// chunks.
-	s.invalidateMeta(name)
-	return s.fileInfo(sc, name)
+	resp, err := s.callRouted(proto.ManagerReq{
+		Op: proto.OpLookup, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: name,
+	})
+	return resp.File, err
 }
 
 // getChunk fetches one chunk payload, failing over across its replicas: a
@@ -1306,201 +1224,4 @@ func (s *Store) putPages(sc store.SpanInfo, refs []proto.ChunkRef, offs []int64,
 		s.m.ssdWriteBytes.Add(int64(len(pg)))
 	}
 	return nil
-}
-
-// span is one chunk-aligned slice of a ReadAt/WriteAt buffer.
-type span struct {
-	idx  int   // chunk index within the file
-	coff int64 // offset within the chunk
-	buf  []byte
-}
-
-// chunkSpans splits buf (addressing file bytes starting at off) into
-// per-chunk spans.
-func chunkSpans(chunkSize, off int64, buf []byte) []span {
-	var out []span
-	for len(buf) > 0 {
-		idx := int(off / chunkSize)
-		coff := off % chunkSize
-		n := chunkSize - coff
-		if int64(len(buf)) < n {
-			n = int64(len(buf))
-		}
-		out = append(out, span{idx: idx, coff: coff, buf: buf[:n]})
-		buf = buf[n:]
-		off += n
-	}
-	return out
-}
-
-// forEach runs do(0..n-1) with at most s.opts.Parallelism calls in flight,
-// returning the first error. After an error no new work starts; transfers
-// already in flight finish (a chunk RPC is not interruptible mid-frame).
-func (s *Store) forEach(n int, do func(int) error) error {
-	par := s.opts.Parallelism
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			if err := do(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := do(i); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// withMetaRetry runs fn against the file's (possibly cached) chunk map. If
-// fn fails with ErrNoSuchChunk the map was stale — a chunk was remapped or
-// the file recreated by another client — so the map is re-fetched from the
-// manager and fn retried once.
-func (s *Store) withMetaRetry(sc store.SpanInfo, name string, fn func(proto.FileInfo) error) error {
-	fi, err := s.fileInfo(sc, name)
-	if err != nil {
-		return err
-	}
-	if err = fn(fi); !errors.Is(err, proto.ErrNoSuchChunk) {
-		return err
-	}
-	s.m.metaRetries.Add(1)
-	s.obs.Event("rpc", "meta-retry", sc.Trace, fmt.Sprintf("stale chunk map for %q, re-fetching", name))
-	s.invalidateMeta(name)
-	if fi, err = s.fileInfo(sc, name); err != nil {
-		return err
-	}
-	return fn(fi)
-}
-
-// ReadAt fills buf from the file at off. Chunk fetches fan out across the
-// connection pools, bounded by Options.Parallelism.
-func (s *Store) ReadAt(name string, off int64, buf []byte) error {
-	return s.readAt(store.SpanInfo{Var: name}, name, off, buf)
-}
-
-func (s *Store) readAt(sc store.SpanInfo, name string, off int64, buf []byte) error {
-	return s.withMetaRetry(sc, name, func(fi proto.FileInfo) error {
-		if off < 0 || off+int64(len(buf)) > fi.Size {
-			return fmt.Errorf("%w: read [%d,%d) of %q (%d bytes)", proto.ErrChunkOutOfRange, off, off+int64(len(buf)), name, fi.Size)
-		}
-		spans := chunkSpans(s.chunkSize, off, buf)
-		return s.forEach(len(spans), func(i int) error {
-			sp := spans[i]
-			data, err := s.getChunk(sc, replicaRefs(fi, sp.idx))
-			if err != nil {
-				return err
-			}
-			if int64(len(data)) < sp.coff+int64(len(sp.buf)) {
-				s.arena.Put(data)
-				return fmt.Errorf("chunk %v: short payload %d bytes", fi.Chunks[sp.idx], len(data))
-			}
-			copy(sp.buf, data[sp.coff:])
-			s.arena.Put(data)
-			return nil
-		})
-	})
-}
-
-// WriteAt stores data into the file at off (read-modify-write for partial
-// chunks). Chunk transfers fan out like ReadAt's.
-func (s *Store) WriteAt(name string, off int64, data []byte) error {
-	return s.writeAt(store.SpanInfo{Var: name}, name, off, data)
-}
-
-func (s *Store) writeAt(sc store.SpanInfo, name string, off int64, data []byte) error {
-	return s.withMetaRetry(sc, name, func(fi proto.FileInfo) error {
-		if off < 0 || off+int64(len(data)) > fi.Size {
-			return fmt.Errorf("%w: write [%d,%d) of %q (%d bytes)", proto.ErrChunkOutOfRange, off, off+int64(len(data)), name, fi.Size)
-		}
-		spans := chunkSpans(s.chunkSize, off, data)
-		return s.forEach(len(spans), func(i int) error {
-			sp := spans[i]
-			refs := replicaRefs(fi, sp.idx)
-			if sp.coff == 0 && int64(len(sp.buf)) == s.chunkSize {
-				return s.putChunk(sc, refs, sp.buf)
-			}
-			cur, err := s.getChunk(sc, refs)
-			if err != nil {
-				return err
-			}
-			copy(cur[sp.coff:], sp.buf)
-			err = s.putChunk(sc, refs, cur)
-			s.arena.Put(cur) // the put has left the wire; the RMW staging buffer returns
-			return err
-		})
-	})
-}
-
-// Put uploads a whole payload as a (new) file.
-func (s *Store) Put(name string, data []byte) error {
-	return s.put(store.SpanInfo{Var: name}, name, data)
-}
-
-// PutCtx is Put under a caller-provided span context (store.WithSpan): the
-// upload joins the caller's trace.
-func (s *Store) PutCtx(ctx store.Ctx, name string, data []byte) error {
-	sc := store.SpanOf(ctx)
-	if !sc.Traced() {
-		return s.Put(name, data)
-	}
-	return s.put(sc, name, data)
-}
-
-func (s *Store) put(sc store.SpanInfo, name string, data []byte) error {
-	if _, err := s.create(sc, name, int64(len(data))); err != nil {
-		return err
-	}
-	return s.writeAt(sc, name, 0, data)
-}
-
-// Get downloads a whole file.
-func (s *Store) Get(name string) ([]byte, error) {
-	return s.get(store.SpanInfo{Var: name}, name)
-}
-
-// GetCtx is Get under a caller-provided span context.
-func (s *Store) GetCtx(ctx store.Ctx, name string) ([]byte, error) {
-	sc := store.SpanOf(ctx)
-	if !sc.Traced() {
-		return s.Get(name)
-	}
-	return s.get(sc, name)
-}
-
-func (s *Store) get(sc store.SpanInfo, name string) ([]byte, error) {
-	fi, err := s.stat(sc, name)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, fi.Size)
-	if err := s.readAt(sc, name, 0, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

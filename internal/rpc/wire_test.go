@@ -145,10 +145,10 @@ func TestMalformedFramesDropped(t *testing.T) {
 	}
 	defer st.Close()
 	payload := pattern(5, testChunk)
-	if err := st.Put("after-abuse", payload); err != nil {
+	if err := putFile(st, "after-abuse", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Get("after-abuse")
+	got, err := getFile(st, "after-abuse")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +230,10 @@ func TestHandshakeTransportFaultIsTransient(t *testing.T) {
 		defer st.Close()
 
 		payload := pattern(4, testChunk)
-		if err := st.Put("hs-reset", payload); err != nil {
+		if err := putFile(st, "hs-reset", payload); err != nil {
 			t.Fatalf("put across a reset handshake: %v", err)
 		}
-		got, err := st.Get("hs-reset")
+		got, err := getFile(st, "hs-reset")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,20 +63,20 @@ func TestConcurrentRemapsNeverExposeUnwrittenChunk(t *testing.T) {
 		}
 	}
 
-	reader, err := rpc.Open(mgr.Addr())
+	reader, err := nvmalloc.Connect(mgr.Addr(), nvmalloc.ConnectConfig{ReadAheadChunks: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reader.Close()
-	// verify reads every chunk through a fresh lookup; post additionally
-	// requires the written-back state.
+	rc := reader.ChunkCache()
+	// verify reads every chunk from the benefactors through a fresh lookup
+	// (Drop empties the reader's cache); post additionally requires the
+	// written-back state.
 	verify := func(post bool) error {
-		if _, err := reader.Stat(name); err != nil {
-			return err
-		}
+		rc.Drop(nil, name)
 		buf := make([]byte, chunk)
 		for i := 0; i < chunks; i++ {
-			if err := reader.ReadAt(name, int64(i)*chunk, buf); err != nil {
+			if err := rc.ReadRange(nil, name, int64(i)*chunk, buf); err != nil {
 				return fmt.Errorf("chunk %d: %w", i, err)
 			}
 			head, tail := buf[:page], buf[page:]
