@@ -436,6 +436,10 @@ func TestShardRejoinFenceBlocksStaleReads(t *testing.T) {
 	if err := putFile(st, "v", old); err != nil {
 		t.Fatal(err)
 	}
+	pre, err := st.Stat("v")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Partition benefactor 0 (operator fence) and write around it.
 	if err := st.Manager().MarkDead(0); err != nil {
 		t.Fatal(err)
@@ -475,7 +479,9 @@ func TestShardRejoinFenceBlocksStaleReads(t *testing.T) {
 	// be benefactor 0. The read must fail over / re-lookup to the fresh
 	// payload — never return the stale bytes benefactor 0 held.
 	buf := make([]byte, len(fresh))
-	if err := readFile(st, "v", 0, buf); err != nil {
+	cc := newFileCache(st)
+	cc.RegisterMeta(nil, pre)
+	if err := cc.ReadRange(nil, "v", 0, buf); err != nil {
 		t.Fatalf("read after rejoin: %v", err)
 	}
 	if bytes.Equal(buf, old) {
