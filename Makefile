@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench write-bench delete-bench alloc-bench fuzz-smoke loc
+.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench write-bench delete-bench sim-bench alloc-bench fuzz-smoke loc
 
 # Tier-1 gate: formatting, vet, import boundaries, build, and the full
 # suite under the race detector (the TCP data path is exercised by
@@ -81,15 +81,25 @@ write-bench:
 delete-bench:
 	$(GO) test -run xxx -bench=ManagerDelete -benchtime 2000x -count 3 ./internal/rpc
 
+# The local row of the sim-mm ledger (EXPERIMENTS.md): one Fig3(Quick()) and
+# one Table7(Quick()) simulator run per repetition, reported as wall seconds
+# per repetition. The simulated results are fixed; this is the CPU cost of an
+# event and a resident page. Tens of seconds; measure on an idle host.
+sim-bench:
+	$(GO) test -run xxx -bench 'SimFig3Quick|SimTable7Quick' -benchtime 1x -count 3 ./internal/experiments
+
 # Allocation gate for the NVM1 binary data path: the frame codec and arena
 # must run allocation-free, and a cached TCP chunk get must allocate at most
 # two chunk sizes of heap (an absolute ceiling). A page fault at capacity
-# must allocate nothing either: it refills the LRU victim's frame. Run
-# without -race — the race runtime's instrumentation would drown the budgets.
+# must allocate nothing either: it refills the LRU victim's frame; nor may a
+# resident page hit. The simulator's Sleep, Yield, Chan ping-pong and
+# contended Resource.Use allocate nothing in steady state. Run without
+# -race — the race runtime's instrumentation would drown the budgets.
 alloc-bench:
 	$(GO) test -count 1 -run 'TestFrameCodecZeroAlloc|TestArenaZeroAlloc' ./internal/proto
 	$(GO) test -count 1 -run TestAllocBudgetCachedChunkGet ./internal/rpc
-	$(GO) test -count 1 -run TestPageFaultZeroAlloc ./internal/fusecache
+	$(GO) test -count 1 -run 'TestPageFaultZeroAlloc|TestPageHitZeroAlloc' ./internal/fusecache
+	$(GO) test -count 1 -run TestSimtimeZeroAlloc ./internal/simtime
 
 # Short coverage-guided smoke over the NVM1 frame decoder and the NVC1
 # shard-snapshot decoder: any accepted input must be internally consistent

@@ -8,6 +8,7 @@
 package pfs
 
 import (
+	"slices"
 	"time"
 
 	"nvmalloc/internal/proto"
@@ -96,11 +97,11 @@ func (f *PFS) WriteAt(p *simtime.Proc, name string, off int64, data []byte) erro
 	if !ok {
 		return proto.ErrNoSuchFile
 	}
-	end := off + int64(len(data))
-	if int64(len(d)) < end {
-		nd := make([]byte, end)
-		copy(nd, d)
-		d = nd
+	// Grow capacity geometrically: a sequential write of an n-byte file
+	// copies O(n) bytes, not O(n²/len(data)). A file never shrinks in
+	// place, so the bytes past len(d) are still zero.
+	if end := off + int64(len(data)); int64(len(d)) < end {
+		d = slices.Grow(d, int(end)-len(d))[:end]
 	}
 	copy(d[off:], data)
 	f.files[name] = d

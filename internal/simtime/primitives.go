@@ -11,8 +11,8 @@ import (
 type Chan[T any] struct {
 	eng   *Engine
 	name  string
-	buf   []T
-	recvQ []*Proc
+	buf   queue[T]
+	recvQ queue[*Proc]
 }
 
 // NewChan returns an empty channel attached to e.
@@ -22,47 +22,37 @@ func NewChan[T any](e *Engine, name string) *Chan[T] {
 
 // Send enqueues v and wakes the oldest waiting receiver, if any.
 func (c *Chan[T]) Send(v T) {
-	c.buf = append(c.buf, v)
-	if len(c.recvQ) > 0 {
-		w := c.recvQ[0]
-		c.recvQ = c.recvQ[1:]
-		c.eng.wake(w)
+	c.buf.push(v)
+	if c.recvQ.len() > 0 {
+		c.eng.wake(c.recvQ.pop())
 	}
 }
 
 // Recv blocks p until a message is available and returns it.
 func (c *Chan[T]) Recv(p *Proc) T {
-	for len(c.buf) == 0 {
-		c.recvQ = append(c.recvQ, p)
-		p.park("chan " + c.name)
+	for c.buf.len() == 0 {
+		c.recvQ.push(p)
+		p.park("chan ", c.name)
 	}
-	v := c.buf[0]
-	var zero T
-	c.buf[0] = zero
-	c.buf = c.buf[1:]
+	v := c.buf.pop()
 	// If messages remain and more receivers wait, keep the pipeline moving.
-	if len(c.buf) > 0 && len(c.recvQ) > 0 {
-		w := c.recvQ[0]
-		c.recvQ = c.recvQ[1:]
-		c.eng.wake(w)
+	if c.buf.len() > 0 && c.recvQ.len() > 0 {
+		c.eng.wake(c.recvQ.pop())
 	}
 	return v
 }
 
 // TryRecv returns the next message without blocking.
 func (c *Chan[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(c.buf) == 0 {
+	if c.buf.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := c.buf[0]
-	c.buf[0] = zero
-	c.buf = c.buf[1:]
-	return v, true
+	return c.buf.pop(), true
 }
 
 // Len reports the number of buffered messages.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.len() }
 
 // Future is a single-assignment value that procs can wait on.
 type Future[T any] struct {
@@ -95,7 +85,7 @@ func (f *Future[T]) Set(v T) {
 func (f *Future[T]) Wait(p *Proc) T {
 	for !f.set {
 		f.waiters = append(f.waiters, p)
-		p.park("future " + f.name)
+		p.park("future ", f.name)
 	}
 	return f.v
 }
@@ -112,16 +102,11 @@ type Resource struct {
 	name    string
 	cap     int
 	inUse   int
-	waitQ   []*resWaiter
+	waitQ   queue[*Proc]
 	held    map[*Proc]Time
 	busy    Duration // total held time across all tokens
 	acqs    int64
 	waitSum Duration
-}
-
-type resWaiter struct {
-	p       *Proc
-	granted bool
 }
 
 // NewResource returns a resource with capacity tokens.
@@ -135,14 +120,11 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 // Acquire blocks p until a token is available, in FIFO order.
 func (r *Resource) Acquire(p *Proc) {
 	start := p.Now()
-	if r.inUse < r.cap && len(r.waitQ) == 0 {
+	if r.inUse < r.cap && r.waitQ.len() == 0 {
 		r.inUse++
-	} else {
-		w := &resWaiter{p: p}
-		r.waitQ = append(r.waitQ, w)
-		for !w.granted {
-			p.park("resource " + r.name)
-		}
+	} else { // only Release wakes p, handing it the token
+		r.waitQ.push(p)
+		p.park("resource ", r.name)
 	}
 	r.acqs++
 	r.waitSum += p.Now().Sub(start)
@@ -158,11 +140,8 @@ func (r *Resource) Release(p *Proc) {
 	}
 	delete(r.held, p)
 	r.busy += p.Now().Sub(at)
-	if len(r.waitQ) > 0 {
-		w := r.waitQ[0]
-		r.waitQ = r.waitQ[1:]
-		w.granted = true
-		r.eng.wake(w.p)
+	if r.waitQ.len() > 0 {
+		r.eng.wake(r.waitQ.pop())
 	} else {
 		r.inUse--
 	}
@@ -200,5 +179,5 @@ func (r *Resource) Utilization() float64 {
 }
 
 func (r *Resource) String() string {
-	return fmt.Sprintf("resource %s cap=%d inUse=%d waiters=%d", r.name, r.cap, r.inUse, len(r.waitQ))
+	return fmt.Sprintf("resource %s cap=%d inUse=%d waiters=%d", r.name, r.cap, r.inUse, r.waitQ.len())
 }

@@ -10,7 +10,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -51,14 +50,15 @@ const (
 type Proc struct {
 	eng    *Engine
 	name   string
-	seq    uint64
 	state  procState
 	resume chan struct{}
-	// blockedOn is a human-readable description of what the proc is
-	// waiting for; it is reported on deadlock.
-	blockedOn string
-	timerIdx  int // index into the timer heap while stateTimer, else -1
-	doneHook  []func()
+	// blockKind+blockName describe what a parked proc waits for; they are
+	// only joined when a deadlock is reported.
+	blockKind, blockName string
+	// A proc has at most one pending timer: it wakes at (at, timerSeq).
+	at       Time
+	timerSeq uint64
+	doneHook []func()
 }
 
 // Name returns the proc's diagnostic name.
@@ -70,61 +70,64 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// timer is a scheduled wakeup in the engine's timer heap.
-type timer struct {
-	at   Time
-	seq  uint64
-	proc *Proc
+// timerHeap is a min-heap of the procs with a pending timer, by (at, seq).
+type timerHeap []*Proc
+
+func (h timerHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.at < b.at || a.at == b.at && a.timerSeq < b.timerSeq
 }
 
-type timerHeap []*timer
+func (h timerHeap) swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *timerHeap) push(p *Proc) {
+	i := len(*h)
+	*h = append(*h, p)
+	for i > 0 && h.less(i, (i-1)/2) {
+		h.swap(i, (i-1)/2)
+		i = (i - 1) / 2
 	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].proc.timerIdx = i
-	h[j].proc.timerIdx = j
-}
-func (h *timerHeap) Push(x any) {
-	t := x.(*timer)
-	t.proc.timerIdx = len(*h)
-	*h = append(*h, t)
-}
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.proc.timerIdx = -1
-	*h = old[:n-1]
-	return t
 }
 
-// Engine is a deterministic discrete-event scheduler.
+// pop removes and returns the earliest timer's proc.
+func (h *timerHeap) pop() *Proc {
+	old := *h
+	n := len(old) - 1
+	old.swap(0, n)
+	p := old[n]
+	old[n] = nil
+	old = old[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && old.less(c+1, c) {
+			c++
+		}
+		if c >= n || !old.less(c, i) {
+			break
+		}
+		old.swap(i, c)
+		i = c
+	}
+	*h = old
+	return p
+}
+
+// Engine is a deterministic discrete-event scheduler. There is no
+// scheduler goroutine: a proc that blocks picks the next proc itself and
+// hands it the token directly.
 type Engine struct {
 	now     Time
 	seq     uint64
 	timers  timerHeap
-	ready   []*Proc
-	parked  map[*Proc]struct{}
-	yieldCh chan struct{}
+	ready   queue[*Proc]
+	live    map[*Proc]struct{} // procs not yet done
+	stop    chan struct{}      // the last proc stopped: Run returns or reports deadlock
 	running bool
-	nProcs  int // live (not done) procs
-	cur     *Proc
 }
 
 // NewEngine returns an engine with the clock at zero and no procs.
 func NewEngine() *Engine {
-	return &Engine{
-		parked:  make(map[*Proc]struct{}),
-		yieldCh: make(chan struct{}),
-	}
+	return &Engine{live: make(map[*Proc]struct{}), stop: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -133,26 +136,18 @@ func (e *Engine) Now() Time { return e.now }
 // Go spawns a new proc that will begin executing fn at the current virtual
 // time. It may be called before Run or from a running proc.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	e.seq++
-	p := &Proc{
-		eng:      e,
-		name:     name,
-		seq:      e.seq,
-		state:    stateReady,
-		resume:   make(chan struct{}),
-		timerIdx: -1,
-	}
-	e.nProcs++
-	e.ready = append(e.ready, p)
+	p := &Proc{eng: e, name: name, state: stateReady, resume: make(chan struct{}, 1)}
+	e.live[p] = struct{}{}
+	e.ready.push(p)
 	go func() {
 		<-p.resume
 		fn(p)
 		p.state = stateDone
-		e.nProcs--
+		delete(e.live, p)
 		for _, hook := range p.doneHook {
 			hook()
 		}
-		e.yieldCh <- struct{}{}
+		p.handoff()
 	}()
 	return p
 }
@@ -166,41 +161,44 @@ func (e *Engine) Run() {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for {
-		var p *Proc
-		switch {
-		case len(e.ready) > 0:
-			p = e.ready[0]
-			copy(e.ready, e.ready[1:])
-			e.ready[len(e.ready)-1] = nil
-			e.ready = e.ready[:len(e.ready)-1]
-		case len(e.timers) > 0:
-			t := heap.Pop(&e.timers).(*timer)
-			if t.at < e.now {
-				panic("simtime: clock moved backwards")
-			}
-			e.now = t.at
-			p = t.proc
-		default:
-			if e.nProcs > 0 {
-				panic("simtime: deadlock: " + e.describeParked())
-			}
-			return
-		}
-		p.state = stateRunning
-		e.cur = p
+	if p := e.next(); p != nil {
 		p.resume <- struct{}{}
-		<-e.yieldCh
-		e.cur = nil
+		<-e.stop
 	}
+	if len(e.live) > 0 {
+		panic("simtime: deadlock: " + e.describeParked())
+	}
+}
+
+// next removes the proc to run next from the scheduler and marks it
+// running: the head of the FIFO ready queue, else the earliest timer,
+// which advances the clock. It returns nil when nothing is runnable.
+func (e *Engine) next() *Proc {
+	var p *Proc
+	switch {
+	case e.ready.len() > 0:
+		p = e.ready.pop()
+	case len(e.timers) > 0:
+		p = e.timers.pop()
+		if p.at < e.now {
+			panic("simtime: clock moved backwards")
+		}
+		e.now = p.at
+	default:
+		return nil
+	}
+	p.state = stateRunning
+	return p
 }
 
 // describeParked lists parked procs and what they are blocked on, for
 // deadlock diagnostics.
 func (e *Engine) describeParked() string {
 	var names []string
-	for p := range e.parked {
-		names = append(names, fmt.Sprintf("%s (on %s)", p.name, p.blockedOn))
+	for p := range e.live {
+		if p.state == stateParked {
+			names = append(names, fmt.Sprintf("%s (on %s%s)", p.name, p.blockKind, p.blockName))
+		}
 	}
 	sort.Strings(names)
 	s := fmt.Sprintf("%d proc(s) blocked at t=%v:", len(names), e.now)
@@ -210,12 +208,24 @@ func (e *Engine) describeParked() string {
 	return s
 }
 
-// yield gives the scheduling token back to the engine and blocks until the
-// engine resumes this proc.
-func (p *Proc) yield() {
-	p.eng.yieldCh <- struct{}{}
-	<-p.resume
-	p.state = stateRunning
+// handoff passes the scheduling token from p, which has just queued itself,
+// parked or finished, straight to the next runnable proc and, unless p
+// finished, blocks until p is picked again. Picking p itself is no switch.
+// When nothing is runnable the token goes back to Run.
+func (p *Proc) handoff() {
+	e := p.eng
+	done := p.state == stateDone // read before the token leaves p
+	switch q := e.next(); q {
+	case p:
+		return
+	case nil:
+		e.stop <- struct{}{}
+	default:
+		q.resume <- struct{}{}
+	}
+	if !done {
+		<-p.resume
+	}
 }
 
 // Sleep suspends the proc for virtual duration d. Sleep(0) yields to other
@@ -226,27 +236,25 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	e := p.eng
 	e.seq++
-	t := &timer{at: e.now.Add(d), seq: e.seq, proc: p}
+	p.at, p.timerSeq = e.now.Add(d), e.seq
 	p.state = stateTimer
-	heap.Push(&e.timers, t)
-	p.yield()
+	e.timers.push(p)
+	p.handoff()
 }
 
 // Yield lets other procs runnable at the current virtual time execute.
 func (p *Proc) Yield() {
-	e := p.eng
 	p.state = stateReady
-	e.ready = append(e.ready, p)
-	p.yield()
+	p.eng.ready.push(p)
+	p.handoff()
 }
 
 // park blocks the proc with no pending timer; it must later be woken via
-// wake by another proc. reason appears in deadlock diagnostics.
-func (p *Proc) park(reason string) {
-	p.blockedOn = reason
+// wake by another proc. kind+name appears in deadlock diagnostics.
+func (p *Proc) park(kind, name string) {
+	p.blockKind, p.blockName = kind, name
 	p.state = stateParked
-	p.eng.parked[p] = struct{}{}
-	p.yield()
+	p.handoff()
 }
 
 // wake moves a parked proc to the ready queue (it will run at the current
@@ -255,18 +263,36 @@ func (e *Engine) wake(p *Proc) {
 	if p.state != stateParked {
 		panic("simtime: waking proc " + p.name + " that is not parked")
 	}
-	delete(e.parked, p)
-	p.blockedOn = ""
 	p.state = stateReady
-	e.ready = append(e.ready, p)
+	e.ready.push(p)
 }
 
-// cancelTimer removes p's pending timer (used by timed waits that are
-// satisfied early). It is a no-op if p holds no timer.
-func (e *Engine) cancelTimer(p *Proc) {
-	if p.timerIdx >= 0 {
-		heap.Remove(&e.timers, p.timerIdx)
+// queue is a FIFO that reuses its backing array instead of reslicing it
+// away from the front.
+type queue[T any] struct {
+	s    []T
+	head int
+}
+
+func (q *queue[T]) len() int { return len(q.s) - q.head }
+
+func (q *queue[T]) push(v T) {
+	if q.head > 0 && len(q.s) == cap(q.s) { // compact rather than grow
+		n := copy(q.s, q.s[q.head:])
+		clear(q.s[n:])
+		q.s, q.head = q.s[:n], 0
 	}
+	q.s = append(q.s, v)
+}
+
+func (q *queue[T]) pop() T {
+	v := q.s[q.head]
+	var zero T
+	q.s[q.head] = zero
+	if q.head++; q.head == len(q.s) {
+		q.s, q.head = q.s[:0], 0
+	}
+	return v
 }
 
 // OnDone registers a hook invoked (in the proc's goroutine, holding the
@@ -295,7 +321,8 @@ func (wg *WaitGroup) Done(p *Proc) {
 		for _, w := range wg.waiters {
 			p.eng.wake(w)
 		}
-		wg.waiters = nil
+		clear(wg.waiters)
+		wg.waiters = wg.waiters[:0]
 	}
 }
 
@@ -303,7 +330,7 @@ func (wg *WaitGroup) Done(p *Proc) {
 func (wg *WaitGroup) Wait(p *Proc) {
 	for wg.n != 0 {
 		wg.waiters = append(wg.waiters, p)
-		p.park("waitgroup")
+		p.park("waitgroup", "")
 	}
 }
 

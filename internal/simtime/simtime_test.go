@@ -227,16 +227,28 @@ func TestFuture(t *testing.T) {
 }
 
 func TestDeadlockPanics(t *testing.T) {
+	const want = "simtime: deadlock: 5 proc(s) blocked at t=1ms: fw (on future unset); " +
+		"holder (on chan never); stuck (on chan never); waiter (on resource dev); wg (on waitgroup);"
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected deadlock panic")
+		if got := recover(); got != want {
+			t.Fatalf("panic %q, want %q", got, want)
 		}
 	}()
 	e := NewEngine()
 	c := NewChan[int](e, "never")
-	e.Go("stuck", func(p *Proc) {
+	f := NewFuture[int](e, "unset")
+	r := NewResource(e, "dev", 1)
+	var wg WaitGroup
+	wg.Add(1)
+	e.Go("stuck", func(p *Proc) { c.Recv(p) })
+	e.Go("fw", func(p *Proc) { f.Wait(p) })
+	e.Go("wg", func(p *Proc) { wg.Wait(p) })
+	e.Go("holder", func(p *Proc) {
+		r.Acquire(p)
+		p.Sleep(time.Millisecond)
 		c.Recv(p)
 	})
+	e.Go("waiter", func(p *Proc) { r.Acquire(p) })
 	e.Run()
 }
 
