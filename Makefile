@@ -108,9 +108,14 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/proto
 	$(GO) test -run xxx -fuzz FuzzDecodeNVC1Index -fuzztime 15s ./internal/filecache
 
-# Non-test lines per internal package — the figures ROADMAP.md and
-# CHANGES.md track.
+# Non-test lines per package of the root module (internal/*, cmd/*,
+# examples/* and the root package) and their total — the figures
+# ROADMAP.md and CHANGES.md track. bench/ is a module of its own.
 loc:
-	@for d in internal/*; do \
-		printf '%-24s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
-	done
+	@total=0; \
+	for d in internal/* cmd/* examples/* .; do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+		total=$$((total + n)); \
+		printf '%-32s %s\n' $$d $$n; \
+	done; \
+	printf '%-32s %s\n' total $$total

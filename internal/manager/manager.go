@@ -808,6 +808,9 @@ func (m *Manager) Link(dst string, parts []string) (proto.FileInfo, error) {
 // LinkFull is Link plus the cross-shard accounting: foreignHeld lists the
 // references to other shards' chunks this link acquired; the caller must
 // retain them at the owning shards (OpRetainRefs).
+//
+// Each part lands at the next chunk boundary, so dst's size becomes the
+// byte end of its last non-empty part at that part's aligned offset.
 func (m *Manager) LinkFull(dst string, parts []string) (proto.FileInfo, []proto.ChunkRef, error) {
 	d, ok := m.files[dst]
 	if !ok {
@@ -822,13 +825,15 @@ func (m *Manager) LinkFull(dst string, parts []string) (proto.FileInfo, []proto.
 	var held []proto.ChunkRef
 	for _, pn := range parts {
 		p := m.files[pn]
+		if p.size > 0 {
+			d.size = int64(len(d.chunks))*m.chunkSize + p.size
+		}
 		for _, r := range p.chunks {
 			if m.addRef(r) {
 				held = append(held, r)
 			}
 			d.chunks = append(d.chunks, r)
 		}
-		d.size += p.size
 	}
 	return m.info(d), held, nil
 }
@@ -1088,7 +1093,9 @@ func (m *Manager) ReleaseRefs(ids []proto.ChunkID) (freed []proto.ChunkRef) {
 // create is set (cross-shard Derive). Refs this shard owns simply gain a
 // local reference; foreign refs are recorded in the foreign table with
 // their replica sets (the client retains matching holds at the owners).
-// size is added to the file's length (or becomes it, when creating).
+// size is the byte end of the appended run measured from its first chunk;
+// when positive, the file's size becomes that end offset past the file's
+// earlier chunks.
 func (m *Manager) LinkRefs(name string, refs []proto.ChunkRef, replicas [][]proto.ChunkRef, size int64, create bool) (proto.FileInfo, error) {
 	f, ok := m.files[name]
 	if create && ok {
@@ -1109,6 +1116,9 @@ func (m *Manager) LinkRefs(name string, refs []proto.ChunkRef, replicas [][]prot
 		f = &file{name: name}
 		m.files[name] = f
 	}
+	if size > 0 {
+		f.size = int64(len(f.chunks))*m.chunkSize + size
+	}
 	for i, r := range refs {
 		if m.Owns(r.ID) {
 			cm := m.chunks[r.ID]
@@ -1128,7 +1138,6 @@ func (m *Manager) LinkRefs(name string, refs []proto.ChunkRef, replicas [][]prot
 		fm.refs++
 		f.chunks = append(f.chunks, r)
 	}
-	f.size += size
 	return m.info(f), nil
 }
 

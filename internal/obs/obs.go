@@ -56,9 +56,6 @@ type Obs struct {
 	// incidents is the optional incident recorder: rule firing edges (and
 	// the /incidents/capture endpoint) snapshot diagnostic bundles to disk.
 	incidents atomic.Pointer[IncidentRecorder]
-	// onFiring is the optional user hook observing pending→firing edges
-	// (called after the incident recorder triggers).
-	onFiring atomic.Value // func(Alert)
 }
 
 // Identity names a daemon's place in the cluster: the node name, its
@@ -119,26 +116,11 @@ func (o *Obs) Incidents() *IncidentRecorder {
 	return o.incidents.Load()
 }
 
-// SetOnFiring installs a hook observing every rule's pending→firing edge
-// (after the incident recorder, if any, has been triggered). The hook
-// runs on the monitor goroutine and must not block.
-func (o *Obs) SetOnFiring(fn func(Alert)) {
-	if o == nil {
-		return
-	}
-	o.onFiring.Store(fn)
-}
-
-// firingEdge dispatches one pending→firing transition to the incident
-// recorder and the user hook. Installed into every RuleSet the Obs runs.
+// firingEdge hands one pending→firing transition to the incident
+// recorder. Installed into every RuleSet the Obs runs.
 func (o *Obs) firingEdge(a Alert) {
 	if ir := o.incidents.Load(); ir != nil {
 		ir.TriggerAsync("rule:" + a.Rule)
-	}
-	if v := o.onFiring.Load(); v != nil {
-		if fn := v.(func(Alert)); fn != nil {
-			fn(a)
-		}
 	}
 }
 

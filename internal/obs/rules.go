@@ -226,36 +226,11 @@ func GaugeValue(name string) func(*Series) (float64, bool) {
 	}
 }
 
-// CounterRate observes the named counter's per-second rate over window.
-func CounterRate(name string, window time.Duration) func(*Series) (float64, bool) {
-	return func(ts *Series) (float64, bool) {
-		return ts.Rate(name, window)
-	}
-}
-
 // MaxQuantileNanos observes the worst windowed q-quantile (nanoseconds)
 // across histograms sharing a name prefix.
 func MaxQuantileNanos(prefix string, q float64, window time.Duration) func(*Series) (float64, bool) {
 	return func(ts *Series) (float64, bool) {
 		return ts.MaxQuantileOverWindow(prefix, q, window)
-	}
-}
-
-// HitRatio observes hits/(hits+misses) over the window, reporting data
-// only once at least minEvents lookups landed in it — a cold cache is
-// not a collapsed cache.
-func HitRatio(hits, misses string, window time.Duration, minEvents int64) func(*Series) (float64, bool) {
-	return func(ts *Series) (float64, bool) {
-		o, n, ok := ts.Window(window)
-		if !ok {
-			return 0, false
-		}
-		h := CounterDelta(o, n, hits)
-		m := CounterDelta(o, n, misses)
-		if h+m < minEvents {
-			return 0, false
-		}
-		return float64(h) / float64(h+m), true
 	}
 }
 
@@ -273,7 +248,8 @@ type SLO struct {
 	Name   string
 	Detail string
 	// Good and Bad are counter names: successes and failures of the
-	// guarded operation (e.g. probe.ok / probe.err).
+	// guarded operation (e.g. manager.chunks_repaired /
+	// manager.repair_failures).
 	Good string
 	Bad  string
 	// Target is the availability objective in (0,1), e.g. 0.999.
@@ -369,9 +345,9 @@ type RuleDefaults struct {
 	// it. Zero gets the manager default (5s).
 	HeartbeatTimeout time.Duration
 	// Sustain is the default sustained duration for trend rules
-	// (under-replication, latency, hit-rate). Zero gets 30s.
+	// (under-replication, latency). Zero gets 30s.
 	Sustain time.Duration
-	// Window is the rate/quantile lookback. Zero gets 30s.
+	// Window is the burn-rate/quantile lookback. Zero gets 30s.
 	Window time.Duration
 	// P99Budget is the per-op latency budget the p99 rules enforce. Zero
 	// gets 250ms.
@@ -395,10 +371,10 @@ func (d RuleDefaults) withDefaults() RuleDefaults {
 }
 
 // DefaultRules returns the stock health rules. The set is
-// role-independent: each rule observes metrics only a manager, a
-// benefactor, or a cache-bearing client records, and a rule whose metrics
-// a process never touches simply has no data and never triggers, so every
-// daemon can install the full set.
+// role-independent: each rule observes metrics only a manager or a
+// benefactor records, and a rule whose metrics a process never touches
+// simply has no data and never triggers, so every daemon can install the
+// full set.
 func DefaultRules(d RuleDefaults) []Rule {
 	d = d.withDefaults()
 	return []Rule{
@@ -433,37 +409,6 @@ func DefaultRules(d RuleDefaults) []Rule {
 			Threshold: float64(d.P99Budget.Nanoseconds()),
 			For:       d.Sustain,
 		},
-		{
-			Name:      "rpc-p99",
-			Detail:    "a client rpc's windowed p99 latency exceeds the budget",
-			Value:     MaxQuantileNanos("rpc.", 0.99, d.Window),
-			Op:        Above,
-			Threshold: float64(d.P99Budget.Nanoseconds()),
-			For:       d.Sustain,
-		},
-		{
-			Name:      "filecache-hit-collapse",
-			Detail:    "file-tier hit rate collapsed under sustained lookups",
-			Value:     HitRatio("filecache.hits", "filecache.misses", d.Window, 100),
-			Op:        Below,
-			Threshold: 0.1,
-			For:       d.Sustain,
-		},
-		{
-			Name:      "filecache-commit-errors",
-			Detail:    "file-tier snapshot commits are failing (disk full or permissions?)",
-			Value:     CounterRate("filecache.commit_errors", d.Window),
-			Op:        Above,
-			Threshold: 0,
-		},
-		SLO{
-			Name:       "probe-slo-burn",
-			Detail:     "canary probes are burning the 99.9% availability budget across both windows",
-			Good:       "probe.ok",
-			Bad:        "probe.err",
-			Target:     0.999,
-			SlowWindow: d.Window,
-		}.Rule(),
 		SLO{
 			Name:       "repair-slo-burn",
 			Detail:     "re-replication repairs are burning the 99% success budget across both windows",

@@ -17,7 +17,7 @@ const DefaultSeriesSamples = 300
 // by the alert-rule evaluator, the /vitals endpoint, and tests; every
 // method is safe for concurrent use and nil-safe.
 //
-// All derived math (rates, deltas, windowed histograms) pairs the newest
+// All derived math (counter deltas, windowed histograms) pairs the newest
 // sample with the newest sample at least `window` older, so answers are
 // "over the last N seconds" rather than "since boot". Counter resets — a
 // daemon restart hands the scraper a smaller value than it saw before —
@@ -136,30 +136,6 @@ func CounterDelta(oldest, newest Snapshot, name string) int64 {
 	return nv - ov
 }
 
-// Rate returns the named counter's per-second rate over the window
-// (counter-reset aware). ok is false without two distinct samples.
-func (s *Series) Rate(name string, window time.Duration) (perSec float64, ok bool) {
-	o, n, ok := s.Window(window)
-	if !ok {
-		return 0, false
-	}
-	dt := float64(n.UnixNanos-o.UnixNanos) / 1e9
-	if dt <= 0 {
-		return 0, false
-	}
-	return float64(CounterDelta(o, n, name)) / dt, true
-}
-
-// Delta returns the named counter's growth over the window
-// (counter-reset aware). ok is false without two distinct samples.
-func (s *Series) Delta(name string, window time.Duration) (delta int64, ok bool) {
-	o, n, ok := s.Window(window)
-	if !ok {
-		return 0, false
-	}
-	return CounterDelta(o, n, name), true
-}
-
 // GaugeLast returns the named gauge's value in the newest sample.
 func (s *Series) GaugeLast(name string) (int64, bool) {
 	last, ok := s.Last()
@@ -207,27 +183,6 @@ func WindowHistogram(oldest, newest Snapshot, name string) HistogramSnapshot {
 	out.P95Nanos = out.Quantile(0.95).Nanoseconds()
 	out.P99Nanos = out.Quantile(0.99).Nanoseconds()
 	return out
-}
-
-// HistWindow returns the named histogram's windowed snapshot. ok is false
-// without two distinct samples.
-func (s *Series) HistWindow(name string, window time.Duration) (HistogramSnapshot, bool) {
-	o, n, ok := s.Window(window)
-	if !ok {
-		return HistogramSnapshot{}, false
-	}
-	return WindowHistogram(o, n, name), true
-}
-
-// QuantileOverWindow returns the q-quantile (nanoseconds) of the named
-// histogram's observations within the window. ok is false when no
-// observation landed in the window.
-func (s *Series) QuantileOverWindow(name string, q float64, window time.Duration) (nanos float64, ok bool) {
-	h, ok := s.HistWindow(name, window)
-	if !ok || h.Count == 0 {
-		return 0, false
-	}
-	return float64(h.Quantile(q).Nanoseconds()), true
 }
 
 // MaxQuantileOverWindow returns the largest windowed q-quantile across

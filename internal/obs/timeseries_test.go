@@ -54,10 +54,10 @@ func TestSeriesWindowSelection(t *testing.T) {
 	if o.UnixNanos != 0 {
 		t.Fatalf("Window(1h) base = %d, want oldest (0)", o.UnixNanos)
 	}
-	// Rate over the 2s window: counter moved 50-30=20 over 2s.
-	rate, ok := s.Rate("c", 2*time.Second)
-	if !ok || rate != 10 {
-		t.Fatalf("Rate = %v/%v, want 10/s", rate, ok)
+	// The counter moved 50-30=20 across the 2s window.
+	o, n, _ = s.Window(2 * time.Second)
+	if d := CounterDelta(o, n, "c"); d != 20 {
+		t.Fatalf("CounterDelta over Window(2s) = %d, want 20", d)
 	}
 }
 
@@ -78,13 +78,12 @@ func TestCounterReset(t *testing.T) {
 	s.Add(snapAt(1e9, map[string]int64{"c": 1000}))
 	// Daemon restarted: the counter starts over and reaches 40.
 	s.Add(snapAt(2e9, map[string]int64{"c": 40}))
-	d, ok := s.Delta("c", time.Second)
-	if !ok || d != 40 {
-		t.Fatalf("Delta across reset = %d/%v, want 40 (post-reset value)", d, ok)
+	o, n, ok := s.Window(time.Second)
+	if !ok {
+		t.Fatal("Window not ok with 2 samples")
 	}
-	rate, _ := s.Rate("c", time.Second)
-	if rate < 0 {
-		t.Fatalf("Rate across reset negative: %v", rate)
+	if d := CounterDelta(o, n, "c"); d != 40 {
+		t.Fatalf("CounterDelta across reset = %d, want 40 (post-reset value)", d)
 	}
 }
 

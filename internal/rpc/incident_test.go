@@ -45,13 +45,12 @@ func fetchHealthz(t *testing.T, addr string) (int, healthzView) {
 }
 
 // TestActiveObservabilityEndToEnd is the full incident drill the active
-// observability stack exists for: a 2-shard cluster with the canary
-// prober running loses its only benefactor. The client's probe SLO
-// burn-rate rule must fire, every manager's /healthz must degrade to a
-// 503 naming its shard identity, each manager must write exactly one
-// incident bundle (cooldown dedupes repeat firings), and the per-daemon
-// bundles must merge into one cluster-wide archive — the `nvmctl bundle`
-// path, driven through the same library calls.
+// observability stack exists for: a 2-shard cluster loses its only
+// benefactor. Every manager's /healthz must degrade to a 503 naming its
+// shard identity, each manager must write exactly one incident bundle
+// (cooldown dedupes repeat firings), and the per-daemon bundles must merge
+// into one cluster-wide archive — the `nvmctl bundle` path, driven through
+// the same library calls.
 func TestActiveObservabilityEndToEnd(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir()}
 	var mgrs []*ManagerServer
@@ -98,33 +97,14 @@ func TestActiveObservabilityEndToEnd(t *testing.T) {
 	}
 	defer ben.Close()
 
-	opts := fastOpts()
-	opts.ProbeInterval = 15 * time.Millisecond
-	opts.ProbeBens = 1
-	st, err := OpenWith(all, opts)
+	st, err := OpenWith(all, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	// The client watches its own canaries: short SLO windows so the drill
-	// fires within the test's patience rather than an operator's.
-	st.Obs().StartMonitor(obs.MonitorConfig{
-		SampleInterval: 10 * time.Millisecond,
-		Rules: []obs.Rule{obs.SLO{
-			Name:       "probe-slo-burn",
-			Good:       "probe.ok",
-			Bad:        "probe.err",
-			Target:     0.999,
-			FastWindow: 150 * time.Millisecond,
-			SlowWindow: 600 * time.Millisecond,
-			MinEvents:  4,
-		}.Rule()},
-	})
-	defer st.Obs().StopMonitor()
 
-	// Durable variables pinned to each shard: the probers' canaries are
-	// transient, these give both shards chunks to hold under-replicated
-	// state for after the benefactor dies.
+	// Durable variables pinned to each shard give both shards chunks to
+	// hold under-replicated state for after the benefactor dies.
 	for shard, prefix := range []string{"alpha", "beta"} {
 		name := nameOn(t, prefix, shard, 2)
 		if err := putFile(st, name, pattern(byte(shard), testChunk+17)); err != nil {
@@ -132,11 +112,11 @@ func TestActiveObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Phase 1 — steady state: probes succeed, no SLO burn, managers green.
+	// Phase 1 — steady state: with the puts durable, every manager is
+	// green.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		okCount := st.Obs().Reg.Snapshot().Counters["probe.ok"]
-		green := okCount >= 20 && len(st.Obs().FiringAlerts()) == 0
+		green := true
 		for _, ms := range mgrs {
 			healthy, _, err := obs.FetchHealth(ms.DebugAddr())
 			green = green && err == nil && healthy
@@ -145,37 +125,15 @@ func TestActiveObservabilityEndToEnd(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cluster never reached steady state: probe.ok=%d firing=%+v",
-				okCount, st.Obs().FiringAlerts())
+			t.Fatal("cluster never reached steady state")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Phase 2 — incident: the only benefactor dies. Canary probes start
-	// failing on every target.
+	// Phase 2 — incident: the only benefactor dies.
 	ben.Close()
 
-	// (a) The probe SLO burn-rate rule fires on the client.
-	for {
-		firing := st.Obs().FiringAlerts()
-		found := false
-		for _, a := range firing {
-			if a.Rule == "probe-slo-burn" {
-				found = true
-			}
-		}
-		if found {
-			break
-		}
-		if time.Now().After(deadline) {
-			snap := st.Obs().Reg.Snapshot()
-			t.Fatalf("probe-slo-burn never fired: ok=%d err=%d firing=%+v",
-				snap.Counters["probe.ok"], snap.Counters["probe.err"], firing)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// (b) Every manager's /healthz degrades to 503 naming its shard.
+	// (a) Every manager's /healthz degrades to 503 naming its shard.
 	for i, ms := range mgrs {
 		for {
 			code, v := fetchHealthz(t, ms.DebugAddr())
@@ -201,7 +159,7 @@ func TestActiveObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 
-	// (c) Each manager wrote exactly one bundle (the firing edge triggered
+	// (b) Each manager wrote exactly one bundle (the firing edge triggered
 	// the capture; the cooldown swallowed every later edge).
 	required := []string{"goroutines.txt", "heap.pprof", "cpu.pprof", "spans.json", "series.json", "alerts.json", "metrics.json", "meta.json"}
 	var bundleIDs []string
@@ -257,7 +215,7 @@ func TestActiveObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 
-	// (d) The per-daemon bundles fetch over HTTP and merge into one
+	// (c) The per-daemon bundles fetch over HTTP and merge into one
 	// cluster archive with a <node>/ prefix per daemon.
 	var parts []obs.BundlePart
 	for i, ms := range mgrs {

@@ -402,3 +402,75 @@ func TestSpanTreeAcrossWire(t *testing.T) {
 		t.Fatalf("ingested span node %q, want the exporting client's", mput.Node)
 	}
 }
+
+// TestDefaultRulesReadDaemonMetrics: every stock rule must be able to fire
+// on some daemon. A manager and a benefactor booted as nvmstore boots them
+// (DefaultRules on the monitor) carry a put, get and delete; the metric
+// names their registries then hold seed two 2-sample series, one where
+// nothing moves and one where everything saturates. A rule that reads the
+// same (value, ok) over both reads nothing either daemon records, so it
+// can never have data in a deployment.
+func TestDefaultRulesReadDaemonMetrics(t *testing.T) {
+	rules := obs.DefaultRules(obs.RuleDefaults{})
+	mon := obs.MonitorConfig{SampleInterval: time.Second, Rules: rules}
+	ms, err := NewManagerServerWith("127.0.0.1:0", testChunk, manager.RoundRobin,
+		ManagerConfig{Obs: obs.New("manager"), Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	ben, err := NewBenefactorServerWith("127.0.0.1:0", ms.Addr(), 0, 0, 64*testChunk, testChunk,
+		benefactor.NewMem(), 50*time.Millisecond, BenefactorConfig{Obs: obs.New("benefactor-0"), Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ben.Close()
+	st, err := Open(ms.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := putFile(st, "f", pattern(1, 2*testChunk+5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := getFile(st, "f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Delete("f"); err != nil {
+		t.Fatal(err)
+	}
+
+	idle := obs.Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}, Histograms: map[string]obs.HistogramSnapshot{}}
+	busy := obs.Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}, Histograms: map[string]obs.HistogramSnapshot{}}
+	for _, o := range []*obs.Obs{ms.Obs(), ben.Obs()} {
+		snap := o.Reg.Snapshot()
+		for name := range snap.Counters {
+			idle.Counters[name], busy.Counters[name] = 0, 1e6
+		}
+		for name := range snap.Gauges {
+			idle.Gauges[name], busy.Gauges[name] = 0, 1
+		}
+		for name, h := range snap.Histograms {
+			full := make([]int64, len(h.Counts))
+			full[len(full)-1] = 1e6 // the overflow bucket: off any budget's scale
+			idle.Histograms[name] = obs.HistogramSnapshot{BoundsNanos: h.BoundsNanos, Counts: make([]int64, len(h.Counts))}
+			busy.Histograms[name] = obs.HistogramSnapshot{Count: 1e6, BoundsNanos: h.BoundsNanos, Counts: full}
+		}
+	}
+	series := func(last obs.Snapshot) *obs.Series {
+		first := idle
+		first.UnixNanos, last.UnixNanos = 1e9, 2e9
+		ts := obs.NewSeries(2)
+		ts.Add(first)
+		ts.Add(last)
+		return ts
+	}
+	quiet, saturated := series(idle), series(busy)
+	for _, r := range rules {
+		qv, qok := r.Value(quiet)
+		sv, sok := r.Value(saturated)
+		if qv == sv && qok == sok {
+			t.Errorf("rule %q reads (%v, %v) both idle and saturated: no daemon records its metrics", r.Name, qv, qok)
+		}
+	}
+}

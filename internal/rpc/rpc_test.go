@@ -235,6 +235,65 @@ func TestTCPLinkAndCOW(t *testing.T) {
 	}
 }
 
+// TestLinkUnalignedParts links a 1.5-chunk part and a 0.5-chunk part into
+// an empty destination. Each part starts at a chunk boundary, so the
+// second lands at chunk 2 and the linked file is 2.5 chunks long; a cold
+// cache reads each part back at its aligned offset. The sharded run puts
+// the parts on different shards, so the size travels through OpLinkRefs.
+func TestLinkUnalignedParts(t *testing.T) {
+	a := pattern(0x11, testChunk+testChunk/2)
+	b := pattern(0x22, testChunk/2)
+	link := func(t *testing.T, st *Store, dst, pa, pb string) {
+		t.Helper()
+		for name, data := range map[string][]byte{pa: a, pb: b} {
+			if err := putFile(st, name, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Create(dst, 0); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := st.Link(dst, []string{pa, pb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(2*testChunk + len(b)); fi.Size != want {
+			t.Fatalf("linked size %d, want %d", fi.Size, want)
+		}
+		for _, p := range []struct {
+			off  int64
+			want []byte
+		}{{0, a}, {2 * testChunk, b}} {
+			got := make([]byte, len(p.want))
+			if err := readFile(st, dst, p.off, got); err != nil {
+				t.Fatalf("read at %d: %v", p.off, err)
+			}
+			if !bytes.Equal(got, p.want) {
+				t.Fatalf("part at offset %d read back wrong", p.off)
+			}
+		}
+	}
+	t.Run("unsharded", func(t *testing.T) {
+		r := newRig(t, 2)
+		st, err := Open(r.mgr.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		link(t, st, "ckpt", "pa", "pb")
+	})
+	t.Run("sharded", func(t *testing.T) {
+		r := newShardRig(t, 2, 2, ManagerConfig{})
+		st, err := OpenWith(r.allAddrs(), fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		link(t, st, nameOn(t, "ckpt", 1, 2), nameOn(t, "pa", 0, 2), nameOn(t, "pb", 1, 2))
+		checkShardInvariants(t, r)
+	})
+}
+
 func TestTCPFileBackend(t *testing.T) {
 	dir := t.TempDir()
 	fb, err := NewFileBackend(dir)

@@ -6,7 +6,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nvmalloc/internal/obs"
@@ -45,15 +44,6 @@ type Options struct {
 	// a fresh private obs.New instance; obs.Disabled() turns every
 	// recording call into a no-op (and zeroes Stats).
 	Obs *obs.Obs
-	// ProbeInterval enables the canary prober: every interval (jittered)
-	// the client runs a tiny synthetic put/get/delete against each manager
-	// shard and a liveness round trip against a sampled benefactor set,
-	// recording probe.* metrics into Obs. Zero disables probing (the
-	// default — probes are an opt-in background load).
-	ProbeInterval time.Duration
-	// ProbeBens is how many benefactors each probe cycle samples,
-	// round-robin over the known set. 0 means DefaultProbeBens.
-	ProbeBens int
 }
 
 // Defaults for Options fields left zero.
@@ -204,13 +194,6 @@ type Store struct {
 	pendingMu sync.Mutex
 	pending   []proto.Span
 	exports   sync.WaitGroup
-
-	// Canary-prober state (Options.ProbeInterval): the background prober,
-	// a per-store token keeping canary names collision-free across
-	// clients, and the round-robin cursor over benefactor targets.
-	prober     *obs.Prober
-	probeToken string
-	probeRR    atomic.Int64
 }
 
 // shardState is the client's cached view of one manager shard: its
@@ -275,8 +258,6 @@ func OpenWith(addr string, opts Options) (*Store, error) {
 	}
 	s.arena = proto.NewArena(s.chunkSize)
 	s.obs.SetSpanSink(s.exportSpan)
-	s.probeToken = obs.NewTraceID()
-	s.startProber()
 	return s, nil
 }
 
@@ -624,10 +605,8 @@ func (s *Store) Refresh() error {
 	return nil
 }
 
-// Close stops the prober, ships any unexported spans, and drops every
-// connection.
+// Close ships any unexported spans and drops every connection.
 func (s *Store) Close() error {
-	s.prober.Stop()
 	s.obs.SetSpanSink(nil)
 	s.exports.Wait()
 	s.flushSpans()
@@ -876,7 +855,9 @@ func (s *Store) link(sc store.SpanInfo, dst string, parts []string) (proto.FileI
 //     the chunk's owner (OpRetainRefs — all-or-nothing per owner, rolled
 //     back on failure, so an abort leaves no stray holds);
 //  3. append the explicit ref list to dst at its shard (OpLinkRefs); on
-//     failure the holds from step 2 are released.
+//     failure the holds from step 2 are released. Each part starts at a
+//     chunk boundary, so the size sent is the byte end of the last
+//     non-empty part measured from the run's first chunk.
 //
 // Holds are taken BEFORE the destination commits, so a crash mid-protocol
 // strands at worst surplus holds (leaked space, reclaimed by releasing),
@@ -893,11 +874,13 @@ func (s *Store) linkSharded(sc store.SpanInfo, dst string, parts []string) (prot
 		if err != nil {
 			return proto.FileInfo{}, fmt.Errorf("link part %q: %w", p, err)
 		}
+		if look.File.Size > 0 {
+			size = int64(len(refs))*s.chunkSize + look.File.Size
+		}
 		for i := range look.File.Chunks {
 			refs = append(refs, look.File.Chunks[i])
 			reps = append(reps, store.ReplicaRefs(look.File, i))
 		}
-		size += look.File.Size
 	}
 	held, err := s.retainRemote(sc, dstShard, refs)
 	if err != nil {
