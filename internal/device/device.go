@@ -76,20 +76,9 @@ func (d *Device) Write(p *simtime.Proc, n int64) {
 	d.s.BytesWritten += n
 }
 
-// ReadVec charges p one queued operation covering several extents (e.g. the
+// WriteVec charges p one queued write covering several extents (e.g. the
 // dirty pages of one chunk shipped as a single request): one latency, summed
 // transfer time.
-func (d *Device) ReadVec(p *simtime.Proc, sizes []int64) {
-	var total int64
-	for _, n := range sizes {
-		total += n
-	}
-	d.res.Use(p, d.readTime(total))
-	d.s.Reads++
-	d.s.BytesRead += total
-}
-
-// WriteVec is the write-side analog of ReadVec.
 func (d *Device) WriteVec(p *simtime.Proc, sizes []int64) {
 	var total int64
 	for _, n := range sizes {

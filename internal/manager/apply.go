@@ -76,9 +76,9 @@ func (m *Manager) Apply(req *proto.ManagerReq, now time.Duration) (resp proto.Ma
 	case proto.OpDelete:
 		freed, resp.ForeignFreed, err = m.DeleteFull(req.Name)
 	case proto.OpLink:
-		resp.File, resp.ForeignHeld, err = m.LinkFull(req.Name, req.Parts)
+		resp.File, err = m.Link(req.Name, req.Parts)
 	case proto.OpDerive:
-		resp.File, resp.ForeignHeld, err = m.Derive(req.Name, req.Src, req.FromChunk, req.NChunks, req.Size)
+		resp.File, err = m.Derive(req.Name, req.Src, req.FromChunk, req.NChunks, req.Size)
 	case proto.OpSetTTL:
 		deadline := time.Duration(req.ExpiresAtNanos)
 		if req.TTLNanos > 0 {

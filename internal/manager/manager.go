@@ -751,23 +751,6 @@ func (m *Manager) dropForeign(r proto.ChunkRef) {
 	}
 }
 
-// addRef adds one local file reference to a chunk: owned chunks bump their
-// refcount; foreign chunks bump the foreign-hold count, and the ref is
-// returned so the caller can retain a matching hold at the owning shard.
-func (m *Manager) addRef(r proto.ChunkRef) (foreign bool) {
-	if m.Owns(r.ID) {
-		m.chunks[r.ID].refs++
-		return false
-	}
-	fm := m.foreign[r.ID]
-	if fm == nil {
-		fm = &foreignMeta{replicas: []proto.ChunkRef{r}}
-		m.foreign[r.ID] = fm
-	}
-	fm.refs++
-	return true
-}
-
 // SetTTL gives a file a lifetime deadline; ExpireSweep reclaims it once
 // the deadline passes. A zero deadline clears the lifetime.
 func (m *Manager) SetTTL(name string, expiresAt time.Duration) error {
@@ -799,71 +782,67 @@ func (m *Manager) ExpireSweep(now time.Duration) (expired []string, freed, forei
 
 // Link appends the chunks of each part file to dst, incrementing their
 // refcounts — the zero-copy merge that ssdcheckpoint() uses to include
-// NVM-resident variables in a checkpoint file (paper §III-E).
+// NVM-resident variables in a checkpoint file (paper §III-E). A sharded
+// manager refuses it: foreign chunks need holds at their owners, which only
+// the client's OpLinkRefs protocol takes.
 func (m *Manager) Link(dst string, parts []string) (proto.FileInfo, error) {
-	fi, _, err := m.LinkFull(dst, parts)
-	return fi, err
+	if err := m.unsharded("link"); err != nil {
+		return proto.FileInfo{}, err
+	}
+	if _, ok := m.files[dst]; !ok {
+		return proto.FileInfo{}, proto.ErrNoSuchFile
+	}
+	infos := make([]proto.FileInfo, len(parts))
+	for i, pn := range parts {
+		p, ok := m.files[pn]
+		if !ok {
+			return proto.FileInfo{}, fmt.Errorf("%w: link part %q", proto.ErrNoSuchFile, pn)
+		}
+		// Unsharded, every chunk is owned: LinkRefs needs no replica sets.
+		infos[i] = proto.FileInfo{Size: p.size, Chunks: p.chunks}
+	}
+	refs, replicas, size := LayoutParts(infos, m.chunkSize)
+	return m.LinkRefs(dst, refs, replicas, size, false)
 }
 
-// LinkFull is Link plus the cross-shard accounting: foreignHeld lists the
-// references to other shards' chunks this link acquired; the caller must
-// retain them at the owning shards (OpRetainRefs).
-//
-// Each part lands at the next chunk boundary, so dst's size becomes the
-// byte end of its last non-empty part at that part's aligned offset.
-func (m *Manager) LinkFull(dst string, parts []string) (proto.FileInfo, []proto.ChunkRef, error) {
-	d, ok := m.files[dst]
-	if !ok {
-		return proto.FileInfo{}, nil, proto.ErrNoSuchFile
+// Derive creates a new file sharing a chunk sub-range of src (refcounted,
+// copy-on-write from there): checkpoint restore without data movement. A
+// sharded manager refuses it, as it does Link.
+func (m *Manager) Derive(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
+	if err := m.unsharded("derive"); err != nil {
+		return proto.FileInfo{}, err
 	}
-	// Validate every part before mutating anything.
-	for _, pn := range parts {
-		if _, ok := m.files[pn]; !ok {
-			return proto.FileInfo{}, nil, fmt.Errorf("%w: link part %q", proto.ErrNoSuchFile, pn)
-		}
-	}
-	var held []proto.ChunkRef
-	for _, pn := range parts {
-		p := m.files[pn]
-		if p.size > 0 {
-			d.size = int64(len(d.chunks))*m.chunkSize + p.size
-		}
-		for _, r := range p.chunks {
-			if m.addRef(r) {
-				held = append(held, r)
-			}
-			d.chunks = append(d.chunks, r)
-		}
-	}
-	return m.info(d), held, nil
-}
-
-// Derive creates a new file whose chunks are a sub-range of src's chunks
-// (shared, refcounted). Restoring an NVM variable from a checkpoint uses
-// this: the restored variable references the checkpoint's chunks without
-// copying them, and goes copy-on-write from there. Foreign refs it acquires
-// are returned as LinkFull's are.
-func (m *Manager) Derive(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, []proto.ChunkRef, error) {
 	if _, ok := m.files[name]; ok {
-		return proto.FileInfo{}, nil, proto.ErrFileExists
+		return proto.FileInfo{}, proto.ErrFileExists
 	}
-	s, ok := m.files[src]
-	if !ok {
-		return proto.FileInfo{}, nil, proto.ErrNoSuchFile
+	ex, err := m.ExportRange(src, fromChunk, nChunks)
+	if err != nil {
+		return proto.FileInfo{}, err
 	}
-	if fromChunk < 0 || nChunks < 0 || fromChunk+nChunks > len(s.chunks) {
-		return proto.FileInfo{}, nil, proto.ErrChunkOutOfRange
+	return m.LinkRefs(name, ex.Chunks, ex.Replicas, size, true)
+}
+
+func (m *Manager) unsharded(op string) error {
+	if m.shardCount > 1 {
+		return fmt.Errorf("manager: %s on shard %d of %d: a sharded plane links through OpLinkRefs", op, m.shardIndex, m.shardCount)
 	}
-	f := &file{name: name, size: size}
-	var held []proto.ChunkRef
-	for _, r := range s.chunks[fromChunk : fromChunk+nChunks] {
-		if m.addRef(r) {
-			held = append(held, r)
+	return nil
+}
+
+// LayoutParts lays part files end to end for a link: each part starts at a
+// chunk boundary, size is the byte end of the last non-empty part from the
+// run's first chunk (0 if all are empty), and a part with no replica table
+// gets nil sets, which LinkRefs reads as the primary alone.
+func LayoutParts(parts []proto.FileInfo, chunkSize int64) (refs []proto.ChunkRef, replicas [][]proto.ChunkRef, size int64) {
+	for _, p := range parts {
+		if p.Size > 0 {
+			size = int64(len(refs))*chunkSize + p.Size
 		}
-		f.chunks = append(f.chunks, r)
+		refs = append(refs, p.Chunks...)
+		replicas = append(replicas, p.Replicas...)
+		replicas = append(replicas, make([][]proto.ChunkRef, len(refs)-len(replicas))...)
 	}
-	m.files[name] = f
-	return m.info(f), held, nil
+	return refs, replicas, size
 }
 
 // ErrRemapRaced reports that the file's chunk changed between RemapBegin
@@ -1088,14 +1067,15 @@ func (m *Manager) ReleaseRefs(ids []proto.ChunkID) (freed []proto.ChunkRef) {
 	return freed
 }
 
-// LinkRefs appends an explicit ref list — produced by ExportRange on
-// another shard — to a file on this shard, creating the file first when
-// create is set (cross-shard Derive). Refs this shard owns simply gain a
-// local reference; foreign refs are recorded in the foreign table with
-// their replica sets (the client retains matching holds at the owners).
-// size is the byte end of the appended run measured from its first chunk;
-// when positive, the file's size becomes that end offset past the file's
-// earlier chunks.
+// LinkRefs appends an explicit ref list to a file, creating the file first
+// when create is set; it is the only transition that appends to a file's
+// chunk list. Link and Derive build their lists in-process; a sharded
+// client builds them from other shards' lookups and exports. Refs this
+// shard owns simply gain a local reference; foreign refs are recorded in
+// the foreign table with their replica sets (the client retains matching
+// holds at the owners). size is the byte end of the appended run measured
+// from its first chunk and must fit the run's chunks; when positive, the
+// file's size becomes that end offset past the file's earlier chunks.
 func (m *Manager) LinkRefs(name string, refs []proto.ChunkRef, replicas [][]proto.ChunkRef, size int64, create bool) (proto.FileInfo, error) {
 	f, ok := m.files[name]
 	if create && ok {
@@ -1103,6 +1083,9 @@ func (m *Manager) LinkRefs(name string, refs []proto.ChunkRef, replicas [][]prot
 	}
 	if !create && !ok {
 		return proto.FileInfo{}, proto.ErrNoSuchFile
+	}
+	if size < 0 || size > int64(len(refs))*m.chunkSize {
+		return proto.FileInfo{}, fmt.Errorf("manager: size %d does not fit the %d chunks linked into %q", size, len(refs), name)
 	}
 	// Validate owned refs before mutating anything.
 	for _, r := range refs {
@@ -1180,17 +1163,21 @@ func (m *Manager) Files() []string {
 // TotalChunks returns the number of live physical chunks.
 func (m *Manager) TotalChunks() int { return len(m.chunks) }
 
-// CheckInvariants verifies internal consistency: every file chunk exists
-// with a positive refcount, refcounts equal the number of referencing file
-// entries plus remote holds plus in-flight remap pins, foreign-table counts
-// equal the file references to other shards' chunks, chunk-ID ownership
-// matches the shard's stride, and per-benefactor usage equals chunkSize
-// times its (owned) copy count, reserved repair destinations included.
+// CheckInvariants verifies internal consistency: every file's size fits
+// its chunks, every file chunk exists with a positive refcount, refcounts
+// equal the number of referencing file entries plus remote holds plus
+// in-flight remap pins, foreign-table counts equal the file references to
+// other shards' chunks, chunk-ID ownership matches the shard's stride, and
+// per-benefactor usage equals chunkSize times its (owned) copy count,
+// reserved repair destinations included.
 // Tests call it after random operation sequences.
 func (m *Manager) CheckInvariants() error {
 	refs := make(map[proto.ChunkID]int)
 	foreignRefs := make(map[proto.ChunkID]int)
 	for _, f := range m.files {
+		if f.size < 0 || f.size > int64(len(f.chunks))*m.chunkSize {
+			return fmt.Errorf("file %q size %d does not fit its %d chunks", f.name, f.size, len(f.chunks))
+		}
 		for _, r := range f.chunks {
 			if !m.Owns(r.ID) {
 				if _, ok := m.foreign[r.ID]; !ok {

@@ -110,7 +110,7 @@ func TestRemapPendingIsUnpublished(t *testing.T) {
 	ex, _ := m.ExportRange("var", 0, 3)
 	m.Create("merge", 0)
 	ln, _ := m.Link("merge", []string{"var"})
-	dv, _, _ := m.Derive("view", "var", 0, 3, 3*cs)
+	dv, _ := m.Derive("view", "var", 0, 3, 3*cs)
 	for name, got := range map[string]proto.FileInfo{"lookup": fi, "export": ex, "link": ln, "derive": dv} {
 		if got.Chunks[1] != pr.Old {
 			t.Fatalf("%s shows %v mid-remap, want the old chunk %v", name, got.Chunks[1], pr.Old)
@@ -286,7 +286,7 @@ func TestRemapFreeAndRestoreBetweenPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, m)
-	if _, _, err := m.Derive("var", "ckpt", 0, 3, 3*cs); err != nil {
+	if _, err := m.Derive("var", "ckpt", 0, 3, 3*cs); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m)

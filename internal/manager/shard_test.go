@@ -2,10 +2,12 @@ package manager
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"nvmalloc/internal/proto"
+	"nvmalloc/internal/shardmap"
 )
 
 // newShard builds one shard of an n-shard plane with the usual test
@@ -248,24 +250,36 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 		t.Fatalf("dst: %v", err)
 	}
 
-	// A same-shard Link of the checkpoint acquires a second hold on the
-	// foreign chunks, reported for the client to retain at the owner.
+	// A same-shard link of the checkpoint is a lookup plus LinkRefs, as
+	// the client runs it: it takes a second foreign reference on each
+	// chunk, matched by a second hold the client retains at the owner.
 	if _, err := dst.Create("merge", 0); err != nil {
 		t.Fatal(err)
 	}
-	_, held, err := dst.LinkFull("merge", []string{"ckpt"})
+	look, err := dst.Lookup("ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(held) != 2 {
-		t.Fatalf("link reported %d foreign holds, want 2", len(held))
+	if _, err := dst.LinkRefs("merge", look.Chunks, look.Replicas, look.Size, false); err != nil {
+		t.Fatal(err)
 	}
 	var heldIDs []proto.ChunkID
-	for _, r := range held {
-		heldIDs = append(heldIDs, r.ID)
+	for _, r := range look.Chunks {
+		if !dst.Owns(r.ID) {
+			heldIDs = append(heldIDs, r.ID)
+		}
+	}
+	if len(heldIDs) != 2 {
+		t.Fatalf("link took %d foreign references, want 2", len(heldIDs))
 	}
 	if err := src.RetainRefs(heldIDs); err != nil {
 		t.Fatal(err)
+	}
+	for _, id := range heldIDs {
+		if dst.ForeignRefs(id) != 2 || src.RemoteHolds(id) != 2 || src.Refcount(id) != 3 {
+			t.Fatalf("chunk %d: dst foreign=%d src remote=%d refs=%d, want 2/2/3",
+				id, dst.ForeignRefs(id), src.RemoteHolds(id), src.Refcount(id))
+		}
 	}
 
 	// Copy-on-write of a foreign chunk: always shared, copies onto a
@@ -315,6 +329,68 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 	if err := dst.CheckInvariants(); err != nil {
 		t.Fatalf("dst: %v", err)
 	}
+}
+
+// TestShardedRefusesLinkAndDerive: a sharded manager refuses OpLink and
+// OpDerive. Their source's foreign chunks need holds at the owning shard,
+// which only the client's OpLinkRefs protocol takes; answering would add
+// references the owner never sees.
+func TestShardedRefusesLinkAndDerive(t *testing.T) {
+	src := newShard(0, 2, 2)
+	dst := newShard(1, 2, 2)
+	ckpt, merge, view := nameOn(t, "ckpt", 1, 2), nameOn(t, "merge", 1, 2), nameOn(t, "view", 1, 2)
+	if _, err := src.Create("v", 2*cs); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := src.ExportRange("v", 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []proto.ChunkID
+	for _, r := range ex.Chunks {
+		ids = append(ids, r.ID)
+	}
+	if err := src.RetainRefs(ids); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.LinkRefs(ckpt, ex.Chunks, ex.Replicas, ex.Size, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Create(merge, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []proto.ManagerReq{
+		{Op: proto.OpLink, Name: merge, Parts: []string{ckpt}},
+		{Op: proto.OpDerive, Name: view, Src: ckpt, NChunks: 2, Size: 2 * cs},
+	} {
+		if resp, _ := dst.Apply(&req, 0); resp.Err == "" || resp.Err == proto.ErrStaleShardMap.Error() {
+			t.Fatalf("sharded %s answered %q: %+v", req.Op, resp.Err, resp.File)
+		}
+		for _, id := range ids {
+			if dst.ForeignRefs(id) != 1 || src.Refcount(id) != 2 || src.RemoteHolds(id) != 1 {
+				t.Fatalf("%s: chunk %d dst foreign=%d src refs=%d remote=%d, want 1/2/1",
+					req.Op, id, dst.ForeignRefs(id), src.Refcount(id), src.RemoteHolds(id))
+			}
+		}
+		if err := dst.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+	}
+	if got := dst.Files(); len(got) != 2 {
+		t.Fatalf("dst files %v, want only %q and %q", got, ckpt, merge)
+	}
+}
+
+// nameOn returns the first prefix-numbered name that routes to shard i of n.
+func nameOn(t *testing.T, prefix string, i, n int) string {
+	t.Helper()
+	for k := 0; k < 100000; k++ {
+		if name := fmt.Sprintf("%s%d", prefix, k); shardmap.ShardFor(name, n) == i {
+			return name
+		}
+	}
+	t.Fatalf("no %q-prefixed name routes to shard %d/%d", prefix, i, n)
+	return ""
 }
 
 // TestRetainRefsAtomic: retain validates every chunk before bumping any,

@@ -187,7 +187,3 @@ func RunRanks(e *simtime.Engine, cfg cluster.Config, body func(p *simtime.Proc, 
 	})
 	e.Go("mpirun", func(p *simtime.Proc) { wg.Wait(p) })
 }
-
-// NodeOf returns the cluster node hosting a rank (placement helper for
-// workloads).
-func NodeOf(cfg cluster.Config, rank int) int { return cfg.RankNode(rank) }

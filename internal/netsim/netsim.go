@@ -117,6 +117,3 @@ func (n *Network) ResetStats() { n.s = Stats{} }
 
 // TXBusy returns the cumulative busy time of node i's send side.
 func (n *Network) TXBusy(i int) time.Duration { return n.nics[i].tx.BusyTime() }
-
-// RXBusy returns the cumulative busy time of node i's receive side.
-func (n *Network) RXBusy(i int) time.Duration { return n.nics[i].rx.BusyTime() }

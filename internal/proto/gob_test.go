@@ -99,7 +99,7 @@ type preshardManagerReq struct {
 
 // preshardManagerResp predates the shard-map piggyback (ShardEpoch,
 // ShardIndex, ShardCount, ShardPeers) and the cross-shard refcount fields
-// (FenceChunks, ForeignFreed, ForeignHeld).
+// (FenceChunks, ForeignFreed).
 type preshardManagerResp struct {
 	Err             string
 	File            proto.FileInfo
@@ -296,7 +296,7 @@ func TestGobPreshardRespDecodesIntoCurrent(t *testing.T) {
 	if cur.ShardEpoch != 0 || cur.ShardIndex != 0 || cur.ShardCount != 0 || cur.ShardPeers != nil {
 		t.Fatalf("shard-map fields nonzero from a pre-shard stream: %+v", cur)
 	}
-	if cur.FenceChunks != nil || cur.ForeignFreed != nil || cur.ForeignHeld != nil {
+	if cur.FenceChunks != nil || cur.ForeignFreed != nil {
 		t.Fatalf("cross-shard fields nonzero from a pre-shard stream: %+v", cur)
 	}
 }
@@ -311,7 +311,6 @@ func TestGobCurrentRespDecodesIntoPreshard(t *testing.T) {
 		ShardPeers:   []string{"a:1", "b:2"},
 		FenceChunks:  []proto.ChunkRef{{Benefactor: 0, ID: 7}},
 		ForeignFreed: []proto.ChunkRef{{Benefactor: 1, ID: 8}},
-		ForeignHeld:  []proto.ChunkRef{{Benefactor: 2, ID: 9}},
 	}
 	var old preshardManagerResp
 	transcode(t, &cur, &old)

@@ -274,11 +274,6 @@ type ManagerResp struct {
 	// chunks owned by OTHER shards that this op released; the client
 	// forwards them to the owning shards via OpReleaseRefs.
 	ForeignFreed []ChunkRef
-	// ForeignHeld (Link/Derive responses) lists references to chunks owned
-	// by other shards that this op acquired; the client forwards them to
-	// the owning shards via OpRetainRefs. (OpExportRange reuses File:
-	// Chunks/Replicas/Size describe the exported range.)
-	ForeignHeld []ChunkRef
 }
 
 // ChunkReq is one chunk data op as the benefactor's dispatch sees it; an

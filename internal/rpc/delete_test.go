@@ -227,12 +227,12 @@ func lookupBens(t *testing.T, r *rig, name string) []int {
 		t.Fatal(err)
 	}
 	defer mc.Close()
-	fi, err := mc.Lookup(name)
+	resp, err := mc.call(proto.ManagerReq{Op: proto.OpLookup, Name: name})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var bens []int
-	for _, ref := range fi.Replicas[0] {
+	for _, ref := range resp.File.Replicas[0] {
 		bens = append(bens, ref.Benefactor)
 	}
 	return bens

@@ -191,53 +191,6 @@ func (c *ManagerClient) Heartbeat(id int, writeVolume int64) error {
 	return err
 }
 
-// Create reserves a striped file.
-func (c *ManagerClient) Create(name string, size int64) (proto.FileInfo, error) {
-	resp, err := c.call(proto.ManagerReq{Op: proto.OpCreate, Name: name, Size: size})
-	return resp.File, err
-}
-
-// Lookup fetches a file's chunk map.
-func (c *ManagerClient) Lookup(name string) (proto.FileInfo, error) {
-	resp, err := c.call(proto.ManagerReq{Op: proto.OpLookup, Name: name})
-	return resp.File, err
-}
-
-// Delete removes a file (and its unshared chunks, benefactor-side).
-func (c *ManagerClient) Delete(name string) error {
-	_, err := c.call(proto.ManagerReq{Op: proto.OpDelete, Name: name})
-	return err
-}
-
-// Link appends part files' chunks to dst (zero-copy checkpoint merge).
-func (c *ManagerClient) Link(dst string, parts []string) (proto.FileInfo, error) {
-	resp, err := c.call(proto.ManagerReq{Op: proto.OpLink, Name: dst, Parts: parts})
-	return resp.File, err
-}
-
-// Remap performs the copy-on-write remap of one chunk.
-func (c *ManagerClient) Remap(name string, chunkIdx int) (proto.ChunkRef, error) {
-	resp, err := c.call(proto.ManagerReq{Op: proto.OpRemap, Name: name, ChunkIdx: chunkIdx})
-	return resp.NewRef, err
-}
-
-// Derive creates a file sharing a chunk sub-range of src (checkpoint
-// restore without data movement).
-func (c *ManagerClient) Derive(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	resp, err := c.call(proto.ManagerReq{
-		Op: proto.OpDerive, Name: name, Src: src,
-		FromChunk: fromChunk, NChunks: nChunks, Size: size,
-	})
-	return resp.File, err
-}
-
-// SetTTL assigns a lifetime deadline to a file, measured from the
-// manager's start.
-func (c *ManagerClient) SetTTL(name string, expiresAt time.Duration) error {
-	_, err := c.call(proto.ManagerReq{Op: proto.OpSetTTL, Name: name, ExpiresAtNanos: int64(expiresAt)})
-	return err
-}
-
 // Expire reclaims every file whose lifetime has passed and returns their
 // names.
 func (c *ManagerClient) Expire() ([]string, error) {

@@ -208,11 +208,11 @@ func TestTCPLinkAndCOW(t *testing.T) {
 	if err := st.Create("ckpt", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Manager().Link("ckpt", []string{"var"}); err != nil {
+	if _, err := st.Link("ckpt", []string{"var"}); err != nil {
 		t.Fatal(err)
 	}
 	// COW remap of chunk 0 before modifying it.
-	if _, err := st.Manager().Remap("var", 0); err != nil {
+	if _, err := st.Remap("var", 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFile(st, "var", 0, []byte{0xCD}); err != nil { // looks up the remapped ref
@@ -369,7 +369,7 @@ func TestTCPDeriveSharesChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A derived file references chunks 1..2 of var without copying.
-	if _, err := st.Manager().Derive("view", "var", 1, 2, 2*testChunk); err != nil {
+	if _, err := st.Derive("view", "var", 1, 2, 2*testChunk); err != nil {
 		t.Fatal(err)
 	}
 	got, err := getFile(st, "view")
@@ -388,6 +388,52 @@ func TestTCPDeriveSharesChunks(t *testing.T) {
 	}
 }
 
+// TestDeriveSizeMustFitChunks: a derived file's size must fit the chunks
+// it shares. A size past them, or a negative one, is refused on both the
+// unsharded OpDerive and the sharded OpLinkRefs path, and the manager's
+// invariants hold afterwards.
+func TestDeriveSizeMustFitChunks(t *testing.T) {
+	derive := func(t *testing.T, st *Store, view, src string) {
+		t.Helper()
+		if err := putFile(st, src, pattern(0x33, 3*testChunk)); err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int64{5 * testChunk, -5} {
+			if fi, err := st.Derive(view, src, 1, 1, size); err == nil {
+				t.Fatalf("derive of 1 chunk with size %d succeeded: %+v", size, fi)
+			}
+			if _, err := st.Stat(view); err != proto.ErrNoSuchFile {
+				t.Fatalf("refused derive of size %d left %q behind: %v", size, view, err)
+			}
+		}
+	}
+	t.Run("unsharded", func(t *testing.T) {
+		r := newRig(t, 2)
+		st, err := Open(r.mgr.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		derive(t, st, "view", "var")
+		r.mgr.mu.Lock()
+		err = r.mgr.mgr.CheckInvariants()
+		r.mgr.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("sharded", func(t *testing.T) {
+		r := newShardRig(t, 2, 2, ManagerConfig{})
+		st, err := OpenWith(r.allAddrs(), fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		derive(t, st, nameOn(t, "view", 1, 2), nameOn(t, "var", 0, 2))
+		checkShardInvariants(t, r)
+	})
+}
+
 func TestTCPLifetimeExpiry(t *testing.T) {
 	r := newRig(t, 1)
 	st, err := Open(r.mgr.Addr())
@@ -401,8 +447,8 @@ func TestTCPLifetimeExpiry(t *testing.T) {
 	if err := putFile(st, "keep", make([]byte, testChunk)); err != nil {
 		t.Fatal(err)
 	}
-	// Expire "tmp" almost immediately (1ns after manager start).
-	if err := st.Manager().SetTTL("tmp", time.Nanosecond); err != nil {
+	// Expire "tmp" almost immediately (1ns past the manager's clock now).
+	if err := st.SetTTL("tmp", time.Nanosecond); err != nil {
 		t.Fatal(err)
 	}
 	expired, err := st.Manager().Expire()

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"nvmalloc/internal/manager"
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/proto"
 	"nvmalloc/internal/shardmap"
@@ -854,35 +855,26 @@ func (s *Store) link(sc store.SpanInfo, dst string, parts []string) (proto.FileI
 //  2. take one remote hold per chunk not owned by the destination shard at
 //     the chunk's owner (OpRetainRefs — all-or-nothing per owner, rolled
 //     back on failure, so an abort leaves no stray holds);
-//  3. append the explicit ref list to dst at its shard (OpLinkRefs); on
-//     failure the holds from step 2 are released. Each part starts at a
-//     chunk boundary, so the size sent is the byte end of the last
-//     non-empty part measured from the run's first chunk.
+//  3. append the explicit ref list, laid out by manager.LayoutParts, to
+//     dst at its shard (OpLinkRefs); on failure the holds from step 2 are
+//     released.
 //
 // Holds are taken BEFORE the destination commits, so a crash mid-protocol
 // strands at worst surplus holds (leaked space, reclaimed by releasing),
 // never a file referencing chunks its owners feel free to delete.
 func (s *Store) linkSharded(sc store.SpanInfo, dst string, parts []string) (proto.FileInfo, error) {
-	dstShard := s.shardFor(dst)
-	var refs []proto.ChunkRef
-	var reps [][]proto.ChunkRef
-	var size int64
-	for _, p := range parts {
+	infos := make([]proto.FileInfo, len(parts))
+	for i, p := range parts {
 		look, err := s.callRouted(proto.ManagerReq{
 			Op: proto.OpLookup, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: p,
 		})
 		if err != nil {
 			return proto.FileInfo{}, fmt.Errorf("link part %q: %w", p, err)
 		}
-		if look.File.Size > 0 {
-			size = int64(len(refs))*s.chunkSize + look.File.Size
-		}
-		for i := range look.File.Chunks {
-			refs = append(refs, look.File.Chunks[i])
-			reps = append(reps, store.ReplicaRefs(look.File, i))
-		}
+		infos[i] = look.File
 	}
-	held, err := s.retainRemote(sc, dstShard, refs)
+	refs, reps, size := manager.LayoutParts(infos, s.chunkSize)
+	held, err := s.retainRemote(sc, s.shardFor(dst), refs)
 	if err != nil {
 		return proto.FileInfo{}, err
 	}
@@ -998,18 +990,13 @@ func (s *Store) deriveSharded(sc store.SpanInfo, name, src string, fromChunk, nC
 	if err != nil {
 		return proto.FileInfo{}, err
 	}
-	refs := ex.File.Chunks
-	reps := make([][]proto.ChunkRef, len(refs))
-	for i := range refs {
-		reps[i] = store.ReplicaRefs(ex.File, i)
-	}
-	held, err := s.retainRemote(sc, dstShard, refs)
+	held, err := s.retainRemote(sc, dstShard, ex.File.Chunks)
 	if err != nil {
 		return proto.FileInfo{}, err
 	}
 	resp, err := s.callRouted(proto.ManagerReq{
 		Op: proto.OpLinkRefs, TraceID: sc.Trace, ParentSpanID: sc.Parent,
-		Name: name, Refs: refs, RefReplicas: reps, Size: size, CreateDst: true,
+		Name: name, Refs: ex.File.Chunks, RefReplicas: ex.File.Replicas, Size: size, CreateDst: true,
 	})
 	if err != nil {
 		s.releaseRemote(sc, held)

@@ -1,9 +1,6 @@
 package simtime
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Chan is an unbounded FIFO message queue in virtual time. Send never
 // blocks and consumes no virtual time; Recv blocks until a message is
@@ -40,15 +37,6 @@ func (c *Chan[T]) Recv(p *Proc) T {
 		c.eng.wake(c.recvQ.pop())
 	}
 	return v
-}
-
-// TryRecv returns the next message without blocking.
-func (c *Chan[T]) TryRecv() (T, bool) {
-	if c.buf.len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return c.buf.pop(), true
 }
 
 // Len reports the number of buffered messages.
@@ -90,23 +78,18 @@ func (f *Future[T]) Wait(p *Proc) T {
 	return f.v
 }
 
-// Ready reports whether the future has been set.
-func (f *Future[T]) Ready() bool { return f.set }
-
 // Resource is a FIFO-queued counting resource, used to model devices, NICs,
 // and other contended hardware. Utilization statistics are accumulated so
 // experiments can report device busy time. Tokens are handed off directly
 // from releasers to the oldest waiter, so ordering is strictly FIFO.
 type Resource struct {
-	eng     *Engine
-	name    string
-	cap     int
-	inUse   int
-	waitQ   queue[*Proc]
-	held    map[*Proc]Time
-	busy    Duration // total held time across all tokens
-	acqs    int64
-	waitSum Duration
+	eng   *Engine
+	name  string
+	cap   int
+	inUse int
+	waitQ queue[*Proc]
+	held  map[*Proc]Time
+	busy  Duration // total held time across all tokens
 }
 
 // NewResource returns a resource with capacity tokens.
@@ -119,15 +102,12 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 
 // Acquire blocks p until a token is available, in FIFO order.
 func (r *Resource) Acquire(p *Proc) {
-	start := p.Now()
 	if r.inUse < r.cap && r.waitQ.len() == 0 {
 		r.inUse++
 	} else { // only Release wakes p, handing it the token
 		r.waitQ.push(p)
 		p.park("resource ", r.name)
 	}
-	r.acqs++
-	r.waitSum += p.Now().Sub(start)
 	r.held[p] = p.Now()
 }
 
@@ -157,17 +137,6 @@ func (r *Resource) Use(p *Proc, d Duration) {
 
 // BusyTime returns the cumulative time tokens of this resource were held.
 func (r *Resource) BusyTime() Duration { return r.busy }
-
-// Acquisitions returns the number of completed Acquire calls.
-func (r *Resource) Acquisitions() int64 { return r.acqs }
-
-// AvgWait returns the mean queueing delay per acquisition.
-func (r *Resource) AvgWait() Duration {
-	if r.acqs == 0 {
-		return 0
-	}
-	return time.Duration(int64(r.waitSum) / r.acqs)
-}
 
 // Utilization returns busy time divided by (capacity × elapsed time).
 func (r *Resource) Utilization() float64 {
