@@ -45,7 +45,6 @@
 //
 // Data-path flags:
 //
-//	-pool N      connections per benefactor (default 4)
 //	-cache BYTES client chunk cache, must be positive (default 64 MB)
 //	-cache-dir D persistent file-backed second cache tier (warm restarts)
 //	-stats       print data-path and cache counters after the command
@@ -78,7 +77,6 @@ func fatal(err error) {
 
 func main() {
 	mgr := flag.String("manager", "localhost:7070", "manager address(es); on a sharded plane list every shard, comma-separated")
-	pool := flag.Int("pool", rpc.DefaultPoolSize, "connections per benefactor")
 	cacheBytes := flag.Int64("cache", 64<<20, "client chunk cache bytes")
 	cacheDir := flag.String("cache-dir", "", "persistent file-backed cache tier directory (empty disables)")
 	showStats := flag.Bool("stats", false, "print data-path counters after the command")
@@ -86,13 +84,13 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: nvmctl [-manager addr] [-pool n] [-cache bytes] [-cache-dir dir] [-stats] status|put|get|stat|rm|link|repair|kill|ckpt-demo|metrics|top|trace|slow|watch|capture|incidents|bundle ...")
+		fmt.Fprintln(os.Stderr, "usage: nvmctl [-manager addr] [-cache bytes] [-cache-dir dir] [-stats] status|put|get|stat|rm|link|repair|kill|ckpt-demo|metrics|top|trace|slow|watch|capture|incidents|bundle ...")
 		os.Exit(2)
 	}
 	if *cacheBytes <= 0 {
 		fatal(fmt.Errorf("-cache %d: the client chunk cache is the data path; give it a positive size", *cacheBytes))
 	}
-	st, err := rpc.OpenWith(*mgr, rpc.Options{PoolSize: *pool})
+	st, err := rpc.Open(*mgr)
 	if err != nil {
 		fatal(err)
 	}
@@ -591,28 +589,14 @@ func runTop(st *rpc.Store) {
 		if snap.UptimeSeconds > maxUptime {
 			maxUptime = snap.UptimeSeconds
 		}
-		for name, v := range snap.Counters {
-			counters[name] += v
-		}
-		for name, h := range snap.Histograms {
-			if cur, ok := hists[name]; ok {
-				hists[name] = cur.Merge(h)
-			} else {
-				hists[name] = h
-			}
-		}
+		mergeNode(counters, snap.Counters, hists, snap.Histograms)
 	}
 	if scraped == 0 {
 		fatal(fmt.Errorf("top: no node exposes a debug endpoint"))
 	}
 
 	fmt.Printf("\n%-40s %10s %10s %10s %10s %10s\n", "operation", "count", "p50", "p95", "p99", "rate/s")
-	names := make([]string, 0, len(hists))
-	for name := range hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(hists) {
 		h := hists[name]
 		if h.Count == 0 {
 			continue
@@ -630,14 +614,31 @@ func runTop(st *rpc.Store) {
 	}
 
 	fmt.Println()
-	cnames := make([]string, 0, len(counters))
-	for name := range counters {
-		cnames = append(cnames, name)
-	}
-	sort.Strings(cnames)
-	for _, name := range cnames {
+	for _, name := range sortedKeys(counters) {
 		fmt.Printf("%-40s %10d\n", name, counters[name])
 	}
+}
+
+// mergeNode folds one node into the cluster view: per-name values
+// (counters or rates) sum, and histograms merge bucket-wise so the
+// percentiles are cluster-wide, not an average of per-node percentiles.
+func mergeNode[V int64 | float64](sums, vals map[string]V, hists, hs map[string]obs.HistogramSnapshot) {
+	for name, v := range vals {
+		sums[name] += v
+	}
+	for name, h := range hs {
+		hists[name] = hists[name].Merge(h)
+	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // runTrace scrapes every node's span ring once. With an id it renders that
@@ -835,12 +836,7 @@ func renderWaterfall(spans []obs.Span) {
 		for _, l := range order {
 			printLayer(l)
 		}
-		lnames := make([]string, 0, len(excl))
-		for l := range excl {
-			lnames = append(lnames, l)
-		}
-		sort.Strings(lnames)
-		for _, l := range lnames {
+		for _, l := range sortedKeys(excl) {
 			printLayer(l)
 		}
 		fmt.Println()
@@ -983,10 +979,7 @@ func runTopByVar(st *rpc.Store) {
 		fmt.Println("no root spans recorded (run some traffic first, or daemons lack -debug-addr)")
 		return
 	}
-	vars := make([]string, 0, len(byVar))
-	for v := range byVar {
-		vars = append(vars, v)
-	}
+	vars := sortedKeys(byVar)
 	sort.SliceStable(vars, func(i, j int) bool {
 		if byVar[vars[i]].nanos != byVar[vars[j]].nanos {
 			return byVar[vars[i]].nanos > byVar[vars[j]].nanos

@@ -99,26 +99,14 @@ func renderFrameData(nodes []node, shards []shardInfo, bens []proto.BenefactorIn
 		if nv.err != nil {
 			continue
 		}
-		for name, r := range nv.v.Rates {
-			rates[name] += r
-		}
-		for name, h := range nv.v.Hists {
-			if cur, ok := hists[name]; ok {
-				hists[name] = cur.Merge(h)
-			} else {
-				hists[name] = h
-			}
-		}
+		mergeNode(rates, nv.v.Rates, hists, nv.v.Hists)
 		if nv.v.WindowSeconds > maxWin {
 			maxWin = nv.v.WindowSeconds
 		}
 	}
 
 	fmt.Fprintf(&b, "%-40s %9s %10s %10s\n", "operation", "rate/s", "p50", "p99")
-	names := make([]string, 0, len(hists))
-	for name := range hists {
-		names = append(names, name)
-	}
+	names := sortedKeys(hists)
 	sort.Slice(names, func(i, j int) bool {
 		hi, hj := hists[names[i]], hists[names[j]]
 		if hi.Count != hj.Count {

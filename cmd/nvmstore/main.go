@@ -49,8 +49,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"nvmalloc/internal/manager"
@@ -143,15 +145,16 @@ func incidentFlags(fs *flag.FlagSet) func() obs.IncidentConfig {
 }
 
 // newObs builds a daemon's observability bundle: metrics registry, span
-// ring, and a key=value logger on stderr at the requested level.
+// ring, and a log/slog text logger on stderr at the requested level.
 func newObs(node, level string) *obs.Obs {
-	lvl, err := obs.ParseLevel(level)
-	if err != nil {
-		fatal(err)
+	lvl := obs.LevelOff
+	if level != "" && !strings.EqualFold(level, "off") {
+		if err := lvl.UnmarshalText([]byte(level)); err != nil {
+			fatal(err)
+		}
 	}
 	o := obs.New(node)
-	o.Log.SetSink(os.Stderr)
-	o.Log.SetLevel(lvl)
+	o.Log = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 	return o
 }
 

@@ -55,7 +55,7 @@ func main() {
 	// The client's chunk cache keeps several chunk transfers in flight over
 	// a small connection pool per benefactor, so the three SSDs above are
 	// kept busy simultaneously.
-	st, err := rpc.OpenWith(mgr.Addr(), rpc.Options{PoolSize: 4})
+	st, err := rpc.Open(mgr.Addr())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func observabilityDemo(tmp string) {
 		debugAddrs = append(debugAddrs, bs.DebugAddr())
 	}
 
-	st, err := rpc.OpenWith(mgr.Addr(), rpc.Options{})
+	st, err := rpc.Open(mgr.Addr())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,10 +39,7 @@ func ServeDebug(addr string, o *Obs) (*DebugServer, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(o.Reg.Snapshot())
+		writeJSON(w, http.StatusOK, o.Reg.Snapshot())
 	})
 	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", PromContentType)
@@ -60,11 +57,7 @@ func ServeDebug(addr string, o *Obs) (*DebugServer, error) {
 		if id.NShards > 0 {
 			body.Shard = fmt.Sprintf("%d/%d", id.Shard, id.NShards)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(body)
+		writeJSON(w, http.StatusServiceUnavailable, body)
 	})
 	mux.HandleFunc("/vitals", func(w http.ResponseWriter, req *http.Request) {
 		window := DefaultVitalsWindow
@@ -73,10 +66,7 @@ func ServeDebug(addr string, o *Obs) (*DebugServer, error) {
 				window = d
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(o.Vitals(window))
+		writeJSON(w, http.StatusOK, o.Vitals(window))
 	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
@@ -95,20 +85,14 @@ func ServeDebug(addr string, o *Obs) (*DebugServer, error) {
 				spans = spans[len(spans)-n:]
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(spans)
+		writeJSON(w, http.StatusOK, spans)
 	})
 	mux.HandleFunc("/incidents", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
 		list := o.Incidents().List()
 		if list == nil {
 			list = []IncidentMeta{}
 		}
-		_ = enc.Encode(list)
+		writeJSON(w, http.StatusOK, list)
 	})
 	mux.HandleFunc("/incidents/capture", func(w http.ResponseWriter, req *http.Request) {
 		ir := o.Incidents()
@@ -127,10 +111,7 @@ func ServeDebug(addr string, o *Obs) (*DebugServer, error) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(captureResult{Captured: fresh, Incident: meta})
+		writeJSON(w, http.StatusOK, captureResult{Captured: fresh, Incident: meta})
 	})
 	mux.HandleFunc("/incidents/bundle", func(w http.ResponseWriter, req *http.Request) {
 		ir := o.Incidents()
@@ -176,6 +157,16 @@ func (ds *DebugServer) Close() error {
 	return ds.srv.Close()
 }
 
+// writeJSON answers with v as indented JSON under status. The header goes
+// out before WriteHeader: an unhealthy /healthz is a 503 with a body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
 // DefaultVitalsWindow is the /vitals lookback when the scrape names none.
 const DefaultVitalsWindow = 30 * time.Second
 
@@ -195,39 +186,38 @@ type healthzBody struct {
 // hang an nvmctl invocation.
 var scrapeClient = &http.Client{Timeout: 5 * time.Second}
 
+// getJSON GETs http://addr/path[?q] and decodes the JSON body into v; any
+// status but 200 is an error.
+func getJSON(addr, path string, q url.Values, v any) error {
+	u := url.URL{Scheme: "http", Host: addr, Path: path, RawQuery: q.Encode()}
+	resp, err := scrapeClient.Get(u.String())
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("obs: %s%s: %s", addr, path, resp.Status)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
 // FetchMetrics scrapes one node's /metrics endpoint. addr is a host:port
 // debug address (no scheme).
 func FetchMetrics(addr string) (Snapshot, error) {
 	var s Snapshot
-	resp, err := scrapeClient.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return s, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return s, fmt.Errorf("obs: %s/metrics: %s", addr, resp.Status)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&s)
+	err := getJSON(addr, "/metrics", nil, &s)
 	return s, err
 }
 
 // FetchVitals scrapes one node's /vitals endpoint with the given
 // lookback window (0 keeps the server default).
 func FetchVitals(addr string, window time.Duration) (Vitals, error) {
-	var v Vitals
-	url := "http://" + addr + "/vitals"
+	q := url.Values{}
 	if window > 0 {
-		url += "?window=" + window.String()
+		q.Set("window", window.String())
 	}
-	resp, err := scrapeClient.Get(url)
-	if err != nil {
-		return v, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return v, fmt.Errorf("obs: %s/vitals: %s", addr, resp.Status)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&v)
+	var v Vitals
+	err := getJSON(addr, "/vitals", q, &v)
 	return v, err
 }
 
@@ -267,16 +257,8 @@ func FetchSpans(addr, trace string, slow bool, n int) ([]Span, error) {
 	if n > 0 {
 		q.Set("n", strconv.Itoa(n))
 	}
-	resp, err := scrapeClient.Get("http://" + addr + "/spans?" + q.Encode())
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obs: %s/spans: %s", addr, resp.Status)
-	}
 	var spans []Span
-	err = json.NewDecoder(resp.Body).Decode(&spans)
+	err := getJSON(addr, "/spans", q, &spans)
 	return spans, err
 }
 
@@ -290,16 +272,8 @@ type captureResult struct {
 
 // FetchIncidents scrapes one node's /incidents list (newest first).
 func FetchIncidents(addr string) ([]IncidentMeta, error) {
-	resp, err := scrapeClient.Get("http://" + addr + "/incidents")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obs: %s/incidents: %s", addr, resp.Status)
-	}
 	var list []IncidentMeta
-	err = json.NewDecoder(resp.Body).Decode(&list)
+	err := getJSON(addr, "/incidents", nil, &list)
 	return list, err
 }
 
@@ -307,23 +281,13 @@ func FetchIncidents(addr string) ([]IncidentMeta, error) {
 // with a nil error means the node's cooldown returned an existing bundle
 // (force skips the cooldown).
 func CaptureIncident(addr, reason string, force bool) (meta IncidentMeta, captured bool, err error) {
-	u := "http://" + addr + "/incidents/capture?reason=" + url.QueryEscape(reason)
+	q := url.Values{"reason": {reason}}
 	if force {
-		u += "&force=1"
-	}
-	resp, err := scrapeClient.Get(u)
-	if err != nil {
-		return IncidentMeta{}, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return IncidentMeta{}, false, fmt.Errorf("obs: %s/incidents/capture: %s", addr, resp.Status)
+		q.Set("force", "1")
 	}
 	var res captureResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return IncidentMeta{}, false, err
-	}
-	return res.Incident, res.Captured, nil
+	err = getJSON(addr, "/incidents/capture", q, &res)
+	return res.Incident, res.Captured, err
 }
 
 // FetchIncidentBundle streams one node's bundle id as tar.gz into w.

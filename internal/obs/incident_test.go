@@ -153,7 +153,7 @@ func TestIncidentCaptureAndCooldown(t *testing.T) {
 	ts := NewSeries(4)
 	ts.Add(Snapshot{UnixNanos: 1})
 	ts.Add(Snapshot{UnixNanos: 2})
-	o.SetTimeSeries(ts)
+	o.ts.Store(ts)
 	ir, err := NewIncidentRecorder(o, quickIncidents(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func TestMonitorSampleAndVitals(t *testing.T) {
 	now := int64(1e9)
 	o.Reg.SetClock(func() int64 { return now })
 
-	o.SetTimeSeries(NewSeries(16))
+	o.ts.Store(NewSeries(16))
 	o.SetRules(NewRuleSet(Rule{
 		Name:      "backlog",
 		Value:     GaugeValue("backlog"),
@@ -139,7 +139,7 @@ func TestDebugEndpointsHealthDegradation(t *testing.T) {
 	}
 
 	// Install a firing rule: /healthz must flip to 503 naming it.
-	o.SetTimeSeries(gaugeSeries("backlog", 9))
+	o.ts.Store(gaugeSeries("backlog", 9))
 	rs := NewRuleSet(Rule{Name: "backlog", Value: GaugeValue("backlog"), Op: Above, Threshold: 0})
 	rs.Eval(o.TimeSeries(), 1e9)
 	o.SetRules(rs)

@@ -1,10 +1,11 @@
 // Package obs is the zero-dependency observability layer of the aggregate
 // NVM store: a concurrent metrics registry (counters, gauges, fixed-bucket
-// latency histograms with quantile snapshots), a leveled key=value logger,
-// and a bounded in-memory span ring holding hierarchical trace spans and
-// state-change events (zero-duration spans). A span tree's trace ID travels
-// the wire protocol (proto.ManagerReq/ChunkReq), so one traced operation
-// can be followed from a client through the manager to each benefactor.
+// latency histograms with quantile snapshots), a log/slog logger that is
+// quiet until a daemon installs its own, and a bounded in-memory span ring
+// holding hierarchical trace spans and state-change events (zero-duration
+// spans). A span tree's trace ID travels the wire protocol
+// (proto.ManagerReq/ChunkReq), so one traced operation can be followed from
+// a client through the manager to each benefactor.
 //
 // Everything is nil-safe: a nil *Obs (or any nil handle obtained from one)
 // turns every recording call into a no-op, so hot paths can be compiled
@@ -14,6 +15,8 @@ package obs
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -26,7 +29,7 @@ import (
 // endpoint (ServeDebug).
 type Obs struct {
 	Reg *Registry
-	Log *Logger
+	Log *slog.Logger
 	// Spans is the bounded buffer of completed hierarchical spans and
 	// events, newest overwriting oldest (served at /spans).
 	Spans *SpanRing
@@ -124,13 +127,20 @@ func (o *Obs) firingEdge(a Alert) {
 	}
 }
 
+// LevelOff is above every slog level: a handler at LevelOff logs nothing.
+const LevelOff = slog.LevelError + 4
+
+// quietLog is the logger New and Disabled hand out, so library users and
+// tests stay silent unless a daemon installs its own. Never nil: a nil
+// *slog.Logger panics.
+var quietLog = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: LevelOff}))
+
 // New returns an enabled Obs: a fresh registry named node, a
-// DefaultRingSpans-entry span ring, and a quiet (discarding) logger so
-// library users and tests stay silent unless a daemon raises the level.
+// DefaultRingSpans-entry span ring, and the quiet logger.
 func New(node string) *Obs {
 	o := &Obs{
 		Reg:   NewRegistry(node),
-		Log:   NewLogger(nil, LevelOff),
+		Log:   quietLog,
 		Spans: NewSpanRing(DefaultRingSpans),
 		Slow:  NewSpanRing(DefaultSlowSpans),
 	}
@@ -139,10 +149,10 @@ func New(node string) *Obs {
 	return o
 }
 
-// Disabled returns an Obs whose members are all nil: every handle it hands
-// out is nil and every recording call is a no-op. Used to measure (and
-// avoid) instrumentation overhead.
-func Disabled() *Obs { return &Obs{} }
+// Disabled returns an Obs whose members are all nil but the quiet logger:
+// every handle it hands out is nil and every recording call is a no-op.
+// Used to measure (and avoid) instrumentation overhead.
+func Disabled() *Obs { return &Obs{Log: quietLog} }
 
 // Event records a state change (a death, a failover, a bad frame, ...) as
 // a zero-duration span named comp.kind carrying detail, joined to trace
@@ -188,9 +198,7 @@ func (o *Obs) StartMonitor(cfg MonitorConfig) {
 	}
 	o.ts.Store(NewSeries(cfg.History))
 	if len(cfg.Rules) > 0 {
-		rs := NewRuleSet(cfg.Rules...)
-		rs.SetOnFiring(o.firingEdge)
-		o.rules.Store(rs)
+		o.SetRules(NewRuleSet(cfg.Rules...))
 	}
 	stop := make(chan struct{})
 	o.monStop = stop
@@ -248,15 +256,6 @@ func (o *Obs) TimeSeries() *Series {
 		return nil
 	}
 	return o.ts.Load()
-}
-
-// SetTimeSeries installs a series without starting the sampling
-// goroutine — tests drive Add/Sample themselves.
-func (o *Obs) SetTimeSeries(ts *Series) {
-	if o == nil {
-		return
-	}
-	o.ts.Store(ts)
 }
 
 // Rules returns the monitor's rule evaluator (nil when no rules are

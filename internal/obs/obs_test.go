@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -157,27 +156,6 @@ func TestNilSafety(t *testing.T) {
 	o.Log.Info("hi", "k", "v")
 	var nilObs *Obs
 	nilObs.Event("c", "k", "", "")
-}
-
-func TestLogger(t *testing.T) {
-	var sb strings.Builder
-	l := NewLogger(&sb, LevelInfo)
-	l.Debug("hidden")
-	l.Info("visible", "op", "create", "file", "a b", "bytes", 42)
-	l.Error("boom", "err", "it broke")
-	out := sb.String()
-	if strings.Contains(out, "hidden") {
-		t.Errorf("debug line leaked below level: %q", out)
-	}
-	for _, want := range []string{`level=info`, `msg="visible"`, `op=create`, `file="a b"`, `bytes=42`, `level=error`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log output missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Count(out, "\n")
-	if lines != 2 {
-		t.Errorf("got %d lines, want 2:\n%s", lines, out)
-	}
 }
 
 func TestDebugServerEndpoints(t *testing.T) {

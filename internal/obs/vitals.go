@@ -31,8 +31,9 @@ type Vitals struct {
 
 // Vitals computes the daemon's windowed view. With a running monitor the
 // rates/histograms cover the last `window` of the sample series; without
-// one they degrade to lifetime averages over a fresh snapshot, so the
-// endpoint is useful (if less sharp) on daemons running without sampling.
+// one they degrade to lifetime averages, the same formulas over an empty
+// base and a live snapshot, so the endpoint is useful (if less sharp) on
+// daemons running without sampling.
 func (o *Obs) Vitals(window time.Duration) Vitals {
 	v := Vitals{Healthy: true}
 	if o == nil || o.Reg == nil {
@@ -43,44 +44,29 @@ func (o *Obs) Vitals(window time.Duration) Vitals {
 		v.Healthy = rs.Healthy()
 	}
 	ts := o.ts.Load()
-	if older, newest, ok := ts.Window(window); ok {
-		v.Node = newest.Node
-		v.UnixNanos = newest.UnixNanos
-		v.UptimeSeconds = newest.UptimeSeconds
-		v.Samples = ts.Len()
-		v.WindowSeconds = float64(newest.UnixNanos-older.UnixNanos) / 1e9
-		v.Rates = make(map[string]float64, len(newest.Counters))
-		if v.WindowSeconds > 0 {
-			for name := range newest.Counters {
-				v.Rates[name] = float64(CounterDelta(older, newest, name)) / v.WindowSeconds
-			}
-		}
-		v.Gauges = newest.Gauges
-		v.Hists = make(map[string]HistogramSnapshot, len(newest.Histograms))
-		for name := range newest.Histograms {
-			if h := WindowHistogram(older, newest, name); h.Count > 0 {
-				v.Hists[name] = h
-			}
-		}
-		return v
-	}
-	// No series (or a single sample): lifetime averages over a live snapshot.
-	snap := o.Reg.Snapshot()
-	v.Node = snap.Node
-	v.UnixNanos = snap.UnixNanos
-	v.UptimeSeconds = snap.UptimeSeconds
 	v.Samples = ts.Len()
-	v.WindowSeconds = snap.UptimeSeconds
-	v.Rates = make(map[string]float64, len(snap.Counters))
-	if snap.UptimeSeconds > 0 {
-		for name, c := range snap.Counters {
-			v.Rates[name] = float64(c) / snap.UptimeSeconds
+	older, newest, ok := ts.Window(window)
+	if ok {
+		v.WindowSeconds = float64(newest.UnixNanos-older.UnixNanos) / 1e9
+	} else {
+		// No series (or a single sample): older stays empty, so the deltas
+		// below are the live snapshot's lifetime totals.
+		newest = o.Reg.Snapshot()
+		v.WindowSeconds = newest.UptimeSeconds
+	}
+	v.Node = newest.Node
+	v.UnixNanos = newest.UnixNanos
+	v.UptimeSeconds = newest.UptimeSeconds
+	v.Rates = make(map[string]float64, len(newest.Counters))
+	if v.WindowSeconds > 0 {
+		for name := range newest.Counters {
+			v.Rates[name] = float64(CounterDelta(older, newest, name)) / v.WindowSeconds
 		}
 	}
-	v.Gauges = snap.Gauges
-	v.Hists = make(map[string]HistogramSnapshot, len(snap.Histograms))
-	for name, h := range snap.Histograms {
-		if h.Count > 0 {
+	v.Gauges = newest.Gauges
+	v.Hists = make(map[string]HistogramSnapshot, len(newest.Histograms))
+	for name := range newest.Histograms {
+		if h := WindowHistogram(older, newest, name); h.Count > 0 {
 			v.Hists[name] = h
 		}
 	}

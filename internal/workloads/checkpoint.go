@@ -63,7 +63,7 @@ func RunCheckpoint(m *sim.Machine, prm CkptParams) (CkptResult, error) {
 		// Initialize the variable.
 		blk := make([]byte, 64<<10)
 		for off := int64(0); off < prm.NVMBytes; off += int64(len(blk)) {
-			n := min64(int64(len(blk)), prm.NVMBytes-off)
+			n := min(int64(len(blk)), prm.NVMBytes-off)
 			for i := int64(0); i < n; i++ {
 				blk[i] = byte(off + i)
 			}
@@ -187,7 +187,7 @@ func naiveCheckpoint(p *simtime.Proc, c *core.Client, m *sim.Machine, name strin
 	}
 	blk := make([]byte, 64<<10)
 	for off := int64(0); off < nv.Size(); off += int64(len(blk)) {
-		n := min64(int64(len(blk)), nv.Size()-off)
+		n := min(int64(len(blk)), nv.Size()-off)
 		if err := nv.ReadAt(p, off, blk[:n]); err != nil {
 			return err
 		}

@@ -108,7 +108,7 @@ func TestDirectSSDMatchesReference(t *testing.T) {
 		e.Go("t", func(p *simtime.Proc) {
 			for op := 0; op < 80; op++ {
 				off := rng.Int63n(d.Size() - 1)
-				n := rng.Int63n(min64(2000, d.Size()-off)) + 1
+				n := rng.Int63n(min(2000, d.Size()-off)) + 1
 				if rng.Intn(2) == 0 {
 					data := make([]byte, n)
 					rng.Read(data)

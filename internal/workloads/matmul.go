@@ -203,7 +203,7 @@ func RunMM(m *sim.Machine, prm MMParams) (MMResult, error) {
 			w := newWriteBehind(m, rank, B, 2)
 			buf := make([]byte, blk)
 			for off := int64(0); off < total; off += blk {
-				sz := min64(blk, total-off)
+				sz := min(blk, total-off)
 				if err := m.PFS.ReadAt(p, "mm/B.in", off, buf[:sz]); err != nil {
 					fail(err)
 					return
@@ -237,7 +237,7 @@ func RunMM(m *sim.Machine, prm MMParams) (MMResult, error) {
 			}
 			rbuf := make([]byte, blk)
 			for off := int64(0); off < total; off += blk {
-				sz := min64(blk, total-off)
+				sz := min(blk, total-off)
 				var in []byte
 				if rank == 0 {
 					in = rbuf[:sz]

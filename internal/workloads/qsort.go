@@ -262,7 +262,7 @@ func runSortPass(m *sim.Machine, prm SortParams, input string, inputOff, elems i
 			buf := make([]int64, blockElems)
 			for d := 0; d < P; d++ {
 				for i := bounds[d]; i < bounds[d+1]; i += blockElems {
-					n := min64(blockElems, bounds[d+1]-i)
+					n := min(blockElems, bounds[d+1]-i)
 					if err := v.LoadVec(sp, i, buf[:n]); err != nil {
 						fail(err)
 						return
@@ -314,7 +314,7 @@ func allocPartition(p *simtime.Proc, c *core.Client, prm SortParams, rank int, s
 func pfsToBuffer(m *sim.Machine, p *simtime.Proc, name string, off int64, dst core.Buffer, blockBytes int64) error {
 	buf := make([]byte, blockBytes)
 	for o := int64(0); o < dst.Size(); o += blockBytes {
-		n := min64(blockBytes, dst.Size()-o)
+		n := min(blockBytes, dst.Size()-o)
 		if err := m.PFS.ReadAt(p, name, off+o, buf[:n]); err != nil {
 			return err
 		}
@@ -493,7 +493,7 @@ type runReader struct {
 }
 
 func (r *runReader) refill() error {
-	n := min64(r.block, r.size-r.off)
+	n := min(r.block, r.size-r.off)
 	if n <= 0 {
 		r.buf = nil
 		r.pos = 0

@@ -48,7 +48,7 @@ func RunRandWrite(m *sim.Machine, prm RandWriteParams) (RandWriteResult, error) 
 		// reset so only the measured writes are reported).
 		blk := make([]byte, 64<<10)
 		for off := int64(0); off < prm.RegionBytes; off += int64(len(blk)) {
-			n := min64(int64(len(blk)), prm.RegionBytes-off)
+			n := min(int64(len(blk)), prm.RegionBytes-off)
 			if err := r.WriteAt(p, off, blk[:n]); err != nil {
 				runErr = err
 				return

@@ -192,7 +192,7 @@ func streamInit(p *simtime.Proc, prm StreamParams, tid int, elems int64, A, B, C
 	av, bv, cv := core.Float64s(A), core.Float64s(B), core.Float64s(C)
 	block := make([]float64, prm.BlockElems)
 	for i := lo; i < hi; i += int64(len(block)) {
-		n := min64(int64(len(block)), hi-i)
+		n := min(int64(len(block)), hi-i)
 		blk := block[:n]
 		fill(blk, 1)
 		if err := av.StoreVec(p, i, blk); err != nil {
@@ -222,7 +222,7 @@ func streamThread(p *simtime.Proc, c *core.Client, prm StreamParams, tid int, el
 	node := c.Node()
 	for it := 0; it < prm.Iters; it++ {
 		for i := lo; i < hi; i += int64(len(out)) {
-			n := min64(int64(prm.BlockElems), hi-i)
+			n := min(int64(prm.BlockElems), hi-i)
 			switch prm.Kernel {
 			case COPY: // C = A
 				if err := av.LoadVec(p, i, in1[:n]); err != nil {
@@ -313,11 +313,4 @@ func fill(s []float64, v float64) {
 	for i := range s {
 		s[i] = v
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
