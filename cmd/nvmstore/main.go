@@ -53,6 +53,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"nvmalloc/internal/manager"
@@ -85,9 +86,11 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// waitForInterrupt blocks until Ctrl-C or SIGTERM (what kill, timeout and
+// service managers send), so either runs the daemon's shutdown path.
 func waitForInterrupt() {
 	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	<-ch
 }
 

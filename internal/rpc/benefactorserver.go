@@ -165,7 +165,7 @@ func NewBenefactorServerWith(addr, managerAddr string, id, node int, capacity, c
 		return nil, err
 	}
 	for _, a := range addrs {
-		mc, err := DialManager(a)
+		mc, err := DialManager(a, 0)
 		if err != nil {
 			return fail(err)
 		}

@@ -222,7 +222,7 @@ type repairDone struct {
 // name.
 func lookupBens(t *testing.T, r *rig, name string) []int {
 	t.Helper()
-	mc, err := DialManager(r.mgr.Addr())
+	mc, err := DialManager(r.mgr.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,17 +326,22 @@ func TestRepairCopyFailureLeavesNoReplica(t *testing.T) {
 	}
 }
 
-// TestDropBenConnKeepsFresherConn: a failure reported on a connection that
-// a re-registration already replaced closes that connection but leaves the
-// freshly dialled one cached.
+// TestDropBenConnKeepsFresherConn: a re-registration closes the server's
+// pool for that benefactor, so its next call dials a fresh connection; a
+// late failure on a connection borrowed before the re-registration closes
+// that connection and leaves the fresh one serving.
 func TestDropBenConnKeepsFresherConn(t *testing.T) {
 	r := newRig(t, 1)
 	ms, addr := r.mgr, r.bens[0].Addr()
-	stale, err := ms.benConn(0, addr)
+	old, err := ms.benPool(0, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := DialManager(ms.Addr())
+	stale, err := old.get("", "") // held across the re-registration
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := DialManager(ms.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,23 +349,44 @@ func TestDropBenConnKeepsFresherConn(t *testing.T) {
 	if err := mc.Register(0, 0, addr, 64*testChunk); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := ms.benConn(0, addr)
+	p, err := ms.benPool(0, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p == old {
+		t.Fatal("re-registration kept the old pool")
+	}
+	fresh, err := p.get("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh == stale {
-		t.Fatal("re-registration kept the old connection cached")
+		t.Fatal("the next call after re-registration reused the old connection")
 	}
-	ms.dropBenConn(0, stale) // a late failure report from a stale holder
+	p.put(fresh)
 
-	if got, _ := ms.benConn(0, addr); got != fresh {
-		t.Error("a failure on the stale connection evicted the fresh one")
+	// A late failure on the stale connection (an op with no NVM1 frame
+	// breaks the stream): its holder hands it back to the closed pool.
+	if _, err := stale.call(proto.ChunkReq{Op: proto.OpCreate}); err == nil {
+		t.Fatal("a chunk call of a manager op succeeded")
 	}
+	old.put(stale)
 	del := proto.ChunkReq{Op: proto.OpDeleteChunk, ID: 999}
 	if _, err := stale.call(del); err == nil {
 		t.Error("the stale connection is still open")
 	}
-	if _, err := fresh.call(del); err != nil {
+	if got, _ := ms.benPool(0, addr); got != p {
+		t.Error("a failure on the stale connection evicted the fresh pool")
+	}
+	c, err := p.get("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.put(c)
+	if c != fresh {
+		t.Error("the fresh connection was not kept for reuse")
+	}
+	if _, err := c.call(del); err != nil {
 		t.Errorf("fresh connection: %v", err)
 	}
 }

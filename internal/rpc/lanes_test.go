@@ -73,7 +73,7 @@ func (m *barrierManager) serve(conn net.Conn) {
 func TestManagerClientLanes(t *testing.T) {
 	const n = DefaultPoolSize
 	m := newBarrierManager(t, n)
-	mc, err := DialManagerTimeout(m.l.Addr().String(), 5*time.Second)
+	mc, err := DialManager(m.l.Addr().String(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestManagerClientLanes(t *testing.T) {
 // never costs the manager more than one connection.
 func TestManagerClientLoneCallerUsesOneSocket(t *testing.T) {
 	m := newBarrierManager(t, 1)
-	mc, err := DialManager(m.l.Addr().String())
+	mc, err := DialManager(m.l.Addr().String(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

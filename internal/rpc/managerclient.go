@@ -2,119 +2,87 @@ package rpc
 
 import (
 	"encoding/gob"
+	"errors"
 	"net"
-	"sync"
 	"time"
 
 	"nvmalloc/internal/proto"
 )
 
 // ManagerClient is a client of one manager. Each gob stream is lock-step —
-// one request in flight — so the client keeps up to DefaultPoolSize streams
-// ("lanes"): a call takes the most recently used idle lane, or opens a new
-// one only when every open lane is busy. A lone caller (a heartbeat loop,
-// nvmctl) therefore holds exactly one socket, while a checkpoint's flush
-// fan-out gets real concurrency. A broken lane is redialed transparently,
-// and idempotent metadata RPCs are retried with backoff, so a manager
-// restart or a transient network fault does not kill long-running clients
-// (benefactor heartbeat loops in particular).
+// one request in flight — so the client keeps a pool of up to
+// DefaultPoolSize streams ("lanes"): a lone caller (a heartbeat loop,
+// nvmctl) holds exactly one socket, while a checkpoint's flush fan-out gets
+// real concurrency. A broken lane is redialed transparently, and idempotent
+// metadata RPCs are retried with backoff, so a manager restart or a
+// transient network fault does not kill long-running clients (benefactor
+// heartbeat loops in particular).
 type ManagerClient struct {
-	addr    string
 	timeout time.Duration // per-RPC deadline; 0 = none
 	retry   RetryPolicy
-	// slots bounds the lanes in use; a caller beyond that waits here.
-	slots chan struct{}
-
-	mu     sync.Mutex
-	idle   []*mgrLane // LIFO stack, so the warm lane is reused first
-	closed bool
+	lanes   *pool[*gobConn]
 }
 
-// mgrLane is one gob stream to the manager, owned by a single call at a
-// time. A nil conn means "not dialed" (fresh, or dropped after a fault).
-type mgrLane struct {
-	conn net.Conn
-	dec  *gob.Decoder
-	enc  *gob.Encoder
+// gobConn is one lock-step gob stream to a manager.
+type gobConn struct {
+	conn   net.Conn
+	dec    *gob.Decoder
+	enc    *gob.Encoder
+	broken bool
 }
 
-// DialManager connects to a manager server with no per-RPC deadline.
-func DialManager(addr string) (*ManagerClient, error) { return DialManagerTimeout(addr, 0) }
-
-// DialManagerTimeout connects to a manager server; timeout bounds each
-// metadata RPC round trip (0 disables the deadline).
-func DialManagerTimeout(addr string, timeout time.Duration) (*ManagerClient, error) {
-	c := &ManagerClient{
-		addr: addr, timeout: timeout, retry: RetryPolicy{}.withDefaults(),
-		slots: make(chan struct{}, DefaultPoolSize),
-	}
-	ln := &mgrLane{}
-	if err := ln.dial(addr); err != nil {
+func dialGob(addr string) (*gobConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, serverDialTimeout)
+	if err != nil {
 		return nil, err
 	}
-	c.idle = append(c.idle, ln)
+	return &gobConn{conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn)}, nil
+}
+
+// call runs one round trip within timeout (0: no deadline). A transport
+// failure breaks the stream.
+func (g *gobConn) call(req *proto.ManagerReq, resp *proto.ManagerResp, timeout time.Duration) error {
+	if timeout > 0 {
+		_ = g.conn.SetDeadline(time.Now().Add(timeout))
+	}
+	if err := g.enc.Encode(req); err != nil {
+		g.broken = true
+		return err
+	}
+	if err := g.dec.Decode(resp); err != nil {
+		g.broken = true
+		return err
+	}
+	if timeout > 0 {
+		_ = g.conn.SetDeadline(time.Time{})
+	}
+	return nil
+}
+
+func (g *gobConn) isBroken() bool { return g.broken }
+func (g *gobConn) close()         { g.conn.Close() }
+
+// DialManager connects to a manager server; timeout bounds each metadata
+// RPC round trip (0 disables the deadline). One lane is dialed up front, so
+// an unreachable manager fails here.
+func DialManager(addr string, timeout time.Duration) (*ManagerClient, error) {
+	c := &ManagerClient{
+		timeout: timeout, retry: RetryPolicy{}.withDefaults(),
+		lanes: newPool(addr, DefaultPoolSize, dialGob),
+	}
+	ln, err := c.lanes.get("", "")
+	if err != nil {
+		return nil, err
+	}
+	c.lanes.put(ln)
 	return c, nil
 }
 
 // Close closes every idle lane; a lane a call still holds is closed when
 // that call returns it.
 func (c *ManagerClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	var err error
-	for _, ln := range c.idle {
-		if ln.conn != nil {
-			err = ln.conn.Close()
-		}
-	}
-	c.idle = nil
-	return err
-}
-
-func (c *ManagerClient) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// takeLane returns the most recently released idle lane, or a new undialed
-// one when all open lanes are busy. The caller holds a slot.
-func (c *ManagerClient) takeLane() *mgrLane {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := len(c.idle); n > 0 {
-		ln := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		return ln
-	}
-	return &mgrLane{}
-}
-
-func (c *ManagerClient) putLane(ln *mgrLane) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		ln.drop()
-		return
-	}
-	c.idle = append(c.idle, ln)
-}
-
-func (ln *mgrLane) dial(addr string) error {
-	conn, err := net.DialTimeout("tcp", addr, serverDialTimeout)
-	if err != nil {
-		return err
-	}
-	ln.conn, ln.dec, ln.enc = conn, gob.NewDecoder(conn), gob.NewEncoder(conn)
+	c.lanes.close()
 	return nil
-}
-
-func (ln *mgrLane) drop() {
-	if ln.conn != nil {
-		ln.conn.Close()
-		ln.conn = nil
-	}
 }
 
 // retryableOp reports whether a manager RPC may be reissued after a
@@ -135,10 +103,6 @@ func retryableOp(op proto.Op) bool {
 }
 
 func (c *ManagerClient) call(req proto.ManagerReq) (proto.ManagerResp, error) {
-	c.slots <- struct{}{}
-	defer func() { <-c.slots }()
-	ln := c.takeLane()
-	defer c.putLane(ln)
 	var resp proto.ManagerResp
 	attempts := c.retry.MaxAttempts
 	if !retryableOp(req.Op) {
@@ -149,30 +113,17 @@ func (c *ManagerClient) call(req proto.ManagerReq) (proto.ManagerResp, error) {
 		if attempt > 1 {
 			time.Sleep(c.retry.backoff(attempt - 1))
 		}
-		if c.isClosed() {
-			return resp, net.ErrClosed
+		ln, err := c.lanes.get("", "")
+		if errors.Is(err, net.ErrClosed) {
+			return resp, err
 		}
-		if ln.conn == nil {
-			if err := ln.dial(c.addr); err != nil {
-				last = transient(err)
-				continue
-			}
+		if err == nil {
+			err = ln.call(&req, &resp, c.timeout)
+			c.lanes.put(ln)
 		}
-		if c.timeout > 0 {
-			_ = ln.conn.SetDeadline(time.Now().Add(c.timeout))
-		}
-		if err := ln.enc.Encode(&req); err != nil {
-			ln.drop()
+		if err != nil {
 			last = transient(err)
 			continue
-		}
-		if err := ln.dec.Decode(&resp); err != nil {
-			ln.drop()
-			last = transient(err)
-			continue
-		}
-		if c.timeout > 0 {
-			_ = ln.conn.SetDeadline(time.Time{})
 		}
 		return resp, proto.WireErr(resp.Err)
 	}

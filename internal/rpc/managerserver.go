@@ -98,12 +98,11 @@ type ManagerServer struct {
 	mu  sync.Mutex
 	mgr *manager.Manager
 	l   net.Listener
-	// benConns caches client connections to benefactors for server-driven
-	// operations (chunk deletion, COW copies, repair), dialed on first use.
-	// It sits under connMu, not mu: copies and deletes run with mu
-	// released.
-	connMu    sync.Mutex
-	benConns  map[int]*chunkConn
+	// benPools holds one single-stream pool per benefactor for
+	// server-driven operations (chunk deletion, COW copies, repair). It
+	// sits under poolsMu, not mu: copies and deletes run with mu released.
+	poolsMu   sync.Mutex
+	benPools  map[int]*pool[*chunkConn]
 	start     time.Time
 	stop      chan struct{}
 	conns     *connSet
@@ -147,7 +146,7 @@ func NewManagerServerWith(addr string, chunkSize int64, policy manager.Placement
 	s := &ManagerServer{
 		mgr:      manager.New(chunkSize, policy),
 		l:        l,
-		benConns: make(map[int]*chunkConn),
+		benPools: make(map[int]*pool[*chunkConn]),
 		start:    time.Now(),
 		stop:     make(chan struct{}),
 		conns:    newConnSet(),
@@ -295,37 +294,36 @@ func (s *ManagerServer) Close() error {
 		err = s.l.Close()
 		s.dbg.Close()
 		s.conns.closeAll()
-		s.connMu.Lock()
-		for id, c := range s.benConns {
-			c.close()
-			delete(s.benConns, id)
+		s.poolsMu.Lock()
+		for id, p := range s.benPools {
+			p.close()
+			delete(s.benPools, id)
 		}
-		s.connMu.Unlock()
+		s.poolsMu.Unlock()
 	})
 	return err
 }
 
 func (s *ManagerServer) now() time.Duration { return time.Since(s.start) }
 
-// benConn returns (dialing addr if needed) a connection to a benefactor.
-// Safe with or without s.mu held: the caller resolved addr (Manager.Addr)
-// while it held s.mu.
-func (s *ManagerServer) benConn(id int, addr string) (*chunkConn, error) {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if c, ok := s.benConns[id]; ok {
-		return c, nil
+// benPool returns benefactor id's connection pool, made for addr if the
+// benefactor has none. Safe with or without s.mu held: the caller resolved
+// addr (Manager.Addr) while it held s.mu.
+func (s *ManagerServer) benPool(id int, addr string) (*pool[*chunkConn], error) {
+	s.poolsMu.Lock()
+	defer s.poolsMu.Unlock()
+	if p, ok := s.benPools[id]; ok {
+		return p, nil
 	}
 	if addr == "" {
 		return nil, proto.ErrBenefactorDead
 	}
-	c, err := dialChunk(addr, nil, serverDialTimeout, serverCallTimeout,
-		s.arena, maxPayloadFor(s.mgr.ChunkSize()))
-	if err != nil {
-		return nil, err
-	}
-	s.benConns[id] = c
-	return c, nil
+	p := newPool(addr, 1, func(addr string) (*chunkConn, error) {
+		return dialChunk(addr, nil, serverDialTimeout, serverCallTimeout,
+			s.arena, maxPayloadFor(s.mgr.ChunkSize()))
+	})
+	s.benPools[id] = p
+	return p, nil
 }
 
 // addrsOf snapshots the transport addresses of the benefactors fx names,
@@ -342,29 +340,6 @@ func (s *ManagerServer) addrsOf(fx manager.Effects) func(int) string {
 		addrs[b.Ben] = s.mgr.Addr(b.Ben)
 	}
 	return func(id int) string { return addrs[id] }
-}
-
-// dropBenConn closes c after a failed call on it and forgets it if it is
-// still benefactor id's cached connection; the next use redials. A caller
-// holding an older connection (one a concurrent failure or a
-// re-registration already replaced) must not evict the fresh one.
-func (s *ManagerServer) dropBenConn(id int, c *chunkConn) {
-	s.connMu.Lock()
-	if s.benConns[id] == c {
-		delete(s.benConns, id)
-	}
-	s.connMu.Unlock()
-	c.close()
-}
-
-// benCall runs one call on benefactor id's connection c and drops c if the
-// call broke it; an error the benefactor answered leaves c cached.
-func (s *ManagerServer) benCall(id int, c *chunkConn, req proto.ChunkReq) (proto.ChunkResp, error) {
-	resp, err := c.call(req)
-	if err != nil && c.isBroken() {
-		s.dropBenConn(id, c)
-	}
-	return resp, err
 }
 
 // stampShardLocked piggybacks the shard map on every response (§16):
@@ -443,13 +418,15 @@ func (s *ManagerServer) handle(dec *gob.Decoder, enc *gob.Encoder) error {
 func (s *ManagerServer) noteLocked(req *proto.ManagerReq, resp *proto.ManagerResp) {
 	switch req.Op {
 	case proto.OpRegister:
-		// Re-registration may change the address: close the old connection.
-		s.connMu.Lock()
-		old := s.benConns[req.BenID]
-		s.connMu.Unlock()
-		if old != nil {
-			s.dropBenConn(req.BenID, old)
+		// Re-registration may change the address: close the old pool (a
+		// connection in use is closed when its call returns it), so the
+		// next server-driven call dials afresh.
+		s.poolsMu.Lock()
+		if p, ok := s.benPools[req.BenID]; ok {
+			p.close()
+			delete(s.benPools, req.BenID)
 		}
+		s.poolsMu.Unlock()
 		if len(resp.FenceChunks) > 0 {
 			s.obs.Event("manager", "fence-rejoin", req.TraceID,
 				fmt.Sprintf("benefactor %d: %d stale copies fenced", req.BenID, len(resp.FenceChunks)))
@@ -501,11 +478,9 @@ func (s *ManagerServer) noteCopies(req *proto.ManagerReq, copies []manager.Copy,
 // Failures are not reported: a dead benefactor has nothing to clean.
 func (s *ManagerServer) deleteChunks(batches []manager.Batch, addrOf func(int) string) {
 	del := func(b manager.Batch) {
-		c, err := s.benConn(b.Ben, addrOf(b.Ben))
-		if err != nil {
-			return
+		if p, err := s.benPool(b.Ben, addrOf(b.Ben)); err == nil {
+			_, _ = chunkCall(p, proto.ChunkReq{Op: proto.OpDeleteChunk, ID: b.IDs[0], MoreIDs: b.IDs[1:]})
 		}
-		_, _ = s.benCall(b.Ben, c, proto.ChunkReq{Op: proto.OpDeleteChunk, ID: b.IDs[0], MoreIDs: b.IDs[1:]})
 	}
 	var wg sync.WaitGroup
 	for _, b := range batches[1:] {
@@ -532,15 +507,15 @@ func (s *ManagerServer) copyChunk(src proto.ChunkRef, dsts []proto.ChunkRef, add
 		}
 		return errs
 	}
-	from, err := s.benConn(src.Benefactor, addrOf(src.Benefactor))
+	from, err := s.benPool(src.Benefactor, addrOf(src.Benefactor))
 	if err != nil {
 		return fail(err)
 	}
 	if len(dsts) == 1 && dsts[0].Benefactor == src.Benefactor {
-		_, errs[0] = s.benCall(src.Benefactor, from, proto.ChunkReq{Op: proto.OpCopyChunk, ID: dsts[0].ID, SrcID: src.ID})
+		_, errs[0] = chunkCall(from, proto.ChunkReq{Op: proto.OpCopyChunk, ID: dsts[0].ID, SrcID: src.ID})
 		return errs
 	}
-	data, err := s.benCall(src.Benefactor, from, proto.ChunkReq{Op: proto.OpGetChunk, ID: src.ID})
+	data, err := chunkCall(from, proto.ChunkReq{Op: proto.OpGetChunk, ID: src.ID})
 	if err != nil {
 		return fail(err)
 	}
@@ -549,9 +524,9 @@ func (s *ManagerServer) copyChunk(src proto.ChunkRef, dsts []proto.ChunkRef, add
 		wg.Add(1)
 		go func(i int, dst proto.ChunkRef) {
 			defer wg.Done()
-			to, err := s.benConn(dst.Benefactor, addrOf(dst.Benefactor))
+			to, err := s.benPool(dst.Benefactor, addrOf(dst.Benefactor))
 			if err == nil {
-				_, err = s.benCall(dst.Benefactor, to, proto.ChunkReq{Op: proto.OpPutChunk, ID: dst.ID, Data: data.Data})
+				_, err = chunkCall(to, proto.ChunkReq{Op: proto.OpPutChunk, ID: dst.ID, Data: data.Data})
 			}
 			errs[i] = err
 		}(i, dst)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"nvmalloc/internal/fusecache"
 	"nvmalloc/internal/proto"
 )
 
@@ -250,49 +249,6 @@ func TestFileBackendAtomicPut(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestPoolBoundsConnections verifies the pool never dials more than its
-// size even under heavy fan-out.
-func TestPoolBoundsConnections(t *testing.T) {
-	r := newRig(t, 1)
-	st, err := OpenWith(r.mgr.Addr(), Options{PoolSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := putFile(st, "f", make([]byte, 16*testChunk)); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 16*testChunk)
-	if err := readFile(st, "f", 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	st.mu.Lock()
-	p := st.pools[0]
-	st.mu.Unlock()
-	if p == nil {
-		t.Fatal("no pool created for benefactor 0")
-	}
-	if n := len(p.free); n != cap(p.free) || cap(p.free) != 2 {
-		t.Fatalf("pool slots %d/%d, want 2/2 idle", n, cap(p.free))
-	}
-	live := 0
-	for i := 0; i < cap(p.free); i++ {
-		c := <-p.free
-		if c != nil {
-			live++
-			c.close()
-		}
-		p.free <- nil
-	}
-	if live == 0 || live > 2 {
-		t.Fatalf("%d live connections, want 1..2", live)
-	}
-	// Proto sanity: the fan-out never exceeded the cache's request gate.
-	if peak := st.Stats().InFlightPeak; peak > fusecache.DefaultFuseConcurrency {
-		t.Fatalf("in-flight peak %d exceeds the gate %d", peak, fusecache.DefaultFuseConcurrency)
-	}
 }
 
 func TestWireErrChunkSentinel(t *testing.T) {

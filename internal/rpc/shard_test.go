@@ -199,7 +199,7 @@ func TestStaleEpochRetriesOnce(t *testing.T) {
 	}
 	// Bump shard 0's epoch behind the client's back: a raw legacy-style
 	// registration (MapEpoch 0 is never fenced) of a fresh benefactor.
-	mc, err := DialManager(r.addrs[0])
+	mc, err := DialManager(r.addrs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

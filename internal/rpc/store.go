@@ -179,7 +179,7 @@ type Store struct {
 	// budget when ordering replica reads, so a dying node costs one timeout
 	// burst, not one per chunk.
 	suspectUntil map[int]time.Time
-	pools        map[int]*connPool
+	pools        map[int]*pool[*chunkConn]
 	// arena pools chunk payload buffers for the binary data path: response
 	// payloads are leased from it by the wire layer and returned through
 	// ReleaseChunk (by the chunk cache via store.BufferLender). Sized to
@@ -228,7 +228,7 @@ func OpenWith(addr string, opts Options) (*Store, error) {
 		benAddrs:     make(map[int]string),
 		benAlive:     make(map[int]bool),
 		suspectUntil: make(map[int]time.Time),
-		pools:        make(map[int]*connPool),
+		pools:        make(map[int]*pool[*chunkConn]),
 		obs:          opts.Obs,
 		m:            newStoreMetrics(opts.Obs),
 	}
@@ -238,7 +238,7 @@ func OpenWith(addr string, opts Options) (*Store, error) {
 	var firstErr error
 	dialed := 0
 	for i, a := range addrs {
-		mc, err := DialManagerTimeout(a, opts.CallTimeout)
+		mc, err := DialManager(a, opts.CallTimeout)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("manager shard %d (%s): %w", i, a, err)
@@ -371,7 +371,7 @@ func (s *Store) shardClient(i int) (*ManagerClient, int64, error) {
 	}
 	addr := st.addr
 	s.mu.Unlock()
-	mc, err := DialManagerTimeout(addr, s.opts.CallTimeout)
+	mc, err := DialManager(addr, s.opts.CallTimeout)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -700,7 +700,7 @@ func (s *Store) Stats() Stats {
 func (s *Store) Obs() *obs.Obs { return s.obs }
 
 // pool returns the connection pool for the benefactor holding ref.
-func (s *Store) pool(ref proto.ChunkRef) (*connPool, error) {
+func (s *Store) pool(ref proto.ChunkRef) (*pool[*chunkConn], error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p, ok := s.pools[ref.Benefactor]; ok {
@@ -714,7 +714,8 @@ func (s *Store) pool(ref proto.ChunkRef) (*connPool, error) {
 		return dialChunk(a, s.opts.Dial, s.opts.DialTimeout, s.opts.CallTimeout,
 			s.arena, maxPayloadFor(s.chunkSize))
 	}
-	p := newConnPool(addr, s.opts.PoolSize, dial, s.obs, s.m.poolWait)
+	p := newPool(addr, s.opts.PoolSize, dial)
+	p.wait, p.obs = s.m.poolWait, s.obs
 	s.pools[ref.Benefactor] = p
 	return p, nil
 }
@@ -794,7 +795,7 @@ func (s *Store) callChunk(ref proto.ChunkRef, req proto.ChunkReq) (proto.ChunkRe
 		}
 		s.m.enter()
 		start := time.Now()
-		resp, err := p.call(req)
+		resp, err := chunkCall(p, req)
 		if lat != nil {
 			lat.Observe(time.Since(start))
 		}

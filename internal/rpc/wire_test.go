@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -282,9 +283,9 @@ func (c *sniffConn) Read(b []byte) (int, error) {
 	return c.Conn.Read(b)
 }
 
-// wireTap records every byte a client writes on its chunk connections
-// (Options.Dial = tap.dial) so a test can decode the request frames that
-// crossed the wire.
+// wireTap records every chunk connection a client dials (Options.Dial =
+// tap.dial), every byte it writes on them and whether it closed them, so a
+// test can count dials and decode the request frames that crossed the wire.
 type wireTap struct {
 	mu    sync.Mutex
 	conns []*tapConn
@@ -292,8 +293,14 @@ type wireTap struct {
 
 type tapConn struct {
 	net.Conn
-	mu   sync.Mutex
-	sent bytes.Buffer
+	mu     sync.Mutex
+	sent   bytes.Buffer
+	closed atomic.Bool
+}
+
+func (c *tapConn) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
 }
 
 func (c *tapConn) Write(b []byte) (int, error) {
@@ -313,6 +320,12 @@ func (w *wireTap) dial(addr string) (net.Conn, error) {
 	w.conns = append(w.conns, c)
 	w.mu.Unlock()
 	return c, nil
+}
+
+func (w *wireTap) dials() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.conns)
 }
 
 // requests decodes every tapped connection: the NVM1 preamble byte, then
