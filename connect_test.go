@@ -154,6 +154,88 @@ func TestConnectCheckpointRestoreE2E(t *testing.T) {
 	}
 }
 
+// TestConnectColdRestoreFailsOver restores a checkpoint through a second
+// client, whose cache is cold, after one benefactor died. The checkpointing
+// client would serve the chunks its variable still holds from its own
+// cache; the second one reads every chunk of the region from the store,
+// from the copies that survive on live benefactors, and must read it
+// byte-exact.
+func TestConnectColdRestoreFailsOver(t *testing.T) {
+	const chunk = 4096
+	cl := startCluster(t, 3, chunk, 2)
+	cfg := nvmalloc.ConnectConfig{
+		CacheBytes:     16 * chunk,
+		PageSize:       512,
+		PageCacheBytes: 4 * chunk,
+	}
+	c, err := nvmalloc.Connect(cl.mgr.Addr(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const size = 6 * chunk
+	r, err := c.Malloc(nil, size, nvmalloc.WithName("cold.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i*7 + i/chunk)
+	}
+	if err := r.WriteAt(nil, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sync(nil); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Checkpoint(nil, "cold.ckpt", []byte("dram"), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteAt(nil, 0, bytes.Repeat([]byte{0xEE}, chunk)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sync(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	cl.bens[0].Close()
+	if err := mgrOf(t, c).MarkDead(0); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := nvmalloc.Connect(cl.mgr.Addr(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	restored, err := c2.RestoreRegion(nil, "cold.ckpt", info.Regions[0], "cold.restored")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c2.ChunkCache().Stats().SSDReadBytes
+	back := make([]byte, size)
+	if err := restored.ReadAt(nil, 0, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, payload) {
+		t.Fatal("cold restore does not match the checkpointed state")
+	}
+	if got := c2.ChunkCache().Stats().SSDReadBytes - before; got < size {
+		t.Fatalf("cold restore read %d B from the store, want >= %d (the whole region)", got, size)
+	}
+	if err := restored.Free(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Free(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeleteCheckpoint(nil, "cold.ckpt"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConnectConcurrentRanks hammers one cluster from several rank
 // goroutines at once — the TCP data path and the daemons must be race-free
 // (this test earns its keep under -race). Each rank connects for itself: a

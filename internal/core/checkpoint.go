@@ -57,16 +57,25 @@ func (c *Client) Checkpoint(ctx store.Ctx, name string, dramState []byte, region
 
 // checkpoint is Checkpoint's body, running under the client.checkpoint
 // root span.
-func (c *Client) checkpoint(ctx store.Ctx, name string, dramState []byte, regions []*Region) (CheckpointInfo, error) {
+func (c *Client) checkpoint(ctx store.Ctx, name string, dramState []byte, regions []*Region) (info CheckpointInfo, err error) {
 	st := c.cc.Store()
 	chunkSize := c.cc.Config().ChunkSize
-	info := CheckpointInfo{Name: name, DRAMBytes: int64(len(dramState))}
+	info = CheckpointInfo{Name: name, DRAMBytes: int64(len(dramState))}
 
 	// 1. Create the checkpoint file sized for the DRAM dump.
 	fi, err := st.Create(ctx, name, int64(len(dramState)))
 	if err != nil {
 		return info, fmt.Errorf("core: checkpoint create: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			// A failed checkpoint leaves nothing under its name, so that a
+			// retry can take the name again. The delete is best effort: the
+			// caller needs the error that failed the checkpoint.
+			c.cc.Drop(ctx, name)
+			_ = st.Delete(ctx, name)
+		}
+	}()
 	c.cc.MarkFresh(ctx, fi)
 	info.DRAMChunks = len(fi.Chunks)
 

@@ -104,6 +104,13 @@ func (cc *ChunkCache) advance(ctx store.Ctx, file string, idx int, marker bool) 
 			continue
 		}
 		refs := refsCopy(*fi, key.idx)
+		cc.spec++
+		if cc.lendable(refs) != nil {
+			// A chunk another entry holds is borrowed on the spot: no task,
+			// no room, no store request.
+			_, _ = cc.load(ctx, cc.reserve(key, true), refs)
+			continue
+		}
 		// Reserve here, under the caller's lock, whenever that takes no
 		// blocking eviction: the reader then finds the chunk in flight
 		// however late the task is scheduled, and Drop sees it. Behind a
@@ -113,7 +120,6 @@ func (cc *ChunkCache) advance(ctx store.Ctx, file string, idx int, marker bool) 
 			e = cc.reserve(key, true)
 			e.queued = true
 		}
-		cc.spec++
 		cc.env.Go(ctx, fmt.Sprintf("prefetch %s/%d", file, key.idx), func(pp store.Ctx) {
 			if sc.Traced() {
 				pp = store.WithSpan(pp, sc)
@@ -139,7 +145,9 @@ func (cc *ChunkCache) advance(ctx store.Ctx, file string, idx int, marker bool) 
 // it. Lock held.
 func (cc *ChunkCache) wasted(e *entry) {
 	cc.spec--
-	cc.s.prefetchWasted.Add(int64(len(e.data)))
+	if !e.borrowed {
+		cc.s.prefetchWasted.Add(int64(len(e.data)))
+	}
 	if s := cc.streams[e.key.file]; s != nil && s.window > 0 && e.key.idx > s.last && e.key.idx < s.ahead {
 		s.window, s.run, s.off = 0, 0, true
 	}

@@ -26,7 +26,11 @@ type CkptParams struct {
 	// DrainToPFS additionally streams each checkpoint to the PFS in the
 	// background (the staging pattern).
 	DrainToPFS bool
-	Verify     bool
+	// Verify restarts from the last checkpoint after the run and compares
+	// it with the live state. The restart reads through a rank on another
+	// compute node, whose cache holds none of the variable's chunks, so
+	// the restored bytes come from the store; it needs two compute nodes.
+	Verify bool
 }
 
 // CkptStep reports one checkpoint timestep.
@@ -129,9 +133,16 @@ func RunCheckpoint(m *sim.Machine, prm CkptParams) (CkptResult, error) {
 
 		if prm.Verify && !prm.NaiveCopy {
 			// Restart from the last checkpoint and check both DRAM state
-			// and the variable.
+			// and the variable, on another node: ranks on one node share a
+			// cache, and there the restore would read the live variable's
+			// resident buffers rather than the checkpoint's chunks.
+			if m.Cfg.ComputeNodes < 2 {
+				runErr = fmt.Errorf("workloads: checkpoint verify needs 2 compute nodes, have %d", m.Cfg.ComputeNodes)
+				return
+			}
+			rc := m.NewClient(m.Cfg.ProcsPerNode) // the first rank of node 1
 			got := make([]byte, len(dram))
-			if err := c.ReadCheckpointDRAM(p, lastInfo.Name, got); err != nil {
+			if err := rc.ReadCheckpointDRAM(p, lastInfo.Name, got); err != nil {
 				runErr = err
 				return
 			}
@@ -141,7 +152,7 @@ func RunCheckpoint(m *sim.Machine, prm CkptParams) (CkptResult, error) {
 					return
 				}
 			}
-			r2, err := c.RestoreRegion(p, lastInfo.Name, lastInfo.Regions[0], "ckpt.var.restored")
+			r2, err := rc.RestoreRegion(p, lastInfo.Name, lastInfo.Regions[0], "ckpt.var.restored")
 			if err != nil {
 				runErr = err
 				return

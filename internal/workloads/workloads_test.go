@@ -276,6 +276,10 @@ func TestCheckpointScenario(t *testing.T) {
 	if !res.Verified {
 		t.Fatal("checkpoint restore wrong")
 	}
+	// The verify leg read the restored variable on node 1, from the store.
+	if got := m.ChunkCache(1).Stats().SSDReadBytes; got < 512<<10 {
+		t.Fatalf("restore verified with %d SSD bytes read on node 1, want >= %d", got, 512<<10)
+	}
 	if len(res.Steps) != 4 {
 		t.Fatalf("steps = %d", len(res.Steps))
 	}
