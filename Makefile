@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench write-bench delete-bench sim-bench alloc-bench fuzz-smoke loc
+.PHONY: check fmt vet importgate build bench-check test race bench obs-bench restore-bench write-bench delete-bench warm-bench sim-bench alloc-bench fuzz-smoke loc
 
 # Tier-1 gate: formatting, vet, import boundaries, build, and the full
 # suite under the race detector (the TCP data path is exercised by
@@ -16,20 +16,32 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Transport-neutrality gate: the shared library layers (store, fusecache,
-# core, proto) and the whole real TCP path (rpc, manager, benefactor, obs,
-# cmd/*, examples/*) must never grow a dependency on the simulation
-# engine. Only the allow-listed simulation packages — and the facade,
-# which re-exports the engine for simulation users — may import
-# internal/simtime in non-test sources; _test.go files are exempt. bench/
-# is skipped: it is a separate module (nvmperf), not part of the library.
+# Transport-neutrality gate, both ways. The shared library layers (store,
+# fusecache, core, proto) and the whole real TCP path (rpc, manager,
+# benefactor, obs, cmd/*, examples/*) must never grow a dependency on the
+# simulation engine: only the allow-listed simulation packages — and the
+# facade, which re-exports the engine for simulation users — may import
+# internal/simtime. And the simulation packages must never reach the TCP
+# path: none imports internal/rpc, internal/filecache or the root nvmalloc
+# package, so what they report is virtual time alone. Non-test sources
+# only; _test.go files are exempt. bench/ is skipped: it is a separate
+# module (nvmperf), not part of the library.
+SIM_PKGS := internal/(simtime|sim|simstore|cluster|device|netsim|mpi|pfs|workloads|experiments)/
+
 importgate:
 	@bad=$$(grep -rl '"nvmalloc/internal/simtime"' --include='*.go' --exclude-dir=bench . \
 		| grep -v '_test\.go$$' \
 		| sed 's|^\./||' \
-		| grep -v -E '^(nvmalloc\.go|internal/(simtime|sim|simstore|cluster|device|netsim|mpi|pfs|workloads|experiments)/)'); \
+		| grep -v -E '^(nvmalloc\.go|$(SIM_PKGS))'); \
 	if [ -n "$$bad" ]; then \
 		echo "internal/simtime imported outside the simulation allowlist:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rlE '"nvmalloc(/internal/(rpc|filecache))?"' --include='*.go' internal \
+		| grep -v '_test\.go$$' \
+		| grep -E '^$(SIM_PKGS)'); \
+	if [ -n "$$bad" ]; then \
+		echo "internal/rpc, internal/filecache or nvmalloc imported by the simulation allowlist:"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -80,6 +92,14 @@ write-bench:
 # one per benefactor, not one per freed replica. Seconds; measure idle.
 delete-bench:
 	$(GO) test -run xxx -bench=ManagerDelete -benchtime 2000x -count 3 ./internal/rpc
+
+# Warm-restart read throughput (EXPERIMENTS.md, "Warm restarts"): fresh
+# clients read an 8 MiB file in 64 KiB chunks off two benefactors behind
+# 1.5 ms emulated SSDs — cold (every chunk over the wire), file-warm (every
+# chunk from the NVC1 file tier a previous client spilled to) and RAM-warm.
+# Reports MB/s per state. Seconds; measure on an idle host.
+warm-bench:
+	$(GO) test -run xxx -bench=WarmRestart -benchtime 5x -count 3 .
 
 # The local row of the sim-mm ledger (EXPERIMENTS.md): one Fig3(Quick()) and
 # one Table7(Quick()) simulator run per repetition, reported as wall seconds

@@ -6,7 +6,7 @@
 //	nvmbench [-quick] [-json file] [artifact ...]
 //
 // Artifacts: fig2 table3 fig3 fig4 fig5 table4 table5 fig6 table6 table7
-// ckpt wire warmstart ablations devices all (default: all).
+// ckpt ablations devices all (default: all).
 //
 // -json additionally writes every regenerated table — id, title, columns,
 // rows (bandwidth MB/s, timings, cache hit rates as reported per artifact),
@@ -137,14 +137,6 @@ func main() {
 			_, rep, err := experiments.Checkpoint(o)
 			return show(rep, err)
 		},
-		"wire": func() error {
-			_, rep, err := experiments.WireFraming(o)
-			return show(rep, err)
-		},
-		"warmstart": func() error {
-			_, rep, err := experiments.WarmStart(o)
-			return show(rep, err)
-		},
 		"ablations": func() error {
 			for _, fn := range []func(experiments.Opts) (*experiments.Report, error){
 				experiments.AblationReadahead,
@@ -159,7 +151,7 @@ func main() {
 			return nil
 		},
 	}
-	order := []string{"devices", "fig2", "table3", "fig3", "fig4", "fig5", "table4", "table5", "fig6", "table6", "table7", "ckpt", "wire", "warmstart", "ablations"}
+	order := []string{"devices", "fig2", "table3", "fig3", "fig4", "fig5", "table4", "table5", "fig6", "table6", "table7", "ckpt", "ablations"}
 
 	args := flag.Args()
 	if len(args) == 0 || (len(args) == 1 && args[0] == "all") {

@@ -14,13 +14,14 @@ import (
 )
 
 // liveCluster spins up a replicated manager + n in-memory benefactors on
-// loopback — the daemons cmd/nvmstore runs, in-process.
+// loopback — the daemons cmd/nvmstore runs, in-process. A positive device
+// latency is the emulated SSD service time of every chunk get and put.
 type liveCluster struct {
 	mgr  *rpc.ManagerServer
 	bens []*rpc.BenefactorServer
 }
 
-func startCluster(t testing.TB, n int, chunk int64, replication int) *liveCluster {
+func startCluster(t testing.TB, n int, chunk int64, replication int, device time.Duration) *liveCluster {
 	t.Helper()
 	mgr, err := rpc.NewManagerServerWith("127.0.0.1:0", chunk, manager.RoundRobin, rpc.ManagerConfig{
 		Replication: replication,
@@ -31,8 +32,12 @@ func startCluster(t testing.TB, n int, chunk int64, replication int) *liveCluste
 	t.Cleanup(func() { mgr.Close() })
 	cl := &liveCluster{mgr: mgr}
 	for i := 0; i < n; i++ {
+		var backend benefactor.Backend = benefactor.NewMem()
+		if device > 0 {
+			backend = benefactor.Delay(backend, device)
+		}
 		bs, err := rpc.NewBenefactorServer("127.0.0.1:0", mgr.Addr(), i, i, 256*chunk, chunk,
-			benefactor.NewMem(), 50*time.Millisecond)
+			backend, 50*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +64,7 @@ func mgrOf(t *testing.T, c *nvmalloc.Client) *rpc.ManagerClient {
 // of one benefactor.
 func TestConnectCheckpointRestoreE2E(t *testing.T) {
 	const chunk = 4096
-	cl := startCluster(t, 3, chunk, 2)
+	cl := startCluster(t, 3, chunk, 2, 0)
 
 	c, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{
 		CacheBytes:     16 * chunk,
@@ -162,7 +167,7 @@ func TestConnectCheckpointRestoreE2E(t *testing.T) {
 // byte-exact.
 func TestConnectColdRestoreFailsOver(t *testing.T) {
 	const chunk = 4096
-	cl := startCluster(t, 3, chunk, 2)
+	cl := startCluster(t, 3, chunk, 2, 0)
 	cfg := nvmalloc.ConnectConfig{
 		CacheBytes:     16 * chunk,
 		PageSize:       512,
@@ -244,7 +249,7 @@ func TestConnectColdRestoreFailsOver(t *testing.T) {
 // TestConnectSharedChunkCache keeps the one-connection coverage.
 func TestConnectConcurrentRanks(t *testing.T) {
 	const chunk = 4096
-	cl := startCluster(t, 3, chunk, 1)
+	cl := startCluster(t, 3, chunk, 1, 0)
 
 	const workers = 4
 	var wg sync.WaitGroup
@@ -311,7 +316,7 @@ func TestConnectSharedChunkCache(t *testing.T) {
 		workers = 4
 		size    = 4 * chunk
 	)
-	cl := startCluster(t, 3, chunk, 1)
+	cl := startCluster(t, 3, chunk, 1, 0)
 	c, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{
 		CacheBytes: 8 * chunk, // half the working set: forces eviction traffic
 		PageSize:   512,
@@ -389,7 +394,7 @@ func TestConnectSharedChunkCache(t *testing.T) {
 // the page cache then panics sizing a page. Connect must refuse it.
 func TestConnectRejectsNegativePageSize(t *testing.T) {
 	const chunk = 4096
-	cl := startCluster(t, 1, chunk, 1)
+	cl := startCluster(t, 1, chunk, 1, 0)
 	c, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{PageSize: -chunk})
 	if err == nil {
 		defer c.Close()
@@ -406,7 +411,7 @@ func TestConnectRejectsNegativePageSize(t *testing.T) {
 // cache below one chunk is still clamped up to one.
 func TestConnectRejectsNegativeCacheSizes(t *testing.T) {
 	const chunk = 4096
-	cl := startCluster(t, 1, chunk, 1)
+	cl := startCluster(t, 1, chunk, 1, 0)
 	for _, cfg := range []nvmalloc.ConnectConfig{
 		{CacheBytes: -chunk, PageSize: 512},
 		{PageCacheBytes: -1, PageSize: 512},

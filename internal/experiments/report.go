@@ -100,9 +100,6 @@ type Opts struct {
 	CkptDRAMBytes int64
 	CkptSteps     int
 	CkptDirty     float64
-
-	// Wire framing benchmark (NVM1 on loopback TCP).
-	WireBytes int64
 }
 
 // Default returns the 1/256-scaled evaluation geometry: 2 GB matrices
@@ -129,8 +126,6 @@ func Default() Opts {
 		CkptDRAMBytes: 2 * sysprof.MiB,
 		CkptSteps:     5,
 		CkptDirty:     0.1,
-
-		WireBytes: 32 * sysprof.MiB,
 	}
 }
 
@@ -152,7 +147,6 @@ func Quick() Opts {
 	o.CkptNVMBytes = 2 * sysprof.MiB
 	o.CkptDRAMBytes = 256 * sysprof.KiB
 	o.CkptSteps = 3
-	o.WireBytes = 8 * sysprof.MiB
 	return o
 }
 

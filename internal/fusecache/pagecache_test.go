@@ -99,7 +99,7 @@ func TestSharedPageCacheFaultsUseDistinctFrames(t *testing.T) {
 	r := newRARig(4, 8, 0)
 	pc := NewPageCache(r.cc, r.cc.cfg.PageSize)
 	ps := r.cc.cfg.PageSize
-	r.eng.Go("setup", func(p *simtime.Proc) {
+	goProc(r.eng, "setup", func(p *simtime.Proc) {
 		r.create(t, p, "f", 3)
 		buf := make([]byte, ps)
 		if err := pc.Read(p, "f", 0, buf); err != nil { // the victim
@@ -108,7 +108,7 @@ func TestSharedPageCacheFaultsUseDistinctFrames(t *testing.T) {
 		}
 		for i, name := range []string{"a", "b"} {
 			idx := i + 1
-			r.eng.Go(name, func(p *simtime.Proc) {
+			goProc(r.eng, name, func(p *simtime.Proc) {
 				if err := pc.Read(p, "f", int64(idx)*r.cs, make([]byte, 1)); err != nil {
 					t.Error(err)
 				}
@@ -137,21 +137,21 @@ func TestSharedPageCacheWritebackKeepsFrame(t *testing.T) {
 	ps := r.cc.cfg.PageSize
 	fetching := simtime.NewFuture[struct{}](r.eng, "fetching")
 	want := bytes.Repeat([]byte{0xAB}, int(ps))
-	r.eng.Go("setup", func(p *simtime.Proc) {
+	goProc(r.eng, "setup", func(p *simtime.Proc) {
 		r.create(t, p, "f", 3)
 		r.touch(t, p, "f", 2) // resident: the reader's fault never blocks
 		r.cl.onGet = func() {
 			r.cl.onGet = nil
 			fetching.Set(struct{}{})
 		}
-		r.eng.Go("fetcher", func(p *simtime.Proc) { r.touch(t, p, "f", 1) })
-		r.eng.Go("writer", func(p *simtime.Proc) {
+		goProc(r.eng, "fetcher", func(p *simtime.Proc) { r.touch(t, p, "f", 1) })
+		goProc(r.eng, "writer", func(p *simtime.Proc) {
 			fetching.Wait(p)
 			if err := pc.Write(p, "f", r.cs, want); err != nil { // waits on the fetch
 				t.Error(err)
 			}
 		})
-		r.eng.Go("reader", func(p *simtime.Proc) {
+		goProc(r.eng, "reader", func(p *simtime.Proc) {
 			fetching.Wait(p)
 			buf := make([]byte, ps)
 			if err := pc.Read(p, "f", 2*r.cs, buf); err != nil {
@@ -213,7 +213,7 @@ func TestPageCacheDropDuringFill(t *testing.T) {
 	pc := NewPageCache(r.cc, 8*ps)
 	fetching := simtime.NewFuture[struct{}](r.eng, "fetching")
 	var dropped *pageFile
-	r.eng.Go("setup", func(p *simtime.Proc) {
+	goProc(r.eng, "setup", func(p *simtime.Proc) {
 		r.create(t, p, "f", 2)
 		buf := make([]byte, 2*ps)
 		if err := pc.Read(p, "f", r.cs-2*ps, buf); err != nil { // chunk 0's last two pages
@@ -225,7 +225,7 @@ func TestPageCacheDropDuringFill(t *testing.T) {
 			r.cl.onGet = nil
 			fetching.Set(struct{}{})
 		}
-		r.eng.Go("reader", func(p *simtime.Proc) {
+		goProc(r.eng, "reader", func(p *simtime.Proc) {
 			got := make([]byte, 2*ps) // a hit, then chunk 1's first page faults
 			if err := pc.Read(p, "f", r.cs-ps, got); err != nil {
 				t.Error(err)
@@ -233,7 +233,7 @@ func TestPageCacheDropDuringFill(t *testing.T) {
 				t.Errorf("read %d and %d, want 1 and 2", got[0], got[ps])
 			}
 		})
-		r.eng.Go("dropper", func(p *simtime.Proc) {
+		goProc(r.eng, "dropper", func(p *simtime.Proc) {
 			fetching.Wait(p)
 			pc.Drop("f")
 			checkPageIndex(t, pc)

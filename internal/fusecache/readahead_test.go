@@ -141,7 +141,7 @@ func (r *raRig) create(t *testing.T, p *simtime.Proc, name string, chunks int) [
 	t.Helper()
 	fi, err := r.cl.Create(p, name, int64(chunks)*r.cs)
 	if err != nil {
-		t.Fatal(err)
+		fail(t, "%v", err)
 	}
 	img := make([]byte, int64(chunks)*r.cs)
 	for i := 0; i < chunks; i++ {
@@ -150,7 +150,7 @@ func (r *raRig) create(t *testing.T, p *simtime.Proc, name string, chunks int) [
 			chunk[j] = byte(i + 1)
 		}
 		if err := r.cl.PutChunk(p, store.ReplicaRefs(fi, i), chunk); err != nil {
-			t.Fatal(err)
+			fail(t, "%v", err)
 		}
 	}
 	return img
@@ -161,15 +161,17 @@ func (r *raRig) touch(t *testing.T, p *simtime.Proc, name string, idx int) {
 	t.Helper()
 	buf := make([]byte, 16)
 	if err := r.cc.ReadRange(p, name, int64(idx)*r.cs, buf); err != nil {
-		t.Fatal(err)
+		fail(t, "%v", err)
 	}
 	if buf[0] != byte(idx+1) || buf[15] != byte(idx+1) {
-		t.Fatalf("%s chunk %d reads %d, want %d", name, idx, buf[0], idx+1)
+		fail(t, "%s chunk %d reads %d, want %d", name, idx, buf[0], idx+1)
 	}
 }
 
+// run executes fn as a proc (see goProc) and drives the engine to
+// completion.
 func (r *raRig) run(fn func(p *simtime.Proc)) simtime.Time {
-	r.eng.Go("test", fn)
+	goProc(r.eng, "test", fn)
 	r.eng.Run()
 	return r.eng.Now()
 }
@@ -212,7 +214,7 @@ func TestReadAheadDoesNotOutliveDrop(t *testing.T) {
 				r.create(t, p, "filler", 16)
 				for i := 0; i < 16; i++ {
 					if err := r.cc.WriteRange(p, "filler", int64(i)*r.cs, []byte{1}); err != nil {
-						t.Fatal(err)
+						fail(t, "%v", err)
 					}
 				}
 			}
@@ -221,10 +223,10 @@ func TestReadAheadDoesNotOutliveDrop(t *testing.T) {
 			r.touch(t, p, "v", 0)
 			r.touch(t, p, "v", 1)
 			if len(r.env.held) != 2 {
-				t.Fatalf("dirty=%v: %d read-ahead tasks spawned, want 2", dirty, len(r.env.held))
+				fail(t, "dirty=%v: %d read-ahead tasks spawned, want 2", dirty, len(r.env.held))
 			}
 			if reserved := r.cc.Resident(p, "v") - 2; (reserved == 0) != dirty {
-				t.Fatalf("dirty=%v: %d entries reserved at the spawn", dirty, reserved)
+				fail(t, "dirty=%v: %d entries reserved at the spawn", dirty, reserved)
 			}
 			r.cc.Drop(p, "v")
 			r.env.release()
@@ -332,7 +334,7 @@ func TestReadAheadTwoStreamsShareBudget(t *testing.T) {
 			r.touch(t, p, "a", i)
 			r.touch(t, p, "b", i)
 			if i >= 2 && i < chunks-1 && (r.cc.streams["a"].window == 0 || r.cc.streams["b"].window == 0) {
-				t.Fatalf("at chunk %d windows are %d and %d", i, r.cc.streams["a"].window, r.cc.streams["b"].window)
+				fail(t, "at chunk %d windows are %d and %d", i, r.cc.streams["a"].window, r.cc.streams["b"].window)
 			}
 		}
 	})
@@ -388,7 +390,7 @@ func TestReadAheadLeavesGateSlotsForDemand(t *testing.T) {
 	const chunks = 48
 	r := newRARig(64, 4, 2)
 	ready := simtime.NewFuture[struct{}](r.eng, "created")
-	r.eng.Go("setup", func(p *simtime.Proc) {
+	goProc(r.eng, "setup", func(p *simtime.Proc) {
 		r.create(t, p, "a", chunks)
 		r.create(t, p, "b", chunks)
 		r.create(t, p, "cold", chunks)
@@ -396,14 +398,14 @@ func TestReadAheadLeavesGateSlotsForDemand(t *testing.T) {
 	})
 	for _, name := range []string{"a", "b"} {
 		name := name
-		r.eng.Go("stream "+name, func(p *simtime.Proc) {
+		goProc(r.eng, "stream "+name, func(p *simtime.Proc) {
 			ready.Wait(p)
 			for i := 0; i < chunks; i++ {
 				r.touch(t, p, name, i)
 			}
 		})
 	}
-	r.eng.Go("demand", func(p *simtime.Proc) {
+	goProc(r.eng, "demand", func(p *simtime.Proc) {
 		ready.Wait(p)
 		for i := chunks - 1; i >= 0; i -= 2 { // never sequential
 			r.touch(t, p, "cold", i)

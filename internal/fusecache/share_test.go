@@ -62,9 +62,10 @@ func newShareRig(cacheChunks, readAhead int) *shareRig {
 	return &shareRig{eng: e, cl: cl, cc: cc, cs: prof.ChunkSize}
 }
 
-// stopProc is what fail panics with: run's proc recovers it and returns, so
-// a failed check ends the proc instead of leaving the engine waiting on a
-// proc that t.FailNow stopped.
+// stopProc is what fail panics with: a proc started by goProc recovers it
+// and returns, so a failed check ends the proc instead of leaving the
+// engine waiting on a proc that t.FailNow stopped. Checks inside a proc
+// call fail, never t.Fatal.
 type stopProc struct{}
 
 // fail reports a failed check from inside a proc and ends the proc.
@@ -74,9 +75,9 @@ func fail(t *testing.T, format string, args ...any) {
 	panic(stopProc{})
 }
 
-func (r *shareRig) run(t *testing.T, fn func(p *simtime.Proc)) {
-	t.Helper()
-	r.eng.Go("test", func(p *simtime.Proc) {
+// goProc starts fn as a proc on eng that fail can end.
+func goProc(eng *simtime.Engine, name string, fn func(p *simtime.Proc)) {
+	eng.Go(name, func(p *simtime.Proc) {
 		defer func() {
 			if v := recover(); v != nil && v != (stopProc{}) {
 				panic(v)
@@ -84,6 +85,11 @@ func (r *shareRig) run(t *testing.T, fn func(p *simtime.Proc)) {
 		}()
 		fn(p)
 	})
+}
+
+func (r *shareRig) run(t *testing.T, fn func(p *simtime.Proc)) {
+	t.Helper()
+	goProc(r.eng, "test", fn)
 	r.eng.Run()
 }
 

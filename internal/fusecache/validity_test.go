@@ -19,7 +19,7 @@ func (r *raRig) writePages(t *testing.T, p *simtime.Proc, name string, idx int, 
 	for _, pg := range pages {
 		off := int64(idx)*r.cs + int64(pg)*ps
 		if err := r.cc.WriteRange(p, name, off, page); err != nil {
-			t.Fatal(err)
+			fail(t, "%v", err)
 		}
 		if img != nil {
 			copy(img[off:], page)
@@ -33,11 +33,11 @@ func (r *raRig) stored(t *testing.T, p *simtime.Proc, name string, idx int) []by
 	t.Helper()
 	fi, err := r.cl.Client.Lookup(p, name)
 	if err != nil {
-		t.Fatal(err)
+		fail(t, "%v", err)
 	}
 	data, err := r.cl.Client.GetChunk(p, store.ReplicaRefs(fi, idx))
 	if err != nil {
-		t.Fatal(err)
+		fail(t, "%v", err)
 	}
 	return append([]byte(nil), data...)
 }
@@ -220,7 +220,7 @@ func TestDropRacingFillResurrectsNothing(t *testing.T) {
 	r := newRARig(4, 8, 0)
 	filling := simtime.NewFuture[struct{}](r.eng, "filling")
 	var dropped bool
-	r.eng.Go("reader", func(p *simtime.Proc) {
+	goProc(r.eng, "reader", func(p *simtime.Proc) {
 		img := r.create(t, p, "v", 2)
 		r.writePages(t, p, "v", 0, []int{0, 1, 2}, 0xEE, img)
 		r.cl.onGet = func() {
@@ -234,7 +234,7 @@ func TestDropRacingFillResurrectsNothing(t *testing.T) {
 			t.Error("read through the fill returned wrong bytes")
 		}
 	})
-	r.eng.Go("dropper", func(p *simtime.Proc) {
+	goProc(r.eng, "dropper", func(p *simtime.Proc) {
 		filling.Wait(p)
 		r.cc.Drop(p, "v")
 		if r.cl.inflight != 0 {

@@ -7,9 +7,6 @@ import (
 	"time"
 
 	"nvmalloc"
-	"nvmalloc/internal/benefactor"
-	"nvmalloc/internal/manager"
-	"nvmalloc/internal/rpc"
 )
 
 // TestConcurrentRemapsNeverExposeUnwrittenChunk: a checkpointed variable's
@@ -24,22 +21,8 @@ func TestConcurrentRemapsNeverExposeUnwrittenChunk(t *testing.T) {
 		page   = 512
 		chunks = 13
 	)
-	mgr, err := rpc.NewManagerServerWith("127.0.0.1:0", chunk, manager.RoundRobin, rpc.ManagerConfig{Replication: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	var bens []*rpc.BenefactorServer
-	for i := 0; i < 3; i++ {
-		bs, err := rpc.NewBenefactorServer("127.0.0.1:0", mgr.Addr(), i, i, 256*chunk, chunk,
-			benefactor.Delay(benefactor.NewMem(), time.Millisecond), 50*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer bs.Close()
-		bens = append(bens, bs)
-	}
-	c, err := nvmalloc.Connect(mgr.Addr(), nvmalloc.ConnectConfig{CacheBytes: 2 * chunks * chunk, PageSize: page})
+	cl := startCluster(t, 3, chunk, 2, time.Millisecond)
+	c, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{CacheBytes: 2 * chunks * chunk, PageSize: page})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +46,7 @@ func TestConcurrentRemapsNeverExposeUnwrittenChunk(t *testing.T) {
 		}
 	}
 
-	reader, err := nvmalloc.Connect(mgr.Addr(), nvmalloc.ConnectConfig{ReadAheadChunks: -1})
+	reader, err := nvmalloc.Connect(cl.mgr.Addr(), nvmalloc.ConnectConfig{ReadAheadChunks: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +110,7 @@ func TestConcurrentRemapsNeverExposeUnwrittenChunk(t *testing.T) {
 	if err := c.DeleteCheckpoint(nil, "fan.ckpt"); err != nil {
 		t.Fatal(err)
 	}
-	for i, bs := range bens {
+	for i, bs := range cl.bens {
 		if u := bs.Store().Used(); u != 0 {
 			t.Fatalf("benefactor %d still holds %d bytes after teardown", i, u)
 		}
