@@ -23,9 +23,12 @@ vet:
 # facade, which re-exports the engine for simulation users — may import
 # internal/simtime. And the simulation packages must never reach the TCP
 # path: none imports internal/rpc, internal/filecache or the root nvmalloc
-# package, so what they report is virtual time alone. Non-test sources
-# only; _test.go files are exempt. bench/ is skipped: it is a separate
-# module (nvmperf), not part of the library.
+# package, so what they report is virtual time alone. The metadata router
+# (internal/router) sits under both substrates and belongs to neither: it
+# imports no transport — not net, internal/rpc, internal/simstore,
+# internal/filecache or the root nvmalloc package. Non-test sources only;
+# _test.go files are exempt. bench/ is skipped: it is a separate module
+# (nvmperf), not part of the library.
 SIM_PKGS := internal/(simtime|sim|simstore|cluster|device|netsim|mpi|pfs|workloads|experiments)/
 
 importgate:
@@ -42,6 +45,12 @@ importgate:
 		| grep -E '^$(SIM_PKGS)'); \
 	if [ -n "$$bad" ]; then \
 		echo "internal/rpc, internal/filecache or nvmalloc imported by the simulation allowlist:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -lE '"(net(/[a-z/]+)?|nvmalloc(/internal/(rpc|simstore|filecache))?)"' internal/router/*.go \
+		| grep -v '_test\.go$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "net, internal/rpc, internal/simstore, internal/filecache or nvmalloc imported by internal/router:"; \
 		echo "$$bad"; exit 1; \
 	fi
 

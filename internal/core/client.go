@@ -270,9 +270,11 @@ func (r *Region) Free(ctx store.Ctx) error {
 }
 
 // SetLifetime gives the variable a lifetime of d from now (§III-C: a
-// persistent variable outliving its job is reclaimed automatically once
-// its lifetime passes — workflow data sharing without leaks). The store's
-// expiry sweep performs the reclamation.
+// persistent variable outliving its job is reclaimed once its lifetime
+// passes — workflow data sharing without leaks); d ≤ 0 clears it. The
+// reclamation is an expiry sweep (OpExpire), which runs only when something
+// issues one: simstore.Store.ExpireSweep in the simulator,
+// rpc.ManagerClient.Expire on the TCP store.
 func (r *Region) SetLifetime(ctx store.Ctx, d time.Duration) error {
 	if r.freed {
 		return fmt.Errorf("core: lifetime on freed region %q", r.name)

@@ -80,7 +80,7 @@ func (m *Manager) Apply(req *proto.ManagerReq, now time.Duration) (resp proto.Ma
 	case proto.OpDerive:
 		resp.File, err = m.Derive(req.Name, req.Src, req.FromChunk, req.NChunks, req.Size)
 	case proto.OpSetTTL:
-		deadline := time.Duration(req.ExpiresAtNanos)
+		var deadline time.Duration // zero clears the lifetime
 		if req.TTLNanos > 0 {
 			deadline = now + time.Duration(req.TTLNanos)
 		}
@@ -88,7 +88,7 @@ func (m *Manager) Apply(req *proto.ManagerReq, now time.Duration) (resp proto.Ma
 	case proto.OpExpire:
 		resp.Expired, freed, resp.ForeignFreed = m.ExpireSweep(now)
 	case proto.OpRemap:
-		m.beginRemap(req.Name, req.ChunkIdx, &resp, &fx)
+		err = m.beginRemap(req.Name, req.ChunkIdx, &resp, &fx)
 	case proto.OpStatus:
 		resp.Bens = m.Status()
 		for i := range resp.Bens {
@@ -139,20 +139,22 @@ func (m *Manager) Commit(resp *proto.ManagerResp, fx Effects, errs [][]error) Ef
 // beginRemap runs one round of an OpRemap (RemapBegin). An unshared chunk
 // is answered at once — write in place. A shared one leaves the copy of
 // its payload onto the reserved fresh set in fx, and resp.NewRefs holds
-// that set until the commit settles it.
-func (m *Manager) beginRemap(name string, idx int, resp *proto.ManagerResp, fx *Effects) {
+// that set until the commit settles it. The caller records the returned
+// error in resp.
+func (m *Manager) beginRemap(name string, idx int, resp *proto.ManagerResp, fx *Effects) error {
 	fx.rounds++
 	t, err := m.RemapBegin(name, idx)
-	if err == nil && t.Shared() {
-		resp.OldRef, resp.NewRefs = t.Old, t.Fresh
-		fx.remap = t
-		fx.Copies = []Copy{{Src: t.Old, Dsts: t.Fresh}}
-		return
+	if err != nil {
+		return err
 	}
-	if err == nil {
+	if !t.Shared() {
 		resp.OldRef, resp.NewRefs = t.Old, m.Replicas(t.Old.ID)
+		return nil
 	}
-	endRemap(resp, err)
+	resp.OldRef, resp.NewRefs = t.Old, t.Fresh
+	fx.remap = t
+	fx.Copies = []Copy{{Src: t.Old, Dsts: t.Fresh}}
+	return nil
 }
 
 // commitRemap commits a remap round whose copies reported errs, one per
@@ -174,20 +176,12 @@ func (m *Manager) commitRemap(resp *proto.ManagerResp, t PendingRemap, errs []er
 	raced := errors.Is(err, ErrRemapRaced)
 	switch {
 	case raced && next.rounds < remapRounds:
-		m.beginRemap(t.Name, t.ChunkIdx, resp, next)
-		return freed
+		err = m.beginRemap(t.Name, t.ChunkIdx, resp, next)
 	case errs[0] != nil && !raced:
 		err = errs[0]
 	}
-	endRemap(resp, err)
+	resp.Err = proto.ErrString(err)
 	return freed
-}
-
-// endRemap records a remap's final outcome in its response.
-func endRemap(resp *proto.ManagerResp, err error) {
-	if resp.Err = proto.ErrString(err); err == nil {
-		resp.NewRef = resp.NewRefs[0]
-	}
 }
 
 // free adds freed chunks to fx's delete batches: one per benefactor, in

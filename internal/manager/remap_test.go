@@ -40,7 +40,10 @@ func remapNow(m *Manager, name string, idx int) (old, fresh proto.ChunkRef, shar
 	for len(fx.Copies) > 0 {
 		fx = m.Commit(&resp, fx, copied(fx))
 	}
-	return resp.OldRef, resp.NewRef, shared, resp.ForeignFreed, proto.WireErr(resp.Err)
+	if err = proto.WireErr(resp.Err); err == nil {
+		fresh = resp.NewRefs[0]
+	}
+	return resp.OldRef, fresh, shared, resp.ForeignFreed, err
 }
 
 // occupancy is everything an aborted remap must leave untouched.
@@ -77,6 +80,34 @@ func cowRig(t *testing.T, replication int) (*Manager, proto.FileInfo) {
 	}
 	check(t, m)
 	return m, v
+}
+
+// TestApplyRemapReportsBeginErrors: a remap that cannot begin — no such
+// file, a chunk out of range, no space for the copy of a shared chunk —
+// answers with that error. An empty success would tell the writer to write
+// in place, into a chunk a checkpoint still shares.
+func TestApplyRemapReportsBeginErrors(t *testing.T) {
+	m, v := cowRig(t, 1)
+	if _, err := m.Create("filler", 3*64*cs-3*cs); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		idx  int
+		want error
+	}{
+		{"nope", 0, proto.ErrNoSuchFile},
+		{"var", 3, proto.ErrChunkOutOfRange},
+		{"var", 0, proto.ErrNoSpace},
+	} {
+		if _, _, _, _, err := remapNow(m, c.name, c.idx); !errors.Is(err, c.want) {
+			t.Fatalf("remap %s[%d] = %v, want %v", c.name, c.idx, err, c.want)
+		}
+	}
+	if fi, _ := m.Lookup("var"); !reflect.DeepEqual(fi.Chunks, v.Chunks) {
+		t.Fatalf("failed remaps moved var to %v (was %v)", fi.Chunks, v.Chunks)
+	}
+	check(t, m)
 }
 
 func containsRef(refs []proto.ChunkRef, r proto.ChunkRef) int {
@@ -508,8 +539,8 @@ func TestApplyRemapRetriesLostRace(t *testing.T) {
 		t.Fatalf("winner: resp %+v, next %+v", ra, next)
 	}
 	next := m.Commit(&rb, fb, copied(fb))
-	if len(next.Copies) != 0 || rb.Err != "" || rb.NewRef != ra.NewRef {
-		t.Fatalf("loser: resp %+v next %+v, want the winner's chunk %v in place", rb, next, ra.NewRef)
+	if len(next.Copies) != 0 || rb.Err != "" || rb.NewRefs[0] != ra.NewRefs[0] {
+		t.Fatalf("loser: resp %+v next %+v, want the winner's chunk %v in place", rb, next, ra.NewRefs[0])
 	}
 	lost := fb.Copies[0].Dsts[0]
 	if want := []Batch{{Ben: lost.Benefactor, IDs: []proto.ChunkID{lost.ID}}}; !reflect.DeepEqual(next.Deletes, want) {

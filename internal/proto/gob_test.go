@@ -9,45 +9,6 @@ import (
 	"nvmalloc/internal/proto"
 )
 
-// legacyManagerReq is the request envelope as it existed before the
-// unified-store refactor added TTLNanos. Kept as a frozen copy so the gob
-// streams of old daemons and clients stay decodable in both directions
-// (gob matches struct fields by name and leaves absentees zero).
-type legacyManagerReq struct {
-	Op             proto.Op
-	TraceID        string
-	BenID          int
-	BenNode        int
-	BenAddr        string
-	BenDebugAddr   string
-	Capacity       int64
-	Name           string
-	Size           int64
-	Parts          []string
-	ChunkIdx       int
-	Src            string
-	FromChunk      int
-	NChunks        int
-	ExpiresAtNanos int64
-	WriteVolume    int64
-}
-
-// legacyManagerResp predates the NewRefs extension.
-type legacyManagerResp struct {
-	Err             string
-	File            proto.FileInfo
-	OldRef          proto.ChunkRef
-	NewRef          proto.ChunkRef
-	Bens            []proto.BenefactorInfo
-	ChunkSize       int64
-	Expired         []string
-	UnderReplicated int
-	Repaired        int
-	RepairFailed    int
-	Lost            []proto.ChunkID
-	DebugAddr       string
-}
-
 // prespanManagerReq is the request envelope as it existed before span
 // tracing added ParentSpanID and Spans (but after TTLNanos). Frozen so both
 // directions of the gob stream stay verifiable against pre-span daemons.
@@ -128,40 +89,6 @@ func transcode(t *testing.T, src, dst any) {
 	}
 }
 
-// TestGobOldRequestDecodesIntoCurrent: a pre-refactor client's SetTTL
-// request must decode on a current manager with TTLNanos zero, so the
-// absolute-deadline path still governs.
-func TestGobOldRequestDecodesIntoCurrent(t *testing.T) {
-	old := legacyManagerReq{
-		Op: proto.OpSetTTL, TraceID: "t1", Name: "var",
-		ExpiresAtNanos: int64(5 * time.Second),
-	}
-	var cur proto.ManagerReq
-	transcode(t, &old, &cur)
-	if cur.Op != proto.OpSetTTL || cur.Name != "var" || cur.ExpiresAtNanos != int64(5*time.Second) {
-		t.Fatalf("legacy fields lost: %+v", cur)
-	}
-	if cur.TTLNanos != 0 {
-		t.Fatalf("TTLNanos = %d from a legacy stream, want 0", cur.TTLNanos)
-	}
-}
-
-// TestGobCurrentRequestDecodesIntoOld: a current client's request (with
-// TTLNanos set) must not break a pre-refactor manager — the unknown field
-// is skipped, everything else lands.
-func TestGobCurrentRequestDecodesIntoOld(t *testing.T) {
-	cur := proto.ManagerReq{
-		Op: proto.OpSetTTL, TraceID: "t2", Name: "var",
-		ExpiresAtNanos: int64(3 * time.Second),
-		TTLNanos:       int64(7 * time.Second),
-	}
-	var old legacyManagerReq
-	transcode(t, &cur, &old)
-	if old.Op != proto.OpSetTTL || old.Name != "var" || old.ExpiresAtNanos != int64(3*time.Second) {
-		t.Fatalf("shared fields lost decoding into legacy struct: %+v", old)
-	}
-}
-
 // TestGobPrespanManagerReqDecodesIntoCurrent: a pre-span client's request
 // must decode on a current manager with ParentSpanID empty and Spans nil —
 // the manager then records no span, exactly the untraced behavior.
@@ -196,44 +123,6 @@ func TestGobCurrentManagerReqDecodesIntoPrespan(t *testing.T) {
 	transcode(t, &cur, &old)
 	if old.Op != proto.OpCreate || old.Name != "var" || old.Size != 8192 || old.TraceID != "t4" {
 		t.Fatalf("shared fields lost decoding into pre-span struct: %+v", old)
-	}
-}
-
-// TestGobOldResponseDecodesIntoCurrent: a pre-refactor manager's remap
-// response has no NewRefs; a current client must see nil and fall back to
-// NewRef alone.
-func TestGobOldResponseDecodesIntoCurrent(t *testing.T) {
-	old := legacyManagerResp{
-		OldRef: proto.ChunkRef{Benefactor: 1, ID: 7},
-		NewRef: proto.ChunkRef{Benefactor: 2, ID: 9},
-	}
-	var cur proto.ManagerResp
-	transcode(t, &old, &cur)
-	if cur.NewRef != old.NewRef || cur.OldRef != old.OldRef {
-		t.Fatalf("refs lost: %+v", cur)
-	}
-	if cur.NewRefs != nil {
-		t.Fatalf("NewRefs = %v from a legacy stream, want nil", cur.NewRefs)
-	}
-}
-
-// TestGobCurrentResponseDecodesIntoOld: a current manager's response (with
-// the NewRefs replica set) must stay decodable by a pre-refactor client.
-func TestGobCurrentResponseDecodesIntoOld(t *testing.T) {
-	cur := proto.ManagerResp{
-		File:   proto.FileInfo{Name: "f", Size: 42, Chunks: []proto.ChunkRef{{Benefactor: 0, ID: 3}}},
-		NewRef: proto.ChunkRef{Benefactor: 2, ID: 9},
-		NewRefs: []proto.ChunkRef{
-			{Benefactor: 2, ID: 9}, {Benefactor: 0, ID: 10},
-		},
-	}
-	var old legacyManagerResp
-	transcode(t, &cur, &old)
-	if old.NewRef != cur.NewRef {
-		t.Fatalf("NewRef lost: %+v", old)
-	}
-	if old.File.Name != "f" || old.File.Size != 42 || len(old.File.Chunks) != 1 {
-		t.Fatalf("FileInfo lost: %+v", old.File)
 	}
 }
 

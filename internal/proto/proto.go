@@ -207,13 +207,9 @@ type ManagerReq struct {
 	Src       string
 	FromChunk int
 	NChunks   int
-	// SetTTL: lifetime deadline in nanoseconds since the manager started.
-	ExpiresAtNanos int64
-	// SetTTL: relative lifetime in nanoseconds from the manager's current
-	// clock. When positive it takes precedence over ExpiresAtNanos —
-	// clients on other machines do not know the manager's epoch. Zero from
-	// older clients (gob leaves missing fields zero), so the extension is
-	// backward-compatible both ways.
+	// SetTTL: lifetime in nanoseconds from the manager's clock when it
+	// applies the request (relative, because clients do not share the
+	// manager's epoch). Zero or negative clears the file's lifetime.
 	TTLNanos int64
 	// Heartbeat
 	WriteVolume int64
@@ -239,10 +235,7 @@ type ManagerResp struct {
 	Err    string
 	File   FileInfo
 	OldRef ChunkRef // Remap: the chunk the caller may copy from
-	NewRef ChunkRef // Remap: the freshly allocated chunk
-	// NewRefs is the full replica set of the remapped chunk, primary first
-	// (NewRefs[0] == NewRef). Nil from an older manager; callers fall back
-	// to NewRef alone.
+	// NewRefs is the full replica set of the remapped chunk, primary first.
 	NewRefs   []ChunkRef
 	Bens      []BenefactorInfo
 	ChunkSize int64    // Status: the store's striping unit

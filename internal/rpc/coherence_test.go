@@ -115,7 +115,7 @@ func TestLinkDeriveUpdateCachedMeta(t *testing.T) {
 		t.Fatal("post-link read through cached meta returned wrong data")
 	}
 
-	fi, err = st.Derive("slice", "ckpt", 1, 1, testChunk)
+	fi, err = NewStoreClient(st, 0).Derive(nil, "slice", "ckpt", 1, 1, testChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestStaleMetaAfterRemapRetried(t *testing.T) {
 	if _, err := b.Link("ckpt", []string{"f"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Remap("f", 0); err != nil {
+	if _, err := NewStoreClient(b, 0).Remap(nil, "f", 0); err != nil {
 		t.Fatal(err)
 	}
 	v1 := bytes.Repeat([]byte("1"), testChunk)

@@ -210,6 +210,15 @@ func TestSubstratesConform(t *testing.T) {
 			}
 			return sub.expire(ctx)
 		}},
+		{"ttl-zero", func(sub *substrate, ctx store.Ctx) error {
+			if _, err := sub.client.Create(ctx, "tmp0", cs); err != nil {
+				return err
+			}
+			if err := sub.client.SetTTL(ctx, "tmp0", 0); err != nil { // clears: tmp0 stays
+				return err
+			}
+			return sub.expire(ctx)
+		}},
 		{"markdead", func(sub *substrate, ctx store.Ctx) error { return sub.kill(victim) }},
 		{"repair", func(sub *substrate, ctx store.Ctx) error { return sub.repair(ctx) }},
 		{"rejoin", func(sub *substrate, ctx store.Ctx) error { return sub.rejoin(victim) }},

@@ -563,7 +563,7 @@ func TestRemapCopyFailureLeavesFileIntact(t *testing.T) {
 			// SSD now refuses writes.
 			sick := r.backends[before.Chunks[0].Benefactor]
 			sick.FailPuts(-1)
-			if _, err := st.Remap("var", 0); err == nil {
+			if _, err := NewStoreClient(st, 0).Remap(nil, "var", 0); err == nil {
 				t.Fatal("remap succeeded although the primary copy could not be written")
 			}
 			sick.FailPuts(0)
@@ -589,7 +589,7 @@ func TestRemapCopyFailureLeavesFileIntact(t *testing.T) {
 			}
 
 			// The device recovered: the same remap now goes through.
-			fresh, err := st.Remap("var", 0)
+			fresh, err := NewStoreClient(st, 0).Remap(nil, "var", 0)
 			if err != nil {
 				t.Fatal(err)
 			}

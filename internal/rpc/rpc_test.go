@@ -212,7 +212,7 @@ func TestTCPLinkAndCOW(t *testing.T) {
 		t.Fatal(err)
 	}
 	// COW remap of chunk 0 before modifying it.
-	if _, err := st.Remap("var", 0); err != nil {
+	if _, err := NewStoreClient(st, 0).Remap(nil, "var", 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFile(st, "var", 0, []byte{0xCD}); err != nil { // looks up the remapped ref
@@ -369,7 +369,7 @@ func TestTCPDeriveSharesChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A derived file references chunks 1..2 of var without copying.
-	if _, err := st.Derive("view", "var", 1, 2, 2*testChunk); err != nil {
+	if _, err := NewStoreClient(st, 0).Derive(nil, "view", "var", 1, 2, 2*testChunk); err != nil {
 		t.Fatal(err)
 	}
 	got, err := getFile(st, "view")
@@ -399,7 +399,7 @@ func TestDeriveSizeMustFitChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, size := range []int64{5 * testChunk, -5} {
-			if fi, err := st.Derive(view, src, 1, 1, size); err == nil {
+			if fi, err := NewStoreClient(st, 0).Derive(nil, view, src, 1, 1, size); err == nil {
 				t.Fatalf("derive of 1 chunk with size %d succeeded: %+v", size, fi)
 			}
 			if _, err := st.Stat(view); err != proto.ErrNoSuchFile {
@@ -448,7 +448,7 @@ func TestTCPLifetimeExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Expire "tmp" almost immediately (1ns past the manager's clock now).
-	if err := st.SetTTL("tmp", time.Nanosecond); err != nil {
+	if err := NewStoreClient(st, 0).SetTTL(nil, "tmp", time.Nanosecond); err != nil {
 		t.Fatal(err)
 	}
 	expired, err := st.Manager().Expire()

@@ -210,11 +210,16 @@ func TestStaleEpochRetriesOnce(t *testing.T) {
 	before := st.Stats().MapRetries
 	// The client's next op on shard 0 carries the stale epoch, gets fenced,
 	// installs the piggybacked map, and succeeds on the single retry.
-	if _, err := st.Stat(name); err != nil {
-		t.Fatalf("stat after epoch bump: %v", err)
+	ctx, root := tracedCtx(st, "stat", name)
+	if _, err := NewStoreClient(st, 0).Lookup(ctx, name); err != nil {
+		t.Fatalf("lookup after epoch bump: %v", err)
 	}
+	root.End()
 	if after := st.Stats().MapRetries; after <= before {
 		t.Fatalf("map retries %d -> %d, want an ErrStaleShardMap retry", before, after)
+	}
+	if ev, ok := findSpan(st.Obs().Spans.ByTrace(root.Trace()), "rpc.map-retry"); !ok || !strings.Contains(ev.Detail, "re-routing") {
+		t.Fatalf("map-retry event for the lookup's trace = %+v (found %v)", ev, ok)
 	}
 }
 
@@ -282,7 +287,7 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 	// checkpoint (src shard 1), sharing chunks owned by both shards.
 	restored := nameOn(t, "restored", 0, 2)
 	nChunks := len(ckInfo.Chunks)
-	if _, err := st.Derive(restored, ck, 0, nChunks, ckInfo.Size); err != nil {
+	if _, err := NewStoreClient(st, 0).Derive(nil, restored, ck, 0, nChunks, ckInfo.Size); err != nil {
 		t.Fatalf("cross-shard derive: %v", err)
 	}
 	got, err = getFile(st, restored)
@@ -307,7 +312,7 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 	if foreignIdx < 0 {
 		t.Fatal("restored file borrowed no shard-1 chunk")
 	}
-	fresh, err := st.Remap(restored, foreignIdx)
+	fresh, err := NewStoreClient(st, 0).Remap(nil, restored, foreignIdx)
 	if err != nil {
 		t.Fatalf("cross-shard remap: %v", err)
 	}

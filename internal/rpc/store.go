@@ -8,9 +8,9 @@ import (
 	"sync"
 	"time"
 
-	"nvmalloc/internal/manager"
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/proto"
+	"nvmalloc/internal/router"
 	"nvmalloc/internal/shardmap"
 	"nvmalloc/internal/store"
 )
@@ -185,6 +185,9 @@ type Store struct {
 	// ReleaseChunk (by the chunk cache via store.BufferLender). Sized to
 	// the store's chunk geometry at Open.
 	arena *proto.Arena
+	// meta is the metadata client over the shards: name routing and the
+	// cross-shard link/derive protocol (internal/router).
+	meta router.Router
 
 	obs *obs.Obs
 	m   storeMetrics
@@ -232,6 +235,7 @@ func OpenWith(addr string, opts Options) (*Store, error) {
 		obs:          opts.Obs,
 		m:            newStoreMetrics(opts.Obs),
 	}
+	s.meta = router.New(shardConn{s})
 	// Dial every listed shard, but tolerate unreachable ones as long as at
 	// least one answers — the surviving shards' keyspaces must stay
 	// reachable with a shard down. A nil client is redialed on demand.
@@ -337,21 +341,6 @@ func (s *Store) nShards() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.shards)
-}
-
-// shardFor returns the shard owning a file name under the cached map.
-func (s *Store) shardFor(name string) int {
-	return shardmap.ShardFor(name, s.nShards())
-}
-
-// ownerOf returns the shard that minted (and owns) a chunk: shard i mints
-// IDs congruent to i+1 modulo the shard count.
-func (s *Store) ownerOf(id proto.ChunkID) int {
-	n := s.nShards()
-	if n <= 1 {
-		return 0
-	}
-	return int((uint64(id) - 1) % uint64(n))
 }
 
 // shardClient returns the metadata client and cached epoch for shard i,
@@ -465,30 +454,40 @@ func (s *Store) callShardOnce(i int, req proto.ManagerReq) (proto.ManagerResp, e
 // (ErrStaleShardMap) means the shard rejected the request BEFORE touching
 // any state and piggybacked its fresh map, so one retry under the
 // installed map is safe for every op — including the create-once ones the
-// transport layer must never blindly replay.
+// transport layer must never blindly replay. A name-addressed request is
+// re-routed by its name, which may hash to a different shard under the
+// installed roster; any other retries at shard i.
 func (s *Store) callShard(i int, req proto.ManagerReq) (proto.ManagerResp, error) {
 	resp, err := s.callShardOnce(i, req)
 	if !errors.Is(err, proto.ErrStaleShardMap) {
 		return resp, err
 	}
 	s.m.mapRetries.Add(1)
-	s.obs.Event("rpc", "map-retry", req.TraceID,
-		fmt.Sprintf("%s shard=%d: stale shard map, retrying under fresh epoch", req.Op, i))
+	detail := fmt.Sprintf("%s shard=%d: stale shard map, retrying under fresh epoch", req.Op, i)
+	if req.Name != "" {
+		i = shardmap.ShardFor(req.Name, s.nShards())
+		detail = fmt.Sprintf("%s %q: stale shard map, re-routing", req.Op, req.Name)
+	}
+	s.obs.Event("rpc", "map-retry", req.TraceID, detail)
 	return s.callShardOnce(i, req)
 }
 
-// callRouted routes a name-addressed metadata RPC to the shard owning
-// req.Name, re-routing once when a fence reveals a fresh shard map — the
-// name may hash to a different shard under the installed roster.
-func (s *Store) callRouted(req proto.ManagerReq) (proto.ManagerResp, error) {
-	resp, err := s.callShardOnce(s.shardFor(req.Name), req)
-	if !errors.Is(err, proto.ErrStaleShardMap) {
-		return resp, err
+// shardConn is the Store as the metadata router's connection to its
+// shards (router.Conn).
+type shardConn struct{ s *Store }
+
+func (c shardConn) Shards() int      { return c.s.nShards() }
+func (c shardConn) ChunkSize() int64 { return c.s.chunkSize }
+
+// Call is callShard. The router releases remote holds best effort and
+// drops the error, so a failed release is reported here.
+func (c shardConn) Call(_ store.Ctx, shard int, req proto.ManagerReq) (proto.ManagerResp, error) {
+	resp, err := c.s.callShard(shard, req)
+	if err != nil && req.Op == proto.OpReleaseRefs {
+		c.s.obs.Event("rpc", "release-failed", req.TraceID,
+			fmt.Sprintf("shard=%d chunks=%d err=%v (holds leak until re-released)", shard, len(req.IDs), err))
 	}
-	s.m.mapRetries.Add(1)
-	s.obs.Event("rpc", "map-retry", req.TraceID,
-		fmt.Sprintf("%s %q: stale shard map, re-routing", req.Op, req.Name))
-	return s.callShardOnce(s.shardFor(req.Name), req)
+	return resp, err
 }
 
 // statusAll fans OpStatus out to every shard and returns the responses of
@@ -638,7 +637,8 @@ func (s *Store) ReleaseChunk(buf []byte) { s.arena.Put(buf) }
 
 // Manager exposes the shard-0 metadata client — the whole cluster on an
 // unsharded deployment. Name-routed metadata on a sharded cluster should go
-// through the Store's own methods, which route by the cached shard map.
+// through the Store's file calls or a StoreClient, which route by the
+// cached shard map.
 func (s *Store) Manager() *ManagerClient {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -811,260 +811,20 @@ func (s *Store) callChunk(ref proto.ChunkRef, req proto.ChunkReq) (proto.ChunkRe
 
 // Create reserves a file of the given size.
 func (s *Store) Create(name string, size int64) error {
-	_, err := s.create(store.SpanInfo{Var: name}, name, size)
-	return err
-}
-
-// create allocates the file under an existing span context. The trace and
-// parent span ride the manager RPC, so the manager records its allocation
-// span under the client's.
-func (s *Store) create(sc store.SpanInfo, name string, size int64) (proto.FileInfo, error) {
-	resp, err := s.callRouted(proto.ManagerReq{
-		Op: proto.OpCreate, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: name, Size: size,
-	})
-	if err != nil {
-		return proto.FileInfo{}, err
-	}
-	return resp.File, nil
-}
-
-// Link appends the part files' chunks to dst (the zero-copy checkpoint
-// merge of §III-E) and returns dst's post-link chunk map.
-func (s *Store) Link(dst string, parts []string) (proto.FileInfo, error) {
-	return s.link(store.SpanInfo{Var: dst}, dst, parts)
-}
-
-func (s *Store) link(sc store.SpanInfo, dst string, parts []string) (proto.FileInfo, error) {
-	if s.nShards() > 1 {
-		return s.linkSharded(sc, dst, parts)
-	}
-	resp, err := s.callRouted(proto.ManagerReq{
-		Op: proto.OpLink, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: dst, Parts: parts,
-	})
-	if err != nil {
-		return proto.FileInfo{}, err
-	}
-	return resp.File, nil
-}
-
-// linkSharded is the cross-shard link: the destination and the parts may
-// live on different manager shards, and the parts' chunks on yet others.
-// The client orchestrates — shards never talk to each other (§16):
-//
-//  1. look each part up at its owning shard (fresh refs, replica sets,
-//     sizes);
-//  2. take one remote hold per chunk not owned by the destination shard at
-//     the chunk's owner (OpRetainRefs — all-or-nothing per owner, rolled
-//     back on failure, so an abort leaves no stray holds);
-//  3. append the explicit ref list, laid out by manager.LayoutParts, to
-//     dst at its shard (OpLinkRefs); on failure the holds from step 2 are
-//     released.
-//
-// Holds are taken BEFORE the destination commits, so a crash mid-protocol
-// strands at worst surplus holds (leaked space, reclaimed by releasing),
-// never a file referencing chunks its owners feel free to delete.
-func (s *Store) linkSharded(sc store.SpanInfo, dst string, parts []string) (proto.FileInfo, error) {
-	infos := make([]proto.FileInfo, len(parts))
-	for i, p := range parts {
-		look, err := s.callRouted(proto.ManagerReq{
-			Op: proto.OpLookup, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: p,
-		})
-		if err != nil {
-			return proto.FileInfo{}, fmt.Errorf("link part %q: %w", p, err)
-		}
-		infos[i] = look.File
-	}
-	refs, reps, size := manager.LayoutParts(infos, s.chunkSize)
-	held, err := s.retainRemote(sc, s.shardFor(dst), refs)
-	if err != nil {
-		return proto.FileInfo{}, err
-	}
-	resp, err := s.callRouted(proto.ManagerReq{
-		Op: proto.OpLinkRefs, TraceID: sc.Trace, ParentSpanID: sc.Parent,
-		Name: dst, Refs: refs, RefReplicas: reps, Size: size,
-	})
-	if err != nil {
-		s.releaseRemote(sc, held)
-		return proto.FileInfo{}, err
-	}
-	return resp.File, nil
-}
-
-// retainRemote groups refs by owning shard and takes one remote hold per
-// ref at each owner, skipping refs dstShard owns (the destination bumps
-// those locally as part of OpLinkRefs). On failure every hold already
-// taken is rolled back. Returns the refs actually held, for a later
-// releaseRemote by the caller's abort path.
-func (s *Store) retainRemote(sc store.SpanInfo, dstShard int, refs []proto.ChunkRef) ([]proto.ChunkRef, error) {
-	var held []proto.ChunkRef
-	byOwner := make(map[int][]proto.ChunkID)
-	var order []int // deterministic call order
-	for _, r := range refs {
-		o := s.ownerOf(r.ID)
-		if o == dstShard {
-			continue
-		}
-		if _, ok := byOwner[o]; !ok {
-			order = append(order, o)
-		}
-		byOwner[o] = append(byOwner[o], r.ID)
-		held = append(held, r)
-	}
-	for idx, o := range order {
-		if _, err := s.callShard(o, proto.ManagerReq{
-			Op: proto.OpRetainRefs, TraceID: sc.Trace, ParentSpanID: sc.Parent, IDs: byOwner[o],
-		}); err != nil {
-			for _, prev := range order[:idx] {
-				s.releaseAt(sc, prev, byOwner[prev])
-			}
-			return nil, fmt.Errorf("retain refs at shard %d: %w", o, err)
-		}
-	}
-	return held, nil
-}
-
-// releaseRemote drops remote holds at their owning shards. Best effort:
-// the op that shed them has already committed, so an unreachable owner
-// costs leaked holds (logged; space, never correctness).
-func (s *Store) releaseRemote(sc store.SpanInfo, refs []proto.ChunkRef) {
-	if len(refs) == 0 {
-		return
-	}
-	byOwner := make(map[int][]proto.ChunkID)
-	var order []int
-	for _, r := range refs {
-		o := s.ownerOf(r.ID)
-		if _, ok := byOwner[o]; !ok {
-			order = append(order, o)
-		}
-		byOwner[o] = append(byOwner[o], r.ID)
-	}
-	for _, o := range order {
-		s.releaseAt(sc, o, byOwner[o])
-	}
-}
-
-// releaseAt drops remote holds at one owning shard (best effort).
-func (s *Store) releaseAt(sc store.SpanInfo, owner int, ids []proto.ChunkID) {
-	if _, err := s.callShard(owner, proto.ManagerReq{
-		Op: proto.OpReleaseRefs, TraceID: sc.Trace, ParentSpanID: sc.Parent, IDs: ids,
-	}); err != nil {
-		s.obs.Event("rpc", "release-failed", sc.Trace,
-			fmt.Sprintf("shard=%d chunks=%d err=%v (holds leak until re-released)", owner, len(ids), err))
-	}
-}
-
-// Derive creates name sharing a chunk sub-range of src (checkpoint restore
-// without data movement) and returns the new file's chunk map.
-func (s *Store) Derive(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	return s.derive(store.SpanInfo{Var: name}, name, src, fromChunk, nChunks, size)
-}
-
-func (s *Store) derive(sc store.SpanInfo, name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	if s.nShards() > 1 {
-		return s.deriveSharded(sc, name, src, fromChunk, nChunks, size)
-	}
-	resp, err := s.callRouted(proto.ManagerReq{
-		Op: proto.OpDerive, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: name, Src: src,
-		FromChunk: fromChunk, NChunks: nChunks, Size: size,
-	})
-	if err != nil {
-		return proto.FileInfo{}, err
-	}
-	return resp.File, nil
-}
-
-// deriveSharded is the cross-shard derive (checkpoint restore): the new
-// file and its source may hash to different shards. Like linkSharded, the
-// client exports the chunk sub-range from the source's shard
-// (OpExportRange — read-only, holds nothing), retains the refs at their
-// owners, then creates the new file from the explicit ref list at its own
-// shard (OpLinkRefs with CreateDst). A racing delete between export and
-// retain fails the retain with ErrNoSuchChunk and the derive aborts
-// cleanly.
-func (s *Store) deriveSharded(sc store.SpanInfo, name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	dstShard := s.shardFor(name)
-	ex, err := s.callRouted(proto.ManagerReq{
-		Op: proto.OpExportRange, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: src,
-		FromChunk: fromChunk, NChunks: nChunks,
-	})
-	if err != nil {
-		return proto.FileInfo{}, err
-	}
-	held, err := s.retainRemote(sc, dstShard, ex.File.Chunks)
-	if err != nil {
-		return proto.FileInfo{}, err
-	}
-	resp, err := s.callRouted(proto.ManagerReq{
-		Op: proto.OpLinkRefs, TraceID: sc.Trace, ParentSpanID: sc.Parent,
-		Name: name, Refs: ex.File.Chunks, RefReplicas: ex.File.Replicas, Size: size, CreateDst: true,
-	})
-	if err != nil {
-		s.releaseRemote(sc, held)
-		return proto.FileInfo{}, err
-	}
-	return resp.File, nil
-}
-
-// Remap allocates a fresh chunk for chunk idx of a file (server-side COW
-// copy when the chunk is shared) and returns the fresh replica set,
-// primary first. A caller holding the file's chunk map patches it with the
-// result (the chunk cache does, in writeback).
-func (s *Store) Remap(name string, chunkIdx int) ([]proto.ChunkRef, error) {
-	return s.remap(store.SpanInfo{Var: name}, name, chunkIdx)
-}
-
-func (s *Store) remap(sc store.SpanInfo, name string, chunkIdx int) ([]proto.ChunkRef, error) {
-	resp, err := s.callRouted(proto.ManagerReq{
-		Op: proto.OpRemap, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: name, ChunkIdx: chunkIdx,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// A remap of a foreign-owned chunk copied onto a locally-owned one and
-	// shed the foreign reference; drop the matching hold at the owner.
-	s.releaseRemote(sc, resp.ForeignFreed)
-	fresh := resp.NewRefs
-	if len(fresh) == 0 {
-		fresh = []proto.ChunkRef{resp.NewRef}
-	}
-	return fresh, nil
-}
-
-// SetTTL assigns a relative lifetime to a file on its manager shard's
-// clock.
-func (s *Store) SetTTL(name string, ttl time.Duration) error {
-	_, err := s.callRouted(proto.ManagerReq{Op: proto.OpSetTTL, Name: name, TTLNanos: int64(ttl)})
-	return err
-}
-
-// Delete removes a file.
-func (s *Store) Delete(name string) error {
-	return s.deleteFile(store.SpanInfo{Var: name}, name)
-}
-
-func (s *Store) deleteFile(sc store.SpanInfo, name string) error {
-	resp, err := s.callRouted(proto.ManagerReq{
-		Op: proto.OpDelete, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: name,
-	})
-	if err == nil {
-		// The file may have referenced chunks owned by other shards (from a
-		// cross-shard link or derive); drop the matching holds at the owners.
-		s.releaseRemote(sc, resp.ForeignFreed)
-	}
+	_, err := s.meta.Create(nil, name, size)
 	return err
 }
 
 // Stat returns a file's metadata, as the manager holds it now.
-func (s *Store) Stat(name string) (proto.FileInfo, error) {
-	return s.stat(store.SpanInfo{}, name)
-}
+func (s *Store) Stat(name string) (proto.FileInfo, error) { return s.meta.Lookup(nil, name) }
 
-func (s *Store) stat(sc store.SpanInfo, name string) (proto.FileInfo, error) {
-	resp, err := s.callRouted(proto.ManagerReq{
-		Op: proto.OpLookup, TraceID: sc.Trace, ParentSpanID: sc.Parent, Name: name,
-	})
-	return resp.File, err
+// Delete removes a file.
+func (s *Store) Delete(name string) error { return s.meta.Delete(nil, name) }
+
+// Link appends the part files' chunks to dst (the zero-copy checkpoint
+// merge of §III-E) and returns dst's post-link chunk map.
+func (s *Store) Link(dst string, parts []string) (proto.FileInfo, error) {
+	return s.meta.Link(nil, dst, parts)
 }
 
 // getChunk fetches one chunk payload, failing over across its replicas: a

@@ -1,9 +1,8 @@
 package rpc
 
 import (
-	"time"
-
 	"nvmalloc/internal/proto"
+	"nvmalloc/internal/router"
 	"nvmalloc/internal/store"
 )
 
@@ -17,6 +16,9 @@ import (
 // threads it down, so server-side spans nest under the caller's. All
 // methods are safe for concurrent use (the underlying Store is).
 type StoreClient struct {
+	// Router supplies the metadata methods (Create, Lookup, Delete, Link,
+	// Derive, Remap, SetTTL), routed over the Store's shards.
+	router.Router
 	st   *Store
 	node int
 }
@@ -30,7 +32,7 @@ var (
 // node the client claims to run on (informational; pass 0 for a
 // single-host deployment).
 func NewStoreClient(st *Store, node int) *StoreClient {
-	return &StoreClient{st: st, node: node}
+	return &StoreClient{Router: st.meta, st: st, node: node}
 }
 
 // Store exposes the underlying TCP data-path client.
@@ -41,42 +43,6 @@ func (c *StoreClient) Node() int { return c.node }
 
 // ChunkSize implements store.Client.
 func (c *StoreClient) ChunkSize() int64 { return c.st.ChunkSize() }
-
-// Create implements store.Client.
-func (c *StoreClient) Create(ctx store.Ctx, name string, size int64) (proto.FileInfo, error) {
-	return c.st.create(store.SpanOf(ctx), name, size)
-}
-
-// Lookup implements store.Client. It always consults the manager — another
-// client may have remapped chunks since the last view.
-func (c *StoreClient) Lookup(ctx store.Ctx, name string) (proto.FileInfo, error) {
-	return c.st.stat(store.SpanOf(ctx), name)
-}
-
-// Delete implements store.Client.
-func (c *StoreClient) Delete(ctx store.Ctx, name string) error {
-	return c.st.deleteFile(store.SpanOf(ctx), name)
-}
-
-// Link implements store.Client.
-func (c *StoreClient) Link(ctx store.Ctx, dst string, parts []string) (proto.FileInfo, error) {
-	return c.st.link(store.SpanOf(ctx), dst, parts)
-}
-
-// Derive implements store.Client.
-func (c *StoreClient) Derive(ctx store.Ctx, name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	return c.st.derive(store.SpanOf(ctx), name, src, fromChunk, nChunks, size)
-}
-
-// Remap implements store.Client.
-func (c *StoreClient) Remap(ctx store.Ctx, name string, chunkIdx int) ([]proto.ChunkRef, error) {
-	return c.st.remap(store.SpanOf(ctx), name, chunkIdx)
-}
-
-// SetTTL implements store.Client.
-func (c *StoreClient) SetTTL(_ store.Ctx, name string, ttl time.Duration) error {
-	return c.st.SetTTL(name, ttl)
-}
 
 // GetChunk implements store.Client: it fetches one chunk payload, failing
 // over across the given replicas. The result is a private buffer the

@@ -11,6 +11,7 @@
 // Client implements store.Client, the transport-neutral interface the
 // library layers (core, fusecache) are written against; the *simtime.Proc
 // of the calling simulated process travels through the opaque store.Ctx.
+// Its metadata calls are internal/router's, the code the TCP client runs.
 package simstore
 
 import (
@@ -22,6 +23,7 @@ import (
 	"nvmalloc/internal/cluster"
 	"nvmalloc/internal/manager"
 	"nvmalloc/internal/proto"
+	"nvmalloc/internal/router"
 	"nvmalloc/internal/simtime"
 	"nvmalloc/internal/store"
 )
@@ -215,12 +217,18 @@ func (s *Store) live(ref proto.ChunkRef) (*ben, error) {
 }
 
 // Client returns a node-bound handle used by the cache layer on that node.
-func (s *Store) Client(node int) *Client { return &Client{s: s, node: node} }
+func (s *Store) Client(node int) *Client {
+	return &Client{Router: router.New(mgrConn{s: s, node: node}), s: s, node: node}
+}
 
 // Client is a per-compute-node handle to the store. It implements the
 // transport-neutral store.Client interface consumed by internal/fusecache
 // and internal/core.
 type Client struct {
+	// Router supplies the metadata methods (Create, Lookup, Delete, Link,
+	// Derive, Remap, SetTTL): the same code the TCP client runs, here over
+	// the one simulated manager.
+	router.Router
 	s    *Store
 	node int
 }
@@ -233,81 +241,56 @@ func (c *Client) Node() int { return c.node }
 // ChunkSize returns the store's striping unit.
 func (c *Client) ChunkSize() int64 { return c.s.Mgr.ChunkSize() }
 
-// call sends one metadata request from this client's node: reqExtra and
-// respExtra size the round trip's request and reply beyond their headers.
-func (c *Client) call(ctx store.Ctx, req proto.ManagerReq, reqExtra int64, respExtra func(*proto.ManagerResp) int64) (proto.ManagerResp, error) {
-	p := cluster.ProcOf(ctx)
-	return c.s.apply(p, req, func(resp *proto.ManagerResp) { c.s.mgrRPC(p, c.node, reqExtra, respExtra(resp)) })
-}
-
-// fileReply sizes a reply carrying a chunk map; ackReply one carrying a
-// status word.
-func fileReply(resp *proto.ManagerResp) int64 { return int64(len(resp.File.Chunks)) * chunkRefBytes }
-func ackReply(*proto.ManagerResp) int64       { return 8 }
-
-// Create reserves a file of the given size (posix_fallocate analog).
-func (c *Client) Create(ctx store.Ctx, name string, size int64) (proto.FileInfo, error) {
-	resp, err := c.call(ctx, proto.ManagerReq{Op: proto.OpCreate, Name: name, Size: size}, int64(len(name)), fileReply)
-	return resp.File, err
-}
-
-// Lookup fetches a file's chunk map from the manager.
-func (c *Client) Lookup(ctx store.Ctx, name string) (proto.FileInfo, error) {
-	resp, err := c.call(ctx, proto.ManagerReq{Op: proto.OpLookup, Name: name}, int64(len(name)), fileReply)
-	return resp.File, err
-}
-
-// Delete removes a file; chunks whose refcount reaches zero are physically
-// deleted on their benefactors.
-func (c *Client) Delete(ctx store.Ctx, name string) error {
-	_, err := c.call(ctx, proto.ManagerReq{Op: proto.OpDelete, Name: name}, int64(len(name)), ackReply)
-	return err
-}
-
-// Link appends the chunks of the part files to dst (zero-copy checkpoint
-// merge).
-func (c *Client) Link(ctx store.Ctx, dst string, parts []string) (proto.FileInfo, error) {
-	extra := int64(len(dst))
-	for _, pn := range parts {
-		extra += int64(len(pn))
-	}
-	resp, err := c.call(ctx, proto.ManagerReq{Op: proto.OpLink, Name: dst, Parts: parts}, extra, fileReply)
-	return resp.File, err
-}
-
-// SetTTL gives the file a lifetime of ttl from the caller's current
-// virtual time.
-func (c *Client) SetTTL(ctx store.Ctx, name string, ttl time.Duration) error {
-	deadline := time.Duration(cluster.ProcOf(ctx).Now()) + ttl
-	_, err := c.call(ctx, proto.ManagerReq{Op: proto.OpSetTTL, Name: name, ExpiresAtNanos: int64(deadline)}, int64(len(name))+8, ackReply)
-	return err
-}
-
-// Derive creates a file sharing a chunk sub-range of src (checkpoint
-// restore without data movement).
-func (c *Client) Derive(ctx store.Ctx, name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	req := proto.ManagerReq{Op: proto.OpDerive, Name: name, Src: src, FromChunk: fromChunk, NChunks: nChunks, Size: size}
-	resp, err := c.call(ctx, req, int64(len(name)+len(src))+24, fileReply)
-	return resp.File, err
-}
-
-// Remap performs the copy-on-write remapping of one chunk, including the
-// payload copy to the fresh chunk and all of its replicas when the chunk
-// was shared. It returns the fresh chunk's full copy set, primary first.
-func (c *Client) Remap(ctx store.Ctx, name string, chunkIdx int) ([]proto.ChunkRef, error) {
-	resp, err := c.call(ctx, proto.ManagerReq{Op: proto.OpRemap, Name: name, ChunkIdx: chunkIdx}, int64(len(name))+8,
-		func(resp *proto.ManagerResp) int64 { return int64(1+max(len(resp.NewRefs), 1)) * chunkRefBytes })
-	if err != nil {
-		return nil, err
-	}
-	return resp.NewRefs, nil
-}
-
 // Status fetches the benefactor table.
 func (c *Client) Status(ctx store.Ctx) ([]proto.BenefactorInfo, error) {
-	resp, err := c.call(ctx, proto.ManagerReq{Op: proto.OpStatus}, 0,
-		func(resp *proto.ManagerResp) int64 { return int64(len(resp.Bens)) * 48 })
+	resp, err := mgrConn{s: c.s, node: c.node}.Call(ctx, 0, proto.ManagerReq{Op: proto.OpStatus})
 	return resp.Bens, err
+}
+
+// mgrConn is one node's link to the simulated manager, the router's
+// router.Conn. The simulated store runs a single manager shard.
+type mgrConn struct {
+	s    *Store
+	node int
+}
+
+func (c mgrConn) Shards() int      { return 1 }
+func (c mgrConn) ChunkSize() int64 { return c.s.Mgr.ChunkSize() }
+
+// Call drives req through the manager from the client's node and charges
+// its round trip, sized by wireSizes once Apply has sized the reply.
+func (c mgrConn) Call(ctx store.Ctx, _ int, req proto.ManagerReq) (proto.ManagerResp, error) {
+	p := cluster.ProcOf(ctx)
+	return c.s.apply(p, req, func(resp *proto.ManagerResp) {
+		reqExtra, respExtra := wireSizes(&req, resp)
+		c.s.mgrRPC(p, c.node, reqExtra, respExtra)
+	})
+}
+
+// wireSizes sizes a metadata round trip beyond its envelopes: the name and
+// arguments a request carries, and the chunk map, status word, fresh
+// replica set or benefactor table its reply does.
+func wireSizes(req *proto.ManagerReq, resp *proto.ManagerResp) (reqExtra, respExtra int64) {
+	name := int64(len(req.Name))
+	fileReply := int64(len(resp.File.Chunks)) * chunkRefBytes
+	switch req.Op {
+	case proto.OpDelete:
+		return name, 8
+	case proto.OpSetTTL:
+		return name + 8, 8
+	case proto.OpLink:
+		for _, pn := range req.Parts {
+			name += int64(len(pn))
+		}
+		return name, fileReply
+	case proto.OpDerive:
+		return name + int64(len(req.Src)) + 24, fileReply
+	case proto.OpRemap:
+		return name + 8, int64(1+max(len(resp.NewRefs), 1)) * chunkRefBytes
+	case proto.OpStatus:
+		return 0, int64(len(resp.Bens)) * 48
+	}
+	return name, fileReply // Create, Lookup
 }
 
 // GetChunk fetches one chunk payload directly from its benefactor: small

@@ -12,8 +12,9 @@
 // clock or a wall clock.
 //
 // No simtime types appear in any signature. The simulation threads its
-// *simtime.Proc through the opaque Ctx value; the TCP adapter ignores Ctx
-// entirely.
+// *simtime.Proc through the opaque Ctx value, which the TCP adapter takes
+// as nil. On both, Ctx may also carry tracing span info (WithSpan) that
+// the adapters stamp on the requests they send.
 package store
 
 import (
@@ -56,8 +57,11 @@ type Client interface {
 	// the fresh chunk's full replica set (primary first). When the chunk
 	// was not shared the original refs come back unchanged.
 	Remap(ctx Ctx, name string, chunkIdx int) ([]proto.ChunkRef, error)
-	// SetTTL gives the file a lifetime of ttl from now; the store's expiry
-	// sweep reclaims it afterwards (§III-C persistent-variable lifetimes).
+	// SetTTL gives the file a lifetime of ttl from now, on the manager's
+	// clock (§III-C persistent-variable lifetimes); ttl ≤ 0 clears the
+	// lifetime. An expired file is reclaimed by the next expiry sweep
+	// (OpExpire), which runs only when something issues one:
+	// simstore.Store.ExpireSweep, rpc.ManagerClient.Expire.
 	SetTTL(ctx Ctx, name string, ttl time.Duration) error
 
 	// GetChunk fetches one chunk payload, failing over across refs.
