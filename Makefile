@@ -81,12 +81,14 @@ bench:
 obs-bench:
 	$(GO) test -run xxx -bench=RPCObsOverhead -benchtime 2s -count 3 ./internal/rpc
 
-# The local row of the ckpt-cycle restore ledger (EXPERIMENTS.md): a cold
-# sequential read-back of a 128-chunk file on three 1 ms devices. Reports
-# ms/sweep, demand misses and wasted read-ahead chunks per sweep, and the
-# in-flight peak. Seconds, not minutes; measure on an idle host.
+# The local rows of the ckpt-cycle restore ledger (EXPERIMENTS.md): a cold
+# sequential read-back of a 128-chunk file on three 1 ms devices (ms/sweep,
+# demand misses and wasted read-ahead chunks per sweep, the in-flight
+# peak); and a restore of the previous checkpoint after one ckpt-cycle step
+# of writes to a 128-chunk variable (ms/restore, and gets/restore, which
+# must be 0). Seconds, not minutes; measure on an idle host.
 restore-bench:
-	$(GO) test -run xxx -bench=RestoreReadBack -benchtime 10x -count 3 ./internal/rpc
+	$(GO) test -run xxx -bench='RestoreReadBack|RestoreAfterWrites' -benchtime 10x -count 3 ./internal/rpc
 
 # The local row of the seq-stream write ledger (EXPERIMENTS.md): 1 MiB
 # WriteAt+Sync ops overwriting a region four times the chunk cache on three

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"nvmalloc/internal/proto"
 	"nvmalloc/internal/store"
 )
 
@@ -109,13 +110,19 @@ func (c *Client) checkpoint(ctx store.Ctx, name string, dramState []byte, region
 		info.LinkedChunks += n
 	}
 	if len(parts) > 0 {
-		if _, err := st.Link(ctx, name, parts); err != nil {
+		linked, err := st.Link(ctx, name, parts)
+		if err != nil {
 			return info, fmt.Errorf("core: checkpoint link: %w", err)
 		}
 		// The checkpoint's cached chunk map is stale after the link.
 		c.cc.InvalidateMeta(ctx, name)
-		for _, r := range regions {
-			c.cc.ArmCOW(ctx, r.name)
+		for i, r := range regions {
+			l := info.Regions[i]
+			var chunks []proto.ChunkRef
+			if end := l.ChunkStart + l.Chunks; end <= len(linked.Chunks) {
+				chunks = linked.Chunks[l.ChunkStart:end]
+			}
+			c.cc.ArmCOW(ctx, r.name, name, l.ChunkStart, chunks)
 		}
 	}
 	return info, nil
@@ -149,7 +156,7 @@ func (c *Client) RestoreRegion(ctx store.Ctx, ckpt string, layout RegionLayout, 
 	c.cc.RegisterMeta(ctx, fi)
 	// The restored region shares chunks with the checkpoint: writes must
 	// go copy-on-write immediately.
-	c.cc.ArmCOW(ctx, newName)
+	c.cc.ArmCOW(ctx, newName, ckpt, layout.ChunkStart, fi.Chunks)
 	c.endRoot(ctx, sp, nil)
 	return &Region{c: c, name: newName, size: layout.Size}, nil
 }

@@ -44,8 +44,12 @@ func NewClient(rank int, node *cluster.Node, cc *fusecache.ChunkCache, pageCache
 // uses it to flush and close the TCP store connection).
 func (c *Client) OnClose(fn func() error) { c.closer = fn }
 
-// Close tears down the client's connection to the store, if any.
+// Close tears down the client's connection to the store, if any, after
+// its chunk cache has handed its spare buffers back.
 func (c *Client) Close() error {
+	if c.cc != nil {
+		c.cc.ReleaseSpares(nil)
+	}
 	if c.closer != nil {
 		fn := c.closer
 		c.closer = nil

@@ -19,6 +19,11 @@
 // store's chunk sharing carries into RAM: a file derived from a checkpoint
 // borrows the buffers of resident chunks it shares instead of fetching
 // them (see entry.id), and a write to a borrowed buffer copies it first.
+// The first write that changes a checkpointed chunk keeps the chunk's
+// checkpointed bytes resident as a clean pre-image entry of the checkpoint
+// file, behind every other entry in the LRU and only while the cache has a
+// free slot (preserve), so that a restore of that checkpoint borrows those
+// bytes too.
 //
 // The cache is transport neutral: it talks to the store through
 // store.Client and to its execution substrate (locking, task spawning,
@@ -174,24 +179,41 @@ type entry struct {
 	// id names the chunk whose payload the entry's bytes equal whenever the
 	// entry is clean (0: none known). A load sets it to the ID it fetched, a
 	// writeback to the ID it shipped to, a known-zero install to the file's
-	// chunk; never the file's current map, which a remap moves ahead of the
-	// bytes. ChunkCache.byID indexes one holder per ID.
+	// chunk, a pre-image to the ID of the bytes it keeps; never the file's
+	// current map, which a remap moves ahead of the bytes. ChunkCache.byID
+	// indexes one holder per ID.
 	id proto.ChunkID
 	// sh is non-nil once the entry's buffer has been lent or borrowed: the
-	// holders share it, and sh.n counts those still resident. A buffer with
-	// two holders is read-only, and only its last holder releases it.
+	// holders share it, and sh.holders lists those still resident. A buffer
+	// with two holders is read-only, and only its last holder releases it.
 	sh *share
 	// borrowed marks an entry whose buffer came from another entry rather
 	// than the store: it cost no fetch, so read-ahead that leaves it
 	// untouched wasted none.
 	borrowed bool
+	// pre marks a checkpoint pre-image no access has touched (preserve). It
+	// sits behind every regular entry in the LRU, and making room drops it
+	// without counting an eviction; the first touch makes it a regular
+	// entry of the checkpoint file.
+	pre bool
 }
 
-// share counts the resident entries holding one chunk buffer.
-type share struct{ n int }
+// share lists the resident entries holding one chunk buffer. While two or
+// more hold it they are all clean and carry the same id: a write copies a
+// shared buffer first.
+type share struct{ holders []*entry }
 
 // shared reports whether another resident entry holds e's buffer too.
-func (e *entry) shared() bool { return e.sh != nil && e.sh.n > 1 }
+func (e *entry) shared() bool { return e.sh != nil && len(e.sh.holders) > 1 }
+
+// armed is what ArmCOW records for a file whose chunks a checkpoint shares:
+// the checkpoint file, the index of the file's first chunk in it, and the
+// chunk IDs the checkpoint holds from there on (0 once preserve used one).
+type armed struct {
+	ckpt  string
+	start int
+	ids   []proto.ChunkID
+}
 
 // ChunkCache is the per-node FUSE-layer chunk cache.
 type ChunkCache struct {
@@ -224,8 +246,9 @@ type ChunkCache struct {
 	// meta caches file chunk maps fetched from the manager.
 	meta map[string]*proto.FileInfo
 	// cow marks files whose chunks may be shared with a checkpoint and
-	// need remapping before writeback.
-	cow map[string]bool
+	// need remapping before writeback, with what preserve needs to keep the
+	// checkpoint's bytes of a chunk the file changes.
+	cow map[string]*armed
 	// streams holds the sequential-run state of each file that has been
 	// read through a miss; spec counts the read-ahead chunks issued that no
 	// access has touched yet, in flight or resident, and specMax bounds it
@@ -240,10 +263,12 @@ type ChunkCache struct {
 	virgin map[chunkKey]bool
 	// gate bounds concurrent store requests from this node's FUSE daemon.
 	gate store.Gate
-	// spare is the buffer of the latest entry to leave the cache, kept for
-	// the next entry installed without a fetch: a run of write misses then
-	// recycles its victims' buffers instead of allocating a chunk each.
-	spare []byte
+	// spares are buffers of entries that left the cache, kept while the
+	// cache has free slots for them (len(spares) + buffers() <= capacity) for
+	// the next buffer it fills without a fetch: a run of write misses, a
+	// checkpoint's DRAM dump or the copies its pre-images take then recycle
+	// released buffers instead of allocating a chunk each.
+	spares [][]byte
 
 	s counters
 }
@@ -275,7 +300,7 @@ func NewChunkCache(env store.Env, st store.Client, cfg Config) *ChunkCache {
 		lru:     list.New(),
 		byID:    make(map[proto.ChunkID]*entry),
 		meta:    make(map[string]*proto.FileInfo),
-		cow:     make(map[string]bool),
+		cow:     make(map[string]*armed),
 		streams: make(map[string]*stream),
 		specMax: specBudget(cfg, conc),
 		virgin:  make(map[chunkKey]bool),
@@ -301,9 +326,10 @@ func spillerOf(st store.Client) store.ChunkSpiller {
 }
 
 // releaseEntry takes an entry's chunk buffer: it stays with the other
-// holders if it is shared, becomes the spare if there is none, and otherwise
-// goes back to the lending store's pool (or to the garbage collector without
-// a lender). The entry must already be off the cache maps, or about to be.
+// holders if it is shared, becomes a spare while the cache has a free slot
+// for it, and otherwise goes back to the lending store's pool (or to the
+// garbage collector without a lender). The entry must already be off the
+// cache maps.
 func (cc *ChunkCache) releaseEntry(e *entry) {
 	if cc.unshare(e) {
 		e.data = nil
@@ -312,27 +338,38 @@ func (cc *ChunkCache) releaseEntry(e *entry) {
 	switch {
 	case e.data == nil:
 		return
-	case cc.spare == nil && int64(len(e.data)) == cc.cfg.ChunkSize:
-		cc.spare = e.data
+	case int64(len(e.data)) == cc.cfg.ChunkSize && len(cc.spares) < cc.cfg.Chunks()-cc.buffers():
+		cc.spares = append(cc.spares, e.data)
 	case cc.lender != nil:
 		cc.lender.ReleaseChunk(e.data)
 	}
 	e.data = nil
 }
 
-// installBuffer returns a chunk buffer for an entry installed without a
-// fetch: the spare if there is one, cleared when the entry must read as
-// zeroes. A partly valid entry needs no clearing, because nothing reads or
-// ships its invalid pages. Lock held.
+// installBuffer returns a chunk buffer for an entry filled without a fetch:
+// a spare if there is one, cleared when the entry must read as zeroes. A
+// partly valid entry needs no clearing, because nothing reads or ships its
+// invalid pages. Lock held.
 func (cc *ChunkCache) installBuffer(zero bool) []byte {
-	buf := cc.spare
+	buf := cc.popSpare()
 	if buf == nil {
 		return make([]byte, cc.cfg.ChunkSize)
 	}
-	cc.spare = nil
 	if zero {
 		clear(buf)
 	}
+	return buf
+}
+
+// popSpare takes the newest spare off the list, or returns nil. Lock held.
+func (cc *ChunkCache) popSpare() []byte {
+	n := len(cc.spares)
+	if n == 0 {
+		return nil
+	}
+	buf := cc.spares[n-1]
+	cc.spares[n-1] = nil
+	cc.spares = cc.spares[:n-1]
 	return buf
 }
 
@@ -375,17 +412,24 @@ func (cc *ChunkCache) borrow(e *entry, refs []proto.ChunkRef) bool {
 	if h == nil {
 		return false
 	}
-	if h.sh == nil {
-		h.sh = &share{n: 1}
-	}
-	h.sh.n++
-	cc.extra++
-	e.data, e.sh, e.id, e.borrowed = h.data, h.sh, h.id, true
+	cc.lend(h, e)
+	e.borrowed = true
 	return true
 }
 
+// lend makes e one more holder of h's clean buffer. Lock held.
+func (cc *ChunkCache) lend(h, e *entry) {
+	if h.sh == nil {
+		h.sh = &share{holders: []*entry{h}}
+	}
+	h.sh.holders = append(h.sh.holders, e)
+	cc.extra++
+	e.data, e.sh, e.id = h.data, h.sh, h.id
+}
+
 // own gives an entry that shares its buffer a private copy of it, before a
-// write. The caller has made room for one more buffer. Lock held.
+// write; the other holders keep the buffer, and one of them e's index slot.
+// The caller has made room for one more buffer. Lock held.
 func (cc *ChunkCache) own(e *entry) {
 	buf := cc.installBuffer(false)
 	copy(buf, e.data)
@@ -394,18 +438,56 @@ func (cc *ChunkCache) own(e *entry) {
 }
 
 // unshare detaches e from the holders of its buffer, reporting whether
-// another entry still holds it. Lock held.
+// another entry still holds it. The index slot of e's id, if e has it,
+// passes to a remaining holder: its clean bytes are the same. Lock held.
 func (cc *ChunkCache) unshare(e *entry) bool {
-	if e.sh == nil {
+	sh := e.sh
+	if sh == nil {
 		return false
 	}
-	e.sh.n--
-	held := e.sh.n > 0
-	if held {
-		cc.extra--
-	}
 	e.sh = nil
-	return held
+	for i, h := range sh.holders {
+		if h == e {
+			sh.holders = append(sh.holders[:i], sh.holders[i+1:]...)
+			break
+		}
+	}
+	if len(sh.holders) == 0 {
+		return false
+	}
+	cc.extra--
+	if e.id != 0 && cc.byID[e.id] == e {
+		cc.byID[e.id] = sh.holders[0]
+	}
+	return true
+}
+
+// preserve runs before the first write to a clean entry of an armed file.
+// When the entry holds, whole and unshared, the bytes of the checkpoint's
+// chunk at its index, and the cache has a free slot, it keeps those bytes
+// as a clean entry of the checkpoint file: the pre-image takes the entry's
+// buffer and index slot and goes behind every entry in the LRU, and the
+// writer goes on with a copy. A restore of the checkpoint then borrows the
+// chunk instead of fetching it. Since a pre-image only ever fills a free
+// slot and is the first to go when room is made, the other entries stay
+// resident exactly as long as they would without it. Lock held; never
+// blocks.
+func (cc *ChunkCache) preserve(e *entry) {
+	a, i := cc.cow[e.key.file], e.key.idx
+	if a == nil || i >= len(a.ids) || a.ids[i] == 0 || a.ids[i] != e.id || e.valid != nil {
+		return
+	}
+	key := chunkKey{a.ckpt, a.start + i}
+	if _, ok := cc.entries[key]; ok || cc.buffers() >= cc.cfg.Chunks() {
+		return
+	}
+	a.ids[i] = 0
+	p := &entry{key: key, dirty: make([]bool, cc.pagesPerChunk()), pre: true}
+	cc.entries[key] = p
+	p.lru = cc.lru.PushBack(p)
+	cc.lend(e, p)
+	cc.own(e)
+	cc.byID[p.id] = p
 }
 
 // MarkFresh records that a file was just created by this node, so all its
@@ -538,10 +620,19 @@ func (cc *ChunkCache) InvalidateMeta(ctx store.Ctx, file string) {
 
 // ArmCOW marks a file's chunks as potentially checkpoint-shared: the next
 // writeback of each chunk will consult the manager for a copy-on-write
-// remap.
-func (cc *ChunkCache) ArmCOW(ctx store.Ctx, file string) {
+// remap. ckpt names the checkpoint file that shares them, from chunk index
+// start on, and chunks lists the checkpoint's chunks there (the file's
+// chunk i is ckpt's chunk start+i): the first write that changes a chunk
+// whose clean bytes are still the checkpoint's keeps those bytes resident
+// as the checkpoint's entry (preserve). A nil chunks arms the remap alone.
+// Arming again replaces what the previous call recorded.
+func (cc *ChunkCache) ArmCOW(ctx store.Ctx, file, ckpt string, start int, chunks []proto.ChunkRef) {
+	a := &armed{ckpt: ckpt, start: start, ids: make([]proto.ChunkID, len(chunks))}
+	for i, ref := range chunks {
+		a.ids[i] = ref.ID
+	}
 	cc.env.Lock(ctx)
-	cc.cow[file] = true
+	cc.cow[file] = a
 	cc.env.Unlock(ctx)
 }
 
@@ -583,6 +674,8 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int, off, n int64,
 					continue // eviction let go of the lock; re-check
 				}
 				cc.own(e)
+			} else if write && e.nDirty == 0 {
+				cc.preserve(e)
 			}
 			if cc.holds(e, off, n, write) {
 				cc.s.hits.Inc()
@@ -590,6 +683,7 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int, off, n int64,
 				return nil, err
 			}
 			cc.lru.MoveToFront(e.lru)
+			e.pre = false
 			if e.prefetch {
 				e.prefetch = false
 				cc.spec--
@@ -762,12 +856,16 @@ func (cc *ChunkCache) load(ctx store.Ctx, e *entry, refs []proto.ChunkRef) (*ent
 	}
 	if cc.lender != nil && int64(len(data)) == cc.cfg.ChunkSize {
 		// The store lends caller-owned buffers: adopt the payload as the
-		// entry's data outright (no copy) and return it at eviction.
+		// entry's data outright (no copy) and return it at eviction. It
+		// takes a free slot, which a spare may no longer keep.
 		e.data = data
+		if len(cc.spares) > cc.cfg.Chunks()-cc.buffers() {
+			cc.lender.ReleaseChunk(cc.popSpare())
+		}
 	} else {
 		// Own a private copy: benefactor backends may alias their storage.
-		// The copy goes into the spare when there is one: the buffer the
-		// eviction that made room for this load just gave up.
+		// The copy goes into a spare when there is one, such as the buffer
+		// the eviction that made room for this load just gave up.
 		e.data = cc.installBuffer(false)[:len(data)]
 		copy(e.data, data)
 		if cc.lender != nil {
@@ -903,8 +1001,14 @@ func (cc *ChunkCache) oldestBusy() store.Future {
 	return nil
 }
 
-// evict writes back a victim's dirty pages and drops it. Lock held.
+// evict writes back a victim's dirty pages and drops it. An untouched
+// pre-image is dropped as it is: it counts as no eviction and never
+// spills. Lock held.
 func (cc *ChunkCache) evict(ctx store.Ctx, e *entry) error {
+	if e.pre {
+		cc.remove(e)
+		return nil
+	}
 	cc.s.evictions.Inc()
 	if e.nDirty > 0 {
 		cc.s.dirtyEvictions.Inc()
@@ -937,8 +1041,8 @@ func (cc *ChunkCache) remove(e *entry) {
 	}
 	delete(cc.entries, e.key)
 	cc.lru.Remove(e.lru)
-	cc.unindex(e)
 	cc.releaseEntry(e)
+	cc.unindex(e)
 }
 
 // writeback ships an entry's dirty pages to its benefactor, performing the
@@ -955,7 +1059,7 @@ func (cc *ChunkCache) writeback(ctx store.Ctx, e *entry) error {
 		return fmt.Errorf("%w: writeback of %q chunk %d", proto.ErrChunkOutOfRange, e.key.file, e.key.idx)
 	}
 	refs := refsCopy(*fi, e.key.idx)
-	if cc.cow[e.key.file] {
+	if cc.cow[e.key.file] != nil {
 		cc.env.Unlock(ctx)
 		fresh, err := cc.store.Remap(ctx, e.key.file, e.key.idx)
 		cc.env.Lock(ctx)
@@ -1249,9 +1353,28 @@ func (cc *ChunkCache) Drop(ctx store.Ctx, file string) {
 	}
 	delete(cc.meta, file)
 	delete(cc.cow, file)
+	for _, a := range cc.cow {
+		if a.ckpt == file {
+			a.ids = nil // the checkpoint is going: keep no pre-image of it
+		}
+	}
 	for k := range cc.virgin {
 		if k.file == file {
 			delete(cc.virgin, k)
+		}
+	}
+}
+
+// ReleaseSpares hands the cache's spare buffers back to the lending store's
+// pool (or to the garbage collector without a lender). A client that is
+// closing calls it: its cache fills nothing more, and the buffers then go
+// where Drop sends a buffer that finds no free slot.
+func (cc *ChunkCache) ReleaseSpares(ctx store.Ctx) {
+	cc.env.Lock(ctx)
+	defer cc.env.Unlock(ctx)
+	for buf := cc.popSpare(); buf != nil; buf = cc.popSpare() {
+		if cc.lender != nil {
+			cc.lender.ReleaseChunk(buf)
 		}
 	}
 }

@@ -214,7 +214,7 @@ func TestCOWRemapOnWriteback(t *testing.T) {
 		// Checkpoint: link v's chunks into ckpt, then arm COW.
 		c.Create(p, "ckpt", 0)
 		c.Link(p, "ckpt", []string{"v"})
-		r.cc.ArmCOW(p, "v")
+		r.cc.ArmCOW(p, "v", "", 0, nil)
 		// Modify chunk 0 and flush: must remap, leaving the checkpoint's
 		// chunk untouched.
 		r.cc.WriteRange(p, "v", 0, bytes.Repeat([]byte{2}, 64))

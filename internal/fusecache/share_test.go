@@ -87,6 +87,18 @@ func goProc(eng *simtime.Engine, name string, fn func(p *simtime.Proc)) {
 	})
 }
 
+// releases counts how often the cache gave up the buffer whose first byte
+// is at b: back to the lender, or onto its spares.
+func (r *shareRig) releases(b *byte) int {
+	n := r.cl.released[b]
+	for _, sp := range r.cc.spares {
+		if &sp[0] == b {
+			n++
+		}
+	}
+	return n
+}
+
 func (r *shareRig) run(t *testing.T, fn func(p *simtime.Proc)) {
 	t.Helper()
 	goProc(r.eng, "test", fn)
@@ -121,7 +133,7 @@ func (r *shareRig) checkpoint(t *testing.T, p *simtime.Proc, n int) {
 	if _, err := r.cl.Link(p, "ckpt", []string{"v"}); err != nil {
 		fail(t, "%v", err)
 	}
-	r.cc.ArmCOW(p, "v")
+	r.cc.ArmCOW(p, "v", "", 0, nil)
 	r.restore(t, p, n)
 }
 
@@ -133,7 +145,7 @@ func (r *shareRig) restore(t *testing.T, p *simtime.Proc, n int) {
 		fail(t, "%v", err)
 	}
 	r.cc.RegisterMeta(p, fi)
-	r.cc.ArmCOW(p, "r")
+	r.cc.ArmCOW(p, "r", "", 0, nil)
 }
 
 // expect reads chunk idx of file whole through the cache and checks that
@@ -325,7 +337,7 @@ func TestSharedChunkRemapDropsOldID(t *testing.T) {
 		if _, err := r.cl.Link(p, "ckpt", []string{"v"}); err != nil {
 			fail(t, "%v", err)
 		}
-		r.cc.ArmCOW(p, "v")
+		r.cc.ArmCOW(p, "v", "", 0, nil)
 		old := r.cc.entries[chunkKey{"v", 0}].id
 		r.write(t, p, "v", 0, 0xEE)
 		if err := r.cc.Flush(p, "v"); err != nil {
@@ -348,7 +360,7 @@ func TestSharedChunkRemapDropsOldID(t *testing.T) {
 	})
 }
 
-// Each shared buffer goes back to the lender (or becomes the spare) once,
+// Each shared buffer goes back to the lender (or becomes a spare) once,
 // when its last holder leaves, whichever file is dropped first.
 func TestSharedChunkReleasedOnce(t *testing.T) {
 	const n = 4
@@ -363,9 +375,9 @@ func TestSharedChunkReleasedOnce(t *testing.T) {
 					r.expect(t, p, "r", i, byte(i+1))
 				}
 				r.cc.Drop(p, first)
-				if len(r.cl.released) != 0 || r.cc.spare != nil {
-					fail(t, "dropping %s released %d buffers (spare %v) its co-holder still holds",
-						first, len(r.cl.released), r.cc.spare != nil)
+				if len(r.cl.released) != 0 || len(r.cc.spares) != 0 {
+					fail(t, "dropping %s released %d buffers (%d spares) its co-holder still holds",
+						first, len(r.cl.released), len(r.cc.spares))
 				}
 				if r.cc.extra != 0 {
 					fail(t, "%d extra holders left after drop", r.cc.extra)
@@ -375,11 +387,7 @@ func TestSharedChunkReleasedOnce(t *testing.T) {
 				}
 				r.cc.Drop(p, second)
 				for _, b := range r.cl.lent {
-					got := r.cl.released[b]
-					if r.cc.spare != nil && &r.cc.spare[0] == b {
-						got++
-					}
-					if got != 1 {
+					if got := r.releases(b); got != 1 {
 						t.Errorf("buffer released %d times, want 1", got)
 					}
 				}
@@ -401,7 +409,7 @@ func TestSharedChunkRestoreEvictsNoLender(t *testing.T) {
 		if _, err := r.cl.Link(p, "ckpt", []string{"v"}); err != nil {
 			fail(t, "%v", err)
 		}
-		r.cc.ArmCOW(p, "v")
+		r.cc.ArmCOW(p, "v", "", 0, nil)
 		r.write(t, p, "v", n-1, 0xEE)
 		if err := r.cc.Flush(p, "v"); err != nil {
 			fail(t, "%v", err)
@@ -422,6 +430,232 @@ func TestSharedChunkRestoreEvictsNoLender(t *testing.T) {
 		}
 		if b := r.cc.buffers(); b != n+1 || b > r.cc.cfg.Chunks() {
 			t.Errorf("%d distinct buffers, want %d", b, n+1)
+		}
+	})
+}
+
+// A clean holder keeps the index slot of the buffer it shares: after the
+// lender is written (and copies the buffer first), a load of the chunk
+// under a third name borrows it from the remaining holder.
+func TestSharedChunkIndexFollowsCleanHolder(t *testing.T) {
+	const n = 2
+	r := newShareRig(16, 0)
+	r.run(t, func(p *simtime.Proc) {
+		r.live(t, p, n)
+		r.checkpoint(t, p, n)
+		for i := 0; i < n; i++ {
+			r.expect(t, p, "r", i, byte(i+1))
+		}
+		r.write(t, p, "v", 0, 0xEE)
+		if err := r.cc.Flush(p, "v"); err != nil {
+			fail(t, "%v", err)
+		}
+		fi, err := r.cl.Derive(p, "r2", "ckpt", 0, n, int64(n)*r.cs)
+		if err != nil {
+			fail(t, "%v", err)
+		}
+		r.cc.RegisterMeta(p, fi)
+		gets := r.cl.gets
+		r.expect(t, p, "r2", 0, 1)
+		if g := r.cl.gets - gets; g != 0 {
+			t.Errorf("%d GetChunks, want 0: the clean holder lost the index slot", g)
+		}
+		r.expect(t, p, "v", 0, 0xEE)
+	})
+}
+
+// checkpointArmed links v into ckpt and arms v with the link's reply, as
+// core.Checkpoint does: the first write that changes a chunk of v keeps
+// the checkpoint's bytes of it.
+func (r *shareRig) checkpointArmed(t *testing.T, p *simtime.Proc) {
+	t.Helper()
+	if _, err := r.cl.Create(p, "ckpt", 0); err != nil {
+		fail(t, "%v", err)
+	}
+	fi, err := r.cl.Link(p, "ckpt", []string{"v"})
+	if err != nil {
+		fail(t, "%v", err)
+	}
+	r.cc.ArmCOW(p, "v", "ckpt", 0, fi.Chunks)
+}
+
+// A restore of a checkpoint the variable has moved on from reads the
+// changed chunks from the pre-images their first writes kept: no GetChunk,
+// the checkpoint's bytes in the restored file and the new bytes in the
+// variable.
+func TestPreimageRestoreAfterWritesCostsNoGets(t *testing.T) {
+	const n, written = 6, 3
+	r := newShareRig(16, 2)
+	r.run(t, func(p *simtime.Proc) {
+		r.live(t, p, n)
+		r.checkpointArmed(t, p)
+		for i := 0; i < written; i++ {
+			r.write(t, p, "v", i, 0xA0+byte(i))
+		}
+		if err := r.cc.Flush(p, "v"); err != nil {
+			fail(t, "%v", err)
+		}
+		if got := r.cc.Resident(p, "ckpt"); got != written {
+			t.Errorf("%d pre-images resident, want %d", got, written)
+		}
+		r.restore(t, p, n)
+		gets, misses := r.cl.gets, r.cc.Stats().Misses
+		for i := 0; i < n; i++ {
+			r.expect(t, p, "r", i, byte(i+1))
+		}
+		if g := r.cl.gets - gets; g != 0 {
+			t.Errorf("restore issued %d GetChunks, want 0", g)
+		}
+		if d := r.cc.Stats().Misses - misses; d != 0 {
+			t.Errorf("restore counted %d misses, want 0", d)
+		}
+		for i := 0; i < n; i++ {
+			want := byte(i + 1)
+			if i < written {
+				want = 0xA0 + byte(i)
+			}
+			r.expect(t, p, "v", i, want)
+		}
+		if b := r.cc.buffers(); b != n+written {
+			t.Errorf("%d distinct buffers, want %d", b, n+written)
+		}
+	})
+}
+
+// A cache with no free slot keeps no pre-image: the write evicts nothing
+// for one, and the restore fetches each changed chunk.
+func TestPreimageNotKeptInFullCache(t *testing.T) {
+	const n, written = 4, 2
+	r := newShareRig(n, 0)
+	r.run(t, func(p *simtime.Proc) {
+		r.live(t, p, n)
+		r.checkpointArmed(t, p)
+		ev := r.cc.Stats().Evictions
+		for i := 0; i < written; i++ {
+			r.write(t, p, "v", i, 0xA0)
+		}
+		if got := r.cc.Resident(p, "ckpt"); got != 0 {
+			t.Errorf("%d pre-images in a full cache, want 0", got)
+		}
+		if d := r.cc.Stats().Evictions - ev; d != 0 {
+			t.Errorf("writes evicted %d entries, want 0", d)
+		}
+		if got := r.cc.Resident(p, "v"); got != n {
+			t.Errorf("%d of v's %d chunks resident", got, n)
+		}
+		if err := r.cc.Flush(p, "v"); err != nil {
+			fail(t, "%v", err)
+		}
+		r.restore(t, p, n)
+		gets := r.cl.gets
+		for i := 0; i < written; i++ {
+			r.expect(t, p, "r", i, byte(i+1))
+		}
+		if g := r.cl.gets - gets; g != written {
+			t.Errorf("restore issued %d GetChunks, want %d", g, written)
+		}
+	})
+}
+
+// Pre-images sit behind every regular entry: making room drops them first,
+// without counting an eviction, and only then evicts the LRU entry.
+func TestPreimageEvictedFirst(t *testing.T) {
+	const n, written = 4, 2
+	r := newShareRig(n+written, 0)
+	r.run(t, func(p *simtime.Proc) {
+		r.live(t, p, n)
+		r.checkpointArmed(t, p)
+		for i := 0; i < written; i++ {
+			r.write(t, p, "v", i, 0xA0)
+		}
+		if got := r.cc.Resident(p, "ckpt"); got != written {
+			fail(t, "%d pre-images resident, want %d", got, written)
+		}
+		if e := r.cc.lru.Back().Value.(*entry); !e.pre {
+			t.Errorf("LRU tail is %v, want a pre-image", e.key)
+		}
+		if _, err := r.cl.Create(p, "w", int64(written+1)*r.cs); err != nil {
+			fail(t, "%v", err)
+		}
+		ev := r.cc.Stats().Evictions
+		for i := 0; i < written; i++ {
+			r.expect(t, p, "w", i, 0)
+		}
+		if got := r.cc.Resident(p, "ckpt"); got != 0 {
+			t.Errorf("%d pre-images left after %d loads into a full cache", got, written)
+		}
+		if got := r.cc.Resident(p, "v"); got != n {
+			t.Errorf("%d of v's %d chunks resident: a regular entry went before a pre-image", got, n)
+		}
+		if d := r.cc.Stats().Evictions - ev; d != 0 {
+			t.Errorf("dropping pre-images counted %d evictions, want 0", d)
+		}
+		r.expect(t, p, "w", written, 0)
+		if d := r.cc.Stats().Evictions - ev; d != 1 {
+			t.Errorf("%d evictions, want 1 once the pre-images are gone", d)
+		}
+	})
+}
+
+// Dropping the checkpoint releases each pre-image's buffer exactly once,
+// whether or not a restore still borrows it; ReleaseSpares then hands every
+// spare to the lender.
+func TestPreimageDropReleasesOnce(t *testing.T) {
+	const n, written = 4, 2
+	for _, order := range [][2]string{{"ckpt", "r"}, {"r", "ckpt"}} {
+		first, second := order[0], order[1]
+		t.Run("drop-"+first+"-first", func(t *testing.T) {
+			r := newShareRig(16, 0)
+			r.run(t, func(p *simtime.Proc) {
+				r.live(t, p, n)
+				r.checkpointArmed(t, p)
+				for i := 0; i < written; i++ {
+					r.write(t, p, "v", i, 0xA0)
+				}
+				r.restore(t, p, n)
+				for i := 0; i < n; i++ {
+					r.expect(t, p, "r", i, byte(i+1))
+				}
+				r.cc.Drop(p, first)
+				if len(r.cl.released) != 0 || len(r.cc.spares) != 0 {
+					fail(t, "dropping %s released %d buffers (%d spares) its co-holder still holds",
+						first, len(r.cl.released), len(r.cc.spares))
+				}
+				r.cc.Drop(p, second)
+				r.cc.Drop(p, "v")
+				for _, b := range r.cl.lent {
+					if got := r.releases(b); got != 1 {
+						t.Errorf("buffer released %d times, want 1", got)
+					}
+				}
+				if r.cc.extra != 0 || len(r.cc.entries) != 0 || len(r.cc.byID) != 0 {
+					t.Errorf("after dropping every file: extra %d, %d entries, %d indexed",
+						r.cc.extra, len(r.cc.entries), len(r.cc.byID))
+				}
+				r.cc.ReleaseSpares(p)
+				for _, b := range r.cl.lent {
+					if got := r.cl.released[b]; got != 1 || len(r.cc.spares) != 0 {
+						t.Errorf("after ReleaseSpares: buffer returned to the lender %d times (%d spares left), want once",
+							got, len(r.cc.spares))
+					}
+				}
+			})
+		})
+	}
+}
+
+// Once the checkpoint is dropped, a write keeps no pre-image of it: none
+// would be released again, and a file created later under the name would
+// read it as its own chunk.
+func TestPreimageNotKeptAfterCheckpointDrop(t *testing.T) {
+	r := newShareRig(16, 0)
+	r.run(t, func(p *simtime.Proc) {
+		r.live(t, p, 2)
+		r.checkpointArmed(t, p)
+		r.cc.Drop(p, "ckpt")
+		r.write(t, p, "v", 0, 0xA0)
+		if got := r.cc.Resident(p, "ckpt"); got != 0 {
+			t.Errorf("%d pre-images of a dropped checkpoint", got)
 		}
 	})
 }

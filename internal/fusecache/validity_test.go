@@ -189,7 +189,7 @@ func TestPartialEntryCOWKeepsCheckpoint(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		r.cc.ArmCOW(p, "v")
+		r.cc.ArmCOW(p, "v", "", 0, nil)
 		gets := r.cl.gets
 		r.writePages(t, p, "v", 0, []int{0, 1, 2}, 0xEE, img)
 		if err := r.cc.Flush(p, "v"); err != nil {

@@ -9,10 +9,11 @@
 // The router owns the shard map's arithmetic (the shard a name routes to,
 // the shard that minted a chunk) and the client-orchestrated cross-shard
 // protocol of DESIGN.md §16: export → retain → link, with the holds
-// released if the link fails, for Link and Derive above one shard, and the
-// release of the foreign holds a Delete or Remap sheds. At one shard Link
-// and Derive stay one OpLink/OpDerive round trip each. Membership epochs
-// and the stale-map retry are the Conn's business, not the router's.
+// released if the destination refuses the link, for Link and Derive above
+// one shard, and the release of the foreign holds a Delete or Remap sheds.
+// At one shard Link and Derive stay one OpLink/OpDerive round trip each.
+// Membership epochs and the stale-map retry are the Conn's business, not
+// the router's.
 package router
 
 import (
@@ -31,9 +32,11 @@ type Conn interface {
 	Shards() int
 	// ChunkSize returns the store's striping unit.
 	ChunkSize() int64
-	// Call sends req to shard and returns the reply; a reply's wire error
-	// comes back as the error (proto.WireErr). ctx is the caller's
-	// store.Ctx, passed through untouched.
+	// Call sends req to shard and returns the reply. A shard that answers
+	// with a refusal returns the reply, Err set, and its wire error as the
+	// error (proto.WireErr); any other error is a transport failure, after
+	// which the request may or may not have been applied, and the reply's
+	// Err is empty. ctx is the caller's store.Ctx, passed through untouched.
 	Call(ctx store.Ctx, shard int, req proto.ManagerReq) (proto.ManagerResp, error)
 }
 
@@ -118,8 +121,8 @@ func (r Router) Link(ctx store.Ctx, dst string, parts []string) (proto.FileInfo,
 //     the chunk's owner (OpRetainRefs — all-or-nothing per owner, rolled
 //     back on failure, so an abort leaves no stray holds);
 //  3. append the explicit ref list, laid out by manager.LayoutParts, to
-//     dst at its shard (OpLinkRefs); on failure the holds from step 2 are
-//     released.
+//     dst at its shard (OpLinkRefs); if the shard refuses, the holds from
+//     step 2 are released (releaseUnlinked).
 //
 // Holds are taken BEFORE the destination commits, so a crash mid-protocol
 // strands at worst surplus holds (leaked space, reclaimed by releasing),
@@ -142,10 +145,22 @@ func (r Router) linkSharded(ctx store.Ctx, dst string, parts []string) (proto.Fi
 		Op: proto.OpLinkRefs, Name: dst, Refs: refs, RefReplicas: reps, Size: size,
 	})
 	if err != nil {
-		r.releaseRemote(ctx, held)
+		r.releaseUnlinked(ctx, resp, held)
 		return proto.FileInfo{}, err
 	}
 	return resp.File, nil
+}
+
+// releaseUnlinked is the abort path of a failed OpLinkRefs: it releases
+// the holds taken for it only when the destination shard answered with a
+// refusal, which applied nothing. After a transport failure the link may
+// have committed with its reply lost, and then the destination references
+// the held chunks: the holds stay, a stranded hold at worst (leaked space,
+// §16) where a release could leave a reference to a freed chunk.
+func (r Router) releaseUnlinked(ctx store.Ctx, resp proto.ManagerResp, held []proto.ChunkRef) {
+	if resp.Err != "" {
+		r.releaseRemote(ctx, held)
+	}
 }
 
 // Derive implements store.Client.
@@ -182,7 +197,7 @@ func (r Router) deriveSharded(ctx store.Ctx, name, src string, fromChunk, nChunk
 		Op: proto.OpLinkRefs, Name: name, Refs: ex.File.Chunks, RefReplicas: ex.File.Replicas, Size: size, CreateDst: true,
 	})
 	if err != nil {
-		r.releaseRemote(ctx, held)
+		r.releaseUnlinked(ctx, resp, held)
 		return proto.FileInfo{}, err
 	}
 	return resp.File, nil

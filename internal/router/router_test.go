@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nvmalloc/internal/manager"
 	"nvmalloc/internal/proto"
 	"nvmalloc/internal/shardmap"
 	"nvmalloc/internal/store"
@@ -83,8 +84,8 @@ func TestShardedLinkReleasesHoldsOnAbort(t *testing.T) {
 		case proto.OpLookup: // chunks 1 and 3 minted by shard 0, 2 by shard 1
 			return proto.ManagerResp{File: proto.FileInfo{Name: part, Size: 3 * testChunk,
 				Chunks: []proto.ChunkRef{{ID: 1}, {ID: 2}, {ID: 3}}}}, nil
-		case proto.OpLinkRefs:
-			return proto.ManagerResp{}, proto.ErrNoSuchFile
+		case proto.OpLinkRefs: // refused, as a live shard refuses
+			return proto.ManagerResp{Err: proto.ErrNoSuchFile.Error()}, proto.ErrNoSuchFile
 		}
 		return proto.ManagerResp{}, nil
 	}
@@ -150,5 +151,80 @@ func TestDeleteAndRemapReleaseForeignHolds(t *testing.T) {
 	want := []string{"delete@0 []", "releaserefs@1 [2 4]", "remap@0 []", "releaserefs@0 [1]"}
 	if !reflect.DeepEqual(f.trail, want) {
 		t.Fatalf("requests %v, want %v", f.trail, want)
+	}
+}
+
+// applyConn is a Conn over in-process manager shards: Call applies the
+// request at the shard, as a live one would, and answers with its reply —
+// or, for a request lose matches, with a transport error once the shard
+// has applied it: the reply was lost on the way back.
+type applyConn struct {
+	mgrs []*manager.Manager
+	lose func(req proto.ManagerReq) bool
+}
+
+func (c *applyConn) Shards() int      { return len(c.mgrs) }
+func (c *applyConn) ChunkSize() int64 { return testChunk }
+
+func (c *applyConn) Call(_ store.Ctx, shard int, req proto.ManagerReq) (proto.ManagerResp, error) {
+	resp, _ := c.mgrs[shard].Apply(&req, 0)
+	if c.lose != nil && c.lose(req) {
+		return proto.ManagerResp{}, errors.New("connection reset by peer")
+	}
+	return resp, proto.WireErr(resp.Err)
+}
+
+// newApplyConn returns an applyConn over n fresh shards sharing two
+// benefactors.
+func newApplyConn(n int) *applyConn {
+	c := &applyConn{}
+	for i := 0; i < n; i++ {
+		m := manager.New(testChunk, manager.RoundRobin)
+		m.SetShard(i, n)
+		for b := 0; b < 2; b++ {
+			m.Register(proto.BenefactorInfo{ID: b, Node: b, Capacity: 64 * testChunk}, "", 0)
+		}
+		c.mgrs = append(c.mgrs, m)
+	}
+	return c
+}
+
+// TestShardedLinkKeepsHoldsWhenReplyLost: an OpLinkRefs whose reply is
+// lost may have committed, so the cross-shard link or derive keeps the
+// holds it took: once the source is deleted, the owner still holds every
+// chunk the destination references.
+func TestShardedLinkKeepsHoldsWhenReplyLost(t *testing.T) {
+	src, dst := nameOn(t, "var", 0, 2), nameOn(t, "ckpt", 1, 2)
+	for _, op := range []string{"link", "derive"} {
+		t.Run(op, func(t *testing.T) {
+			c := newApplyConn(2)
+			r := New(c)
+			fi, err := r.Create(nil, src, 2*testChunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.lose = func(req proto.ManagerReq) bool { return req.Op == proto.OpLinkRefs }
+			if op == "link" {
+				if _, err := r.Create(nil, dst, 0); err != nil {
+					t.Fatal(err)
+				}
+				_, err = r.Link(nil, dst, []string{src})
+			} else {
+				_, err = r.Derive(nil, dst, src, 0, 2, 2*testChunk)
+			}
+			if err == nil {
+				t.Fatalf("%s succeeded with its reply lost", op)
+			}
+			c.lose = nil
+			if err := r.Delete(nil, src); err != nil {
+				t.Fatal(err)
+			}
+			for _, ref := range fi.Chunks {
+				owner, foreign := c.mgrs[0].Refcount(ref.ID), c.mgrs[1].ForeignRefs(ref.ID)
+				if foreign != 1 || owner < foreign {
+					t.Errorf("chunk %d: owner refs=%d, %s references it %d times", ref.ID, owner, dst, foreign)
+				}
+			}
+		})
 	}
 }

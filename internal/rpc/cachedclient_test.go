@@ -643,7 +643,7 @@ func BenchmarkCheckpointFlushFanout(b *testing.B) {
 	if err := cache.Flush(nil, "var"); err != nil {
 		b.Fatal(err)
 	}
-	cache.ArmCOW(nil, "var")
+	cache.ArmCOW(nil, "var", "", 0, nil)
 	page := make([]byte, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -738,4 +738,105 @@ func BenchmarkRestoreReadBack(b *testing.B) {
 	b.ReportMetric(float64(st.Stats().InFlightPeak), "inflight-peak")
 	b.ReportMetric(float64(cache.Stats().Misses)/float64(b.N), "misses/sweep")
 	b.ReportMetric(float64(cache.Stats().PrefetchWasted)/chunk/float64(b.N), "wasted-chunks/sweep")
+}
+
+// BenchmarkRestoreAfterWrites is the local row of the ckpt-cycle restore
+// with the variable moved on (EXPERIMENTS.md): one ckpt-cycle step on a
+// 128-chunk variable on three 1 ms devices — write 4 pages in each of 13
+// chunks, checkpoint — then, timed, restore the previous checkpoint and
+// read it back in 1 MiB ops. Every chunk of the restore is still in the
+// client's RAM: the unchanged ones as the variable's, the 13 changed ones
+// as the pre-images their first writes kept. Reports ms/restore and
+// gets/restore, which must be 0.
+func BenchmarkRestoreAfterWrites(b *testing.B) {
+	const (
+		chunk   = 256 << 10
+		chunks  = 128
+		page    = 4096
+		changed = 13
+		op      = 1 << 20
+	)
+	ms, err := rpc.NewManagerServerWith("127.0.0.1:0", chunk, manager.RoundRobin, rpc.ManagerConfig{Replication: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ms.Close() })
+	for i := 0; i < 3; i++ {
+		backend := benefactor.Delay(benefactor.NewMem(), time.Millisecond)
+		bs, err := rpc.NewBenefactorServer("127.0.0.1:0", ms.Addr(), i, i, 8*chunks*chunk, chunk, backend, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { bs.Close() })
+	}
+	st := openStore(b, ms.Addr(), rpc.Options{})
+	c, _ := connectCached(b, st, nvmalloc.ConnectConfig{CacheBytes: 2 * chunks * chunk, PageSize: page})
+	live := make([]byte, chunks*chunk)
+	for i := range live {
+		live[i] = byte(i / page)
+	}
+	v, err := c.Malloc(nil, int64(len(live)), nvmalloc.WithName("var"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := v.WriteAt(nil, 0, live); err != nil {
+		b.Fatal(err)
+	}
+	dram := make([]byte, 64<<10)
+	prev, err := c.Checkpoint(nil, "ckpt0", dram, v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, buf := make([]byte, len(live)), make([]byte, op)
+	rng := rand.New(rand.NewSource(1))
+	var gets int64
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		b.StopTimer()
+		copy(snap, live)
+		for _, k := range rng.Perm(chunks)[:changed] {
+			for _, pg := range rng.Perm(chunk / page)[:4] {
+				off := k*chunk + pg*page
+				for j := off; j < off+page; j++ {
+					live[j] = byte(i)
+				}
+				if err := v.WriteAt(nil, int64(off), live[off:off+page]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		next, err := c.Checkpoint(nil, fmt.Sprintf("ckpt%d", i), dram, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i >= 2 {
+			if err := c.DeleteCheckpoint(nil, fmt.Sprintf("ckpt%d", i-2)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		before := st.Stats().ChunkGets
+		b.StartTimer()
+		r, err := c.RestoreRegion(nil, prev.Name, prev.Regions[0], fmt.Sprintf("rest%d", i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for off := 0; off < len(snap); off += op {
+			if err := r.ReadAt(nil, int64(off), buf); err != nil {
+				b.Fatal(err)
+			}
+			if !bytes.Equal(buf, snap[off:off+op]) {
+				b.Fatalf("restore %d: bytes at %d differ from the checkpoint's", i, off)
+			}
+		}
+		b.StopTimer()
+		gets += st.Stats().ChunkGets - before
+		if err := r.Free(nil); err != nil {
+			b.Fatal(err)
+		}
+		prev = next
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/restore")
+	b.ReportMetric(float64(gets)/float64(b.N), "gets/restore")
 }

@@ -39,7 +39,7 @@ func TestRemapPatchesCachedMeta(t *testing.T) {
 	oldRef := old.Chunks[0] // the cache patches the map it is given in place
 	cc := newFileCache(st)
 	cc.RegisterMeta(nil, old)
-	cc.ArmCOW(nil, "f")
+	cc.ArmCOW(nil, "f", "", 0, nil)
 	if err := writeThrough(nil, cc, "f", 0, []byte("V1")); err != nil {
 		t.Fatal(err)
 	}

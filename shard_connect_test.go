@@ -208,3 +208,86 @@ func TestShardedConnectCheckpointRestoreE2E(t *testing.T) {
 		t.Fatal("malloc on dead shard should fail")
 	}
 }
+
+// TestShardedRestoreAfterWritesFetchesNothing is ckpt-cycle's step at two
+// shards: checkpoint, write 4 pages in each of 13 chunks, checkpoint again,
+// restore the previous checkpoint. The chunks the writes changed still read
+// the previous checkpoint's bytes out of the client's RAM: their first
+// writes kept those bytes as the checkpoint's entries, so the restore
+// issues no chunk get at all.
+func TestShardedRestoreAfterWritesFetchesNothing(t *testing.T) {
+	const (
+		chunk   = 16 << 10
+		page    = 1 << 10
+		chunks  = 32
+		changed = 13
+	)
+	cl := startShardedCluster(t, 2, 3, chunk)
+	st, err := rpc.OpenWith(strings.Join(cl.addrs(), ","), rpc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := nvmalloc.ConnectStore(st, nvmalloc.ConnectConfig{CacheBytes: 4 * chunks * chunk, PageSize: page})
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	live := make([]byte, chunks*chunk)
+	for i := range live {
+		live[i] = byte(i / page)
+	}
+	v, err := c.Malloc(nil, int64(len(live)), nvmalloc.WithName(shardName(t, "pre.var", 0, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.WriteAt(nil, 0, live); err != nil {
+		t.Fatal(err)
+	}
+	dram := []byte("dram")
+	prev, err := c.Checkpoint(nil, shardName(t, "pre.ckpt-a", 1, 2), dram, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := append([]byte(nil), live...)
+	for k := 0; k < changed; k++ {
+		for _, pg := range []int{0, 3, 7, 12} {
+			off := (2*k)*chunk + pg*page
+			for i := off; i < off+page; i++ {
+				live[i] = 0xF0 ^ byte(k)
+			}
+			if err := v.WriteAt(nil, int64(off), live[off:off+page]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := c.Checkpoint(nil, shardName(t, "pre.ckpt-b", 1, 2), dram, v); err != nil {
+		t.Fatal(err)
+	}
+
+	gets := st.Stats().ChunkGets
+	r, err := c.RestoreRegion(nil, prev.Name, prev.Regions[0], shardName(t, "pre.rest", 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := make([]byte, len(snap))
+	if err := r.ReadAt(nil, 0, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, snap) {
+		t.Fatal("restored region does not read the previous checkpoint's bytes")
+	}
+	if d := st.Stats().ChunkGets - gets; d != 0 {
+		t.Errorf("restore issued %d chunk gets, want 0", d)
+	}
+	if err := v.ReadAt(nil, 0, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, live) {
+		t.Fatal("live variable does not read its new bytes")
+	}
+	if err := r.Free(nil); err != nil {
+		t.Fatal(err)
+	}
+}
