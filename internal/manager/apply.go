@@ -75,10 +75,6 @@ func (m *Manager) Apply(req *proto.ManagerReq, now time.Duration) (resp proto.Ma
 		resp.File, err = m.Lookup(req.Name)
 	case proto.OpDelete:
 		freed, resp.ForeignFreed, err = m.DeleteFull(req.Name)
-	case proto.OpLink:
-		resp.File, err = m.Link(req.Name, req.Parts)
-	case proto.OpDerive:
-		resp.File, err = m.Derive(req.Name, req.Src, req.FromChunk, req.NChunks, req.Size)
 	case proto.OpSetTTL:
 		var deadline time.Duration // zero clears the lifetime
 		if req.TTLNanos > 0 {
@@ -216,9 +212,8 @@ func (m *Manager) stale(req *proto.ManagerReq) bool {
 		return true
 	}
 	switch req.Op {
-	case proto.OpCreate, proto.OpLookup, proto.OpDelete, proto.OpLink,
-		proto.OpDerive, proto.OpSetTTL, proto.OpRemap,
-		proto.OpExportRange, proto.OpLinkRefs:
+	case proto.OpCreate, proto.OpLookup, proto.OpDelete, proto.OpSetTTL,
+		proto.OpRemap, proto.OpExportRange, proto.OpLinkRefs:
 		return m.shardCount > 1 && shardmap.ShardFor(req.Name, m.shardCount) != m.shardIndex
 	}
 	return false

@@ -781,13 +781,14 @@ func (m *Manager) ExpireSweep(now time.Duration) (expired []string, freed, forei
 }
 
 // Link appends the chunks of each part file to dst, incrementing their
-// refcounts — the zero-copy merge that ssdcheckpoint() uses to include
-// NVM-resident variables in a checkpoint file (paper §III-E). A sharded
-// manager refuses it: foreign chunks need holds at their owners, which only
-// the client's OpLinkRefs protocol takes.
+// refcounts, in one in-process call — the zero-copy merge that
+// ssdcheckpoint() uses to include NVM-resident variables in a checkpoint
+// file (paper §III-E). Clients link through the router's OpLinkRefs
+// protocol; a sharded manager refuses Link, because foreign chunks need
+// holds at their owners, which only that protocol takes.
 func (m *Manager) Link(dst string, parts []string) (proto.FileInfo, error) {
-	if err := m.unsharded("link"); err != nil {
-		return proto.FileInfo{}, err
+	if m.shardCount > 1 {
+		return proto.FileInfo{}, fmt.Errorf("manager: link on shard %d of %d: a sharded plane links through OpLinkRefs", m.shardIndex, m.shardCount)
 	}
 	if _, ok := m.files[dst]; !ok {
 		return proto.FileInfo{}, proto.ErrNoSuchFile
@@ -803,30 +804,6 @@ func (m *Manager) Link(dst string, parts []string) (proto.FileInfo, error) {
 	}
 	refs, replicas, size := LayoutParts(infos, m.chunkSize)
 	return m.LinkRefs(dst, refs, replicas, size, false)
-}
-
-// Derive creates a new file sharing a chunk sub-range of src (refcounted,
-// copy-on-write from there): checkpoint restore without data movement. A
-// sharded manager refuses it, as it does Link.
-func (m *Manager) Derive(name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	if err := m.unsharded("derive"); err != nil {
-		return proto.FileInfo{}, err
-	}
-	if _, ok := m.files[name]; ok {
-		return proto.FileInfo{}, proto.ErrFileExists
-	}
-	ex, err := m.ExportRange(src, fromChunk, nChunks)
-	if err != nil {
-		return proto.FileInfo{}, err
-	}
-	return m.LinkRefs(name, ex.Chunks, ex.Replicas, size, true)
-}
-
-func (m *Manager) unsharded(op string) error {
-	if m.shardCount > 1 {
-		return fmt.Errorf("manager: %s on shard %d of %d: a sharded plane links through OpLinkRefs", op, m.shardIndex, m.shardCount)
-	}
-	return nil
 }
 
 // LayoutParts lays part files end to end for a link: each part starts at a
@@ -1069,8 +1046,8 @@ func (m *Manager) ReleaseRefs(ids []proto.ChunkID) (freed []proto.ChunkRef) {
 
 // LinkRefs appends an explicit ref list to a file, creating the file first
 // when create is set; it is the only transition that appends to a file's
-// chunk list. Link and Derive build their lists in-process; a sharded
-// client builds them from other shards' lookups and exports. Refs this
+// chunk list. The client builds the list from lookups and exports (the
+// router's Link and Derive); Link builds it in-process. Refs this
 // shard owns simply gain a local reference; foreign refs are recorded in
 // the foreign table with their replica sets (the client retains matching
 // holds at the owners). size is the byte end of the appended run measured
@@ -1243,6 +1220,36 @@ func (m *Manager) CheckInvariants() error {
 		b := m.bens[id]
 		if b.info.Used != used[id] {
 			return fmt.Errorf("benefactor %d used=%d but chunks account for %d", id, b.info.Used, used[id])
+		}
+	}
+	return nil
+}
+
+// CheckCluster verifies the shards of one metadata plane together:
+// CheckInvariants on each, and for every chunk the other shards reference,
+// that its owner's remote holds are at least the sum of those references.
+// The two are equal when no call was cut; a surplus is a stranded hold
+// (leaked space, DESIGN.md §16), a shortfall a reference the owner may
+// free under a file. At one shard it is CheckInvariants.
+func CheckCluster(shards []*Manager) error {
+	foreign := make(map[proto.ChunkID]int)
+	for i, m := range shards {
+		if err := m.CheckInvariants(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		for id, fm := range m.foreign {
+			foreign[id] += fm.refs
+		}
+	}
+	ids := make([]proto.ChunkID, 0, len(foreign))
+	for id := range foreign {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		o := shards[0].Owner(id)
+		if held := shards[o].RemoteHolds(id); held < foreign[id] {
+			return fmt.Errorf("chunk %d: owner shard %d holds %d against foreign=%d", id, o, held, foreign[id])
 		}
 	}
 	return nil

@@ -243,11 +243,8 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 			t.Fatalf("dst foreign refs for %d = %d, want 1", id, dst.ForeignRefs(id))
 		}
 	}
-	if err := src.CheckInvariants(); err != nil {
-		t.Fatalf("src: %v", err)
-	}
-	if err := dst.CheckInvariants(); err != nil {
-		t.Fatalf("dst: %v", err)
+	if err := CheckCluster([]*Manager{src, dst}); err != nil {
+		t.Fatal(err)
 	}
 
 	// A same-shard link of the checkpoint is a lookup plus LinkRefs, as
@@ -281,6 +278,9 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 				id, dst.ForeignRefs(id), src.RemoteHolds(id), src.Refcount(id))
 		}
 	}
+	if err := CheckCluster([]*Manager{src, dst}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Copy-on-write of a foreign chunk: always shared, copies onto a
 	// locally-owned chunk, and the foreign reference comes back to free.
@@ -299,6 +299,9 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 	}
 	if src.Refcount(old.ID) != 2 {
 		t.Fatalf("chunk %d refs = %d after one release, want 2", old.ID, src.Refcount(old.ID))
+	}
+	if err := CheckCluster([]*Manager{src, dst}); err != nil {
+		t.Fatal(err)
 	}
 
 	// Tear down: deleting the dst files returns the foreign refs; releasing
@@ -323,61 +326,8 @@ func TestCrossShardLinkDeriveRemapDelete(t *testing.T) {
 	if dst.TotalChunks() != 0 { // remap's fresh chunk died with "merge"
 		t.Fatalf("dst still holds %d chunks", dst.TotalChunks())
 	}
-	if err := src.CheckInvariants(); err != nil {
-		t.Fatalf("src: %v", err)
-	}
-	if err := dst.CheckInvariants(); err != nil {
-		t.Fatalf("dst: %v", err)
-	}
-}
-
-// TestShardedRefusesLinkAndDerive: a sharded manager refuses OpLink and
-// OpDerive. Their source's foreign chunks need holds at the owning shard,
-// which only the client's OpLinkRefs protocol takes; answering would add
-// references the owner never sees.
-func TestShardedRefusesLinkAndDerive(t *testing.T) {
-	src := newShard(0, 2, 2)
-	dst := newShard(1, 2, 2)
-	ckpt, merge, view := nameOn(t, "ckpt", 1, 2), nameOn(t, "merge", 1, 2), nameOn(t, "view", 1, 2)
-	if _, err := src.Create("v", 2*cs); err != nil {
+	if err := CheckCluster([]*Manager{src, dst}); err != nil {
 		t.Fatal(err)
-	}
-	ex, err := src.ExportRange("v", 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []proto.ChunkID
-	for _, r := range ex.Chunks {
-		ids = append(ids, r.ID)
-	}
-	if err := src.RetainRefs(ids); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dst.LinkRefs(ckpt, ex.Chunks, ex.Replicas, ex.Size, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dst.Create(merge, 0); err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range []proto.ManagerReq{
-		{Op: proto.OpLink, Name: merge, Parts: []string{ckpt}},
-		{Op: proto.OpDerive, Name: view, Src: ckpt, NChunks: 2, Size: 2 * cs},
-	} {
-		if resp, _ := dst.Apply(&req, 0); resp.Err == "" || resp.Err == proto.ErrStaleShardMap.Error() {
-			t.Fatalf("sharded %s answered %q: %+v", req.Op, resp.Err, resp.File)
-		}
-		for _, id := range ids {
-			if dst.ForeignRefs(id) != 1 || src.Refcount(id) != 2 || src.RemoteHolds(id) != 1 {
-				t.Fatalf("%s: chunk %d dst foreign=%d src refs=%d remote=%d, want 1/2/1",
-					req.Op, id, dst.ForeignRefs(id), src.Refcount(id), src.RemoteHolds(id))
-			}
-		}
-		if err := dst.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", req.Op, err)
-		}
-	}
-	if got := dst.Files(); len(got) != 2 {
-		t.Fatalf("dst files %v, want only %q and %q", got, ckpt, merge)
 	}
 }
 

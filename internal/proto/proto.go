@@ -117,8 +117,6 @@ const (
 	OpCreate   Op = "create"
 	OpLookup   Op = "lookup"
 	OpDelete   Op = "delete"
-	OpLink     Op = "link"
-	OpDerive   Op = "derive"
 	OpRemap    Op = "remap"
 	OpSetTTL   Op = "setttl"
 	OpExpire   Op = "expire"
@@ -134,14 +132,15 @@ const (
 	// manager's span ring, so traces rooted in short-lived client
 	// processes survive for the nvmctl collector to scrape.
 	OpReportSpans Op = "spans"
-	// Cross-shard refcount protocol (client-orchestrated; manager shards
-	// never talk to each other). OpExportRange reads a chunk sub-range of
-	// a file (refs + replica sets + byte size) from the shard owning the
-	// file; OpRetainRefs bumps refcounts at a chunk's owning shard on
-	// behalf of a remote file reference; OpLinkRefs appends an explicit
-	// ref list (possibly foreign-owned) to — or creates — a file on the
-	// destination shard; OpReleaseRefs drops remote holds, physically
-	// deleting chunks whose refcount reaches zero.
+	// The link protocol behind every Link and Derive, at every shard
+	// count (client-orchestrated; manager shards never talk to each
+	// other). OpExportRange reads a chunk sub-range of a file (refs +
+	// replica sets + byte size) from the shard owning the file;
+	// OpRetainRefs bumps refcounts at a chunk's owning shard on behalf of
+	// a remote file reference; OpLinkRefs appends an explicit ref list
+	// (possibly foreign-owned) to — or creates — a file on the destination
+	// shard; OpReleaseRefs drops remote holds, physically deleting chunks
+	// whose refcount reaches zero.
 	OpExportRange Op = "exportrange"
 	OpRetainRefs  Op = "retainrefs"
 	OpLinkRefs    Op = "linkrefs"
@@ -198,13 +197,11 @@ type ManagerReq struct {
 	BenAddr      string // TCP transport only
 	BenDebugAddr string // benefactor observability endpoint, may be empty
 	Capacity     int64
-	// Create/Lookup/Delete/Link/Derive/Remap/SetTTL
+	// Create/Lookup/Delete/Remap/SetTTL/ExportRange/LinkRefs
 	Name     string
 	Size     int64
-	Parts    []string // Link: source files whose chunks are appended to Name
-	ChunkIdx int      // Remap
-	// Derive
-	Src       string
+	ChunkIdx int // Remap
+	// ExportRange
 	FromChunk int
 	NChunks   int
 	// SetTTL: lifetime in nanoseconds from the manager's clock when it
@@ -226,7 +223,7 @@ type ManagerReq struct {
 	Refs        []ChunkRef
 	RefReplicas [][]ChunkRef
 	// CreateDst makes OpLinkRefs create Name instead of appending to an
-	// existing file (cross-shard Derive).
+	// existing file (Derive).
 	CreateDst bool
 }
 

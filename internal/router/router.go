@@ -7,11 +7,11 @@
 // virtual time.
 //
 // The router owns the shard map's arithmetic (the shard a name routes to,
-// the shard that minted a chunk) and the client-orchestrated cross-shard
-// protocol of DESIGN.md §16: export → retain → link, with the holds
-// released if the destination refuses the link, for Link and Derive above
-// one shard, and the release of the foreign holds a Delete or Remap sheds.
-// At one shard Link and Derive stay one OpLink/OpDerive round trip each.
+// the shard that minted a chunk) and the client-orchestrated link protocol
+// of DESIGN.md §16: export → retain → link, with the holds released if the
+// destination refuses the link, for Link and Derive at every shard count,
+// and the release of the foreign holds a Delete or Remap sheds. At one
+// shard every chunk is the destination's own, so the retain sends nothing.
 // Membership epochs and the stale-map retry are the Conn's business, not
 // the router's.
 package router
@@ -102,18 +102,9 @@ func (r Router) Delete(ctx store.Ctx, name string) error {
 	return err
 }
 
-// Link implements store.Client.
-func (r Router) Link(ctx store.Ctx, dst string, parts []string) (proto.FileInfo, error) {
-	if r.conn.Shards() > 1 {
-		return r.linkSharded(ctx, dst, parts)
-	}
-	resp, err := r.routed(ctx, proto.ManagerReq{Op: proto.OpLink, Name: dst, Parts: parts})
-	return resp.File, err
-}
-
-// linkSharded is the cross-shard link: the destination and the parts may
-// live on different manager shards, and the parts' chunks on yet others.
-// The client orchestrates — shards never talk to each other (§16):
+// Link implements store.Client. The destination and the parts may live on
+// different manager shards, and the parts' chunks on yet others. The
+// client orchestrates — shards never talk to each other (§16):
 //
 //  1. look each part up at its owning shard (fresh refs, replica sets,
 //     sizes);
@@ -122,12 +113,14 @@ func (r Router) Link(ctx store.Ctx, dst string, parts []string) (proto.FileInfo,
 //     back on failure, so an abort leaves no stray holds);
 //  3. append the explicit ref list, laid out by manager.LayoutParts, to
 //     dst at its shard (OpLinkRefs); if the shard refuses, the holds from
-//     step 2 are released (releaseUnlinked).
+//     step 2 are released.
 //
 // Holds are taken BEFORE the destination commits, so a crash mid-protocol
 // strands at worst surplus holds (leaked space, reclaimed by releasing),
-// never a file referencing chunks its owners feel free to delete.
-func (r Router) linkSharded(ctx store.Ctx, dst string, parts []string) (proto.FileInfo, error) {
+// never a file referencing chunks its owners feel free to delete. The
+// steps are separate requests: a part deleted after its lookup fails the
+// retain or the link with ErrNoSuchChunk, since chunk IDs are never reused.
+func (r Router) Link(ctx store.Ctx, dst string, parts []string) (proto.FileInfo, error) {
 	infos := make([]proto.FileInfo, len(parts))
 	for i, p := range parts {
 		look, err := r.routed(ctx, proto.ManagerReq{Op: proto.OpLookup, Name: p})
@@ -137,70 +130,52 @@ func (r Router) linkSharded(ctx store.Ctx, dst string, parts []string) (proto.Fi
 		infos[i] = look.File
 	}
 	refs, reps, size := manager.LayoutParts(infos, r.conn.ChunkSize())
-	held, err := r.retainRemote(ctx, r.shardFor(dst), refs)
+	return r.linkRefs(ctx, proto.ManagerReq{
+		Op: proto.OpLinkRefs, Name: dst, Refs: refs, RefReplicas: reps, Size: size,
+	})
+}
+
+// linkRefs retains req.Refs at their owners on behalf of req.Name's shard,
+// then sends req, the OpLinkRefs that commits them there. A refusal from
+// the destination shard applied nothing, so the holds are released. After
+// a transport failure the link may have committed with its reply lost, and
+// then the destination references the held chunks: the holds stay, a
+// stranded hold at worst (leaked space, §16) where a release could leave a
+// reference to a freed chunk.
+func (r Router) linkRefs(ctx store.Ctx, req proto.ManagerReq) (proto.FileInfo, error) {
+	held, err := r.retainRemote(ctx, r.shardFor(req.Name), req.Refs)
 	if err != nil {
 		return proto.FileInfo{}, err
 	}
-	resp, err := r.routed(ctx, proto.ManagerReq{
-		Op: proto.OpLinkRefs, Name: dst, Refs: refs, RefReplicas: reps, Size: size,
-	})
+	resp, err := r.routed(ctx, req)
 	if err != nil {
-		r.releaseUnlinked(ctx, resp, held)
+		if resp.Err != "" {
+			r.releaseRemote(ctx, held)
+		}
 		return proto.FileInfo{}, err
 	}
 	return resp.File, nil
 }
 
-// releaseUnlinked is the abort path of a failed OpLinkRefs: it releases
-// the holds taken for it only when the destination shard answered with a
-// refusal, which applied nothing. After a transport failure the link may
-// have committed with its reply lost, and then the destination references
-// the held chunks: the holds stay, a stranded hold at worst (leaked space,
-// §16) where a release could leave a reference to a freed chunk.
-func (r Router) releaseUnlinked(ctx store.Ctx, resp proto.ManagerResp, held []proto.ChunkRef) {
-	if resp.Err != "" {
-		r.releaseRemote(ctx, held)
-	}
-}
-
-// Derive implements store.Client.
+// Derive implements store.Client (checkpoint restore): the new file and
+// its source may hash to different shards. Like Link, the client exports
+// the chunk sub-range from the source's shard (OpExportRange — read-only,
+// holds nothing), retains the refs at their owners, then creates the new
+// file from the explicit ref list at its own shard (OpLinkRefs with
+// CreateDst). The source is checked before the new name, so a derive onto
+// an existing name from a missing source reports the missing source. A
+// racing delete between export and link fails the retain or the link with
+// ErrNoSuchChunk and the derive aborts cleanly.
 func (r Router) Derive(ctx store.Ctx, name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
-	if r.conn.Shards() > 1 {
-		return r.deriveSharded(ctx, name, src, fromChunk, nChunks, size)
-	}
-	resp, err := r.routed(ctx, proto.ManagerReq{
-		Op: proto.OpDerive, Name: name, Src: src, FromChunk: fromChunk, NChunks: nChunks, Size: size,
-	})
-	return resp.File, err
-}
-
-// deriveSharded is the cross-shard derive (checkpoint restore): the new
-// file and its source may hash to different shards. Like linkSharded, the
-// client exports the chunk sub-range from the source's shard
-// (OpExportRange — read-only, holds nothing), retains the refs at their
-// owners, then creates the new file from the explicit ref list at its own
-// shard (OpLinkRefs with CreateDst). A racing delete between export and
-// retain fails the retain with ErrNoSuchChunk and the derive aborts
-// cleanly.
-func (r Router) deriveSharded(ctx store.Ctx, name, src string, fromChunk, nChunks int, size int64) (proto.FileInfo, error) {
 	ex, err := r.routed(ctx, proto.ManagerReq{
 		Op: proto.OpExportRange, Name: src, FromChunk: fromChunk, NChunks: nChunks,
 	})
 	if err != nil {
 		return proto.FileInfo{}, err
 	}
-	held, err := r.retainRemote(ctx, r.shardFor(name), ex.File.Chunks)
-	if err != nil {
-		return proto.FileInfo{}, err
-	}
-	resp, err := r.routed(ctx, proto.ManagerReq{
+	return r.linkRefs(ctx, proto.ManagerReq{
 		Op: proto.OpLinkRefs, Name: name, Refs: ex.File.Chunks, RefReplicas: ex.File.Replicas, Size: size, CreateDst: true,
 	})
-	if err != nil {
-		r.releaseUnlinked(ctx, resp, held)
-		return proto.FileInfo{}, err
-	}
-	return resp.File, nil
 }
 
 // Remap implements store.Client: it allocates a fresh chunk for chunk

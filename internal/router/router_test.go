@@ -47,11 +47,19 @@ func nameOn(t *testing.T, prefix string, shard, n int) string {
 	return ""
 }
 
-// TestOneShardKeepsShortcutsAndStampsSpans: at one shard Link and Derive
-// are one OpLink/OpDerive round trip each (the simulator's charges depend
-// on it), and every request carries the caller's trace and parent span.
-func TestOneShardKeepsShortcutsAndStampsSpans(t *testing.T) {
+// TestOneShardLinkProtocolStampsSpans: at one shard Link and Derive run
+// the same export → retain → link protocol as above it, with nothing to
+// retain — every chunk is the destination shard's own — and every request
+// carries the caller's trace and parent span.
+func TestOneShardLinkProtocolStampsSpans(t *testing.T) {
 	f := &fakeConn{n: 1}
+	f.reply = func(_ int, req proto.ManagerReq) (proto.ManagerResp, error) {
+		switch req.Op {
+		case proto.OpLookup, proto.OpExportRange:
+			return proto.ManagerResp{File: proto.FileInfo{Size: testChunk, Chunks: []proto.ChunkRef{{ID: 1}}}}, nil
+		}
+		return proto.ManagerResp{}, nil
+	}
 	r := New(f)
 	ctx := store.WithSpan(nil, store.SpanInfo{Trace: "t1", Parent: "s1", Var: "ckpt"})
 	if _, err := r.Link(ctx, "ckpt", []string{"a", "b"}); err != nil {
@@ -63,7 +71,8 @@ func TestOneShardKeepsShortcutsAndStampsSpans(t *testing.T) {
 	if err := r.SetTTL(ctx, "view", 0); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"link@0 []", "derive@0 []", "setttl@0 []"}; !reflect.DeepEqual(f.trail, want) {
+	want := []string{"lookup@0 []", "lookup@0 []", "linkrefs@0 []", "exportrange@0 []", "linkrefs@0 []", "setttl@0 []"}
+	if !reflect.DeepEqual(f.trail, want) {
 		t.Fatalf("requests %v, want %v", f.trail, want)
 	}
 	for _, req := range f.reqs {
@@ -224,6 +233,9 @@ func TestShardedLinkKeepsHoldsWhenReplyLost(t *testing.T) {
 				if foreign != 1 || owner < foreign {
 					t.Errorf("chunk %d: owner refs=%d, %s references it %d times", ref.ID, owner, dst, foreign)
 				}
+			}
+			if err := manager.CheckCluster(c.mgrs); err != nil {
+				t.Error(err)
 			}
 		})
 	}

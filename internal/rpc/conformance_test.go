@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -153,7 +154,9 @@ func (sub *substrate) state(t *testing.T) confState {
 // benefactors at replication 2, and requires identical manager and
 // benefactor state after every step: the two drive the same manager.Apply
 // orchestration, so their chunk maps, replica sets, occupancy and chunk
-// inventories must not drift apart.
+// inventories must not drift apart. A refused step must fail with the same
+// error class on both and leave the state as it was: no stray file, chunk
+// or hold.
 func TestSubstratesConform(t *testing.T) {
 	const cs = testChunk
 	fill := func(ctx store.Ctx, c store.Client, name string, idx int, b byte) error {
@@ -186,6 +189,27 @@ func TestSubstratesConform(t *testing.T) {
 		}},
 		{"derive", func(sub *substrate, ctx store.Ctx) error {
 			_, err := sub.client.Derive(ctx, "view", "ckpt", 1, 2, 2*cs)
+			return err
+		}},
+		{"link-missing-part", func(sub *substrate, ctx store.Ctx) error {
+			_, err := sub.client.Link(ctx, "ckpt", []string{"var", "nopart"})
+			return err
+		}},
+		{"link-missing-dst", func(sub *substrate, ctx store.Ctx) error {
+			_, err := sub.client.Link(ctx, "nodst", []string{"var"})
+			return err
+		}},
+		{"derive-onto-existing", func(sub *substrate, ctx store.Ctx) error {
+			_, err := sub.client.Derive(ctx, "view", "ckpt", 0, 1, cs)
+			return err
+		}},
+		{"derive-existing-from-missing", func(sub *substrate, ctx store.Ctx) error {
+			// The source is checked first: the missing source is reported.
+			_, err := sub.client.Derive(ctx, "view", "nosrc", 0, 1, cs)
+			return err
+		}},
+		{"derive-out-of-range", func(sub *substrate, ctx store.Ctx) error {
+			_, err := sub.client.Derive(ctx, "view2", "ckpt", 2, 2, 2*cs)
 			return err
 		}},
 		{"remap-shared", func(sub *substrate, ctx store.Ctx) error {
@@ -223,16 +247,35 @@ func TestSubstratesConform(t *testing.T) {
 		{"repair", func(sub *substrate, ctx store.Ctx) error { return sub.repair(ctx) }},
 		{"rejoin", func(sub *substrate, ctx store.Ctx) error { return sub.rejoin(victim) }},
 	}
+	// The steps that must be refused, with the error class both substrates
+	// return.
+	refusals := map[string]error{
+		"link-missing-part":            proto.ErrNoSuchFile,
+		"link-missing-dst":             proto.ErrNoSuchFile,
+		"derive-onto-existing":         proto.ErrFileExists,
+		"derive-existing-from-missing": proto.ErrNoSuchFile,
+		"derive-out-of-range":          proto.ErrChunkOutOfRange,
+	}
 	subs := map[string]*substrate{"sim": simSubstrate(t), "tcp": tcpSubstrate(t)}
+	var prev confState
 	for _, s := range script {
+		refuse := refusals[s.name]
 		for name, sub := range subs {
-			if err := sub.step(func(ctx store.Ctx) error { return s.do(sub, ctx) }); err != nil {
+			err := sub.step(func(ctx store.Ctx) error { return s.do(sub, ctx) })
+			if refuse == nil && err != nil {
 				t.Fatalf("%s: %s: %v", s.name, name, err)
+			}
+			if refuse != nil && !errors.Is(err, refuse) {
+				t.Fatalf("%s: %s = %v, want %v", s.name, name, err, refuse)
 			}
 		}
 		sim, tcp := subs["sim"].state(t), subs["tcp"].state(t)
 		if !reflect.DeepEqual(sim, tcp) {
 			t.Fatalf("after %s the substrates differ:\nsim %+v\ntcp %+v", s.name, sim, tcp)
 		}
+		if refuse != nil && !reflect.DeepEqual(sim, prev) {
+			t.Fatalf("refused %s changed the state:\nbefore %+v\nafter  %+v", s.name, prev, sim)
+		}
+		prev = sim
 	}
 }

@@ -503,7 +503,11 @@ func TestRetryableOpWhitelist(t *testing.T) {
 			t.Fatalf("%s should be retryable (idempotent)", op)
 		}
 	}
-	for _, op := range []proto.Op{proto.OpCreate, proto.OpDelete, proto.OpLink, proto.OpRemap, proto.OpDerive} {
+	// The refcount ops above all: a lost OpLinkRefs reply may have
+	// committed, and the router keeps its holds only because the call is
+	// never replayed.
+	for _, op := range []proto.Op{proto.OpCreate, proto.OpDelete, proto.OpRemap,
+		proto.OpRetainRefs, proto.OpLinkRefs, proto.OpReleaseRefs} {
 		if retryableOp(op) {
 			t.Fatalf("%s must not be retried: at-least-once would break its semantics", op)
 		}

@@ -86,17 +86,17 @@ func (c *ManagerClient) Close() error {
 }
 
 // retryableOp reports whether a manager RPC may be reissued after a
-// transport failure. Ops with create-once semantics (Create, Link, Derive,
-// Remap, Delete) are excluded: the lost response may have committed, and a
-// blind retry would turn that success into a spurious error.
+// transport failure. Ops with create-once semantics (Create, Remap,
+// Delete) are excluded: the lost response may have committed, and a blind
+// retry would turn that success into a spurious error. So are the refcount
+// ops a Link or Derive sends (RetainRefs, LinkRefs, ReleaseRefs): a lost
+// response may have committed the refcount change, and a blind replay
+// would double-count a hold or a reference.
 func retryableOp(op proto.Op) bool {
 	switch op {
 	case proto.OpRegister, proto.OpBeat, proto.OpLookup, proto.OpStatus,
 		proto.OpSetTTL, proto.OpExpire, proto.OpRepair, proto.OpMarkDead,
-		proto.OpExportRange:
-		// ExportRange is read-only. RetainRefs/LinkRefs/ReleaseRefs are
-		// NOT retryable: a lost response may have committed the refcount
-		// change, and a blind replay would double-count a hold.
+		proto.OpExportRange: // ExportRange is read-only
 		return true
 	}
 	return false

@@ -69,7 +69,7 @@ type managerMetrics struct {
 
 var managerOps = []proto.Op{
 	proto.OpRegister, proto.OpBeat, proto.OpCreate, proto.OpLookup,
-	proto.OpDelete, proto.OpLink, proto.OpDerive, proto.OpSetTTL,
+	proto.OpDelete, proto.OpSetTTL,
 	proto.OpExpire, proto.OpRemap, proto.OpStatus, proto.OpMarkDead,
 	proto.OpRepair, proto.OpReportSpans,
 	proto.OpExportRange, proto.OpRetainRefs, proto.OpLinkRefs, proto.OpReleaseRefs,

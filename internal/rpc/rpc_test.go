@@ -389,9 +389,8 @@ func TestTCPDeriveSharesChunks(t *testing.T) {
 }
 
 // TestDeriveSizeMustFitChunks: a derived file's size must fit the chunks
-// it shares. A size past them, or a negative one, is refused on both the
-// unsharded OpDerive and the sharded OpLinkRefs path, and the manager's
-// invariants hold afterwards.
+// it shares. A size past them, or a negative one, is refused by OpLinkRefs
+// at one shard and at two, and the manager's invariants hold afterwards.
 func TestDeriveSizeMustFitChunks(t *testing.T) {
 	derive := func(t *testing.T, st *Store, view, src string) {
 		t.Helper()

@@ -278,13 +278,10 @@ func wireSizes(req *proto.ManagerReq, resp *proto.ManagerResp) (reqExtra, respEx
 		return name, 8
 	case proto.OpSetTTL:
 		return name + 8, 8
-	case proto.OpLink:
-		for _, pn := range req.Parts {
-			name += int64(len(pn))
-		}
-		return name, fileReply
-	case proto.OpDerive:
-		return name + int64(len(req.Src)) + 24, fileReply
+	case proto.OpExportRange:
+		return name + 16, fileReply
+	case proto.OpLinkRefs:
+		return name + int64(len(req.Refs))*chunkRefBytes, fileReply
 	case proto.OpRemap:
 		return name + 8, int64(1+max(len(resp.NewRefs), 1)) * chunkRefBytes
 	case proto.OpStatus:
